@@ -21,7 +21,7 @@ Payloads::
     CREATE:  op=1 | name_len (2) | name | version (8) | count (4) | elements
     DIFF:    op=2 | name_len (2) | name | n_add (4) | n_rm (4) | adds | rms
 
-Elements are 8-byte big-endian unsigned.  A snapshot file is simply a
+Elements are 8-byte big-endian unsigned, ascending.  A snapshot file is a
 sequence of CREATE records (one per named set, version included), so one
 codec serves both files and replaying a snapshot is replaying a journal.
 
@@ -51,6 +51,7 @@ from repro.cluster.storage import (
     compact_if_due,
 )
 from repro.core.checksum import set_checksum
+from repro.core.elements import element_array
 from repro.errors import ReproError
 from repro.service.store import SetStore, UnknownSetError
 
@@ -136,12 +137,7 @@ def _name_bytes(name: str) -> bytes:
 
 
 def _elements_bytes(values) -> bytes:
-    return np.ascontiguousarray(
-        np.fromiter((int(v) for v in values), dtype=np.uint64)
-        if not isinstance(values, np.ndarray)
-        else values,
-        dtype=">u8",
-    ).tobytes()
+    return element_array(values).astype(">u8").tobytes()
 
 
 def encode_create(name: str, values, version: int = 0) -> bytes:

@@ -51,8 +51,6 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.cluster.config import CONFIG_FIELDS, EXECUTORS, ClusterConfig
 from repro.cluster.manifest import (
     ClusterManifest,
@@ -84,6 +82,7 @@ from repro.cluster.storage import (
     compact_if_due,
     open_backend,
 )
+from repro.core.elements import element_array
 from repro.errors import ReproError
 from repro.obs.logs import get_logger
 from repro.service.store import SetStore, Snapshot
@@ -939,15 +938,6 @@ class ClusterStore:
         return self._shards[self.ring.lookup(name)]
 
     # -- mutations (through the shard worker) ----------------------------------
-    @staticmethod
-    def _as_elements(values) -> np.ndarray:
-        """An owned uint64 array (arrays stay vectorized end to end —
-        store merge and journal encode both take the ndarray fast path;
-        the copy means callers may reuse their buffer after submitting)."""
-        if isinstance(values, np.ndarray):
-            return values.astype(np.uint64, copy=True)
-        return np.fromiter((int(v) for v in values), dtype=np.uint64)
-
     async def _resize_barrier(self) -> None:
         """Park mutations while a :meth:`resize` swaps the layout.
 
@@ -970,7 +960,7 @@ class ClusterStore:
         await self._resize_barrier()
         return await self._submit(
             self._shard(name), "apply", name,
-            self._as_elements(add), self._as_elements(remove),
+            element_array(add), element_array(remove),
             trace=trace,
         )
 
@@ -978,7 +968,7 @@ class ClusterStore:
         """Create (or replace) a named set, journaled as full state."""
         await self._resize_barrier()
         await self._submit(
-            self._shard(name), "create", name, self._as_elements(values),
+            self._shard(name), "create", name, element_array(values),
             trace=trace,
         )
 

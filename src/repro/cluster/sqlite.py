@@ -35,7 +35,7 @@ arithmetic is bit-for-bit the in-memory
 :meth:`repro.service.store.SetStore.apply_diff` arithmetic — the
 cross-backend equivalence the tests assert.  Element values are 64-bit
 unsigned; SQLite INTEGERs are signed, so values round-trip through a
-two's-complement mapping.
+two's-complement mapping: an element array viewed as ``int64``.
 
 ``sqlite3`` connections refuse cross-thread use, so this backend
 declares ``concurrent_writes=False``: durable writes happen inline on
@@ -47,12 +47,16 @@ from SQLite's own durable state and never materializes the store.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sqlite3
 from pathlib import Path
 
+import numpy as np
+
 from repro.cluster.journal import COMPACT_FACTOR, COMPACT_MIN_BYTES
 from repro.cluster.storage import StorageBackend, StorageCorruptError
+from repro.core.elements import element_array
 from repro.service.store import SetStore, UnknownSetError, _NamedSet
 
 #: Default LRU cap on materialized sets per shard.  Sized for "many
@@ -79,15 +83,17 @@ def db_filename(epoch: int = 0) -> str:
     return "store.sqlite" if epoch == 0 else f"store-e{epoch}.sqlite"
 
 
-def _to_signed(value: int) -> int:
-    """uint64 element -> SQLite INTEGER (two's complement)."""
-    value = int(value)
-    return value - (1 << 64) if value >= (1 << 63) else value
+def _rows(name: str, values):
+    """``(set_name, value)`` parameter rows: uint64 elements as SQLite
+    INTEGERs (two's complement)."""
+    signed = element_array(values).view(np.int64).tolist()
+    return zip(itertools.repeat(name), signed)
 
 
-def _from_signed(value: int) -> int:
-    """SQLite INTEGER -> uint64 element."""
-    return value + (1 << 64) if value < 0 else value
+def _elements(cursor) -> np.ndarray:
+    """Single-column SQLite INTEGER rows back as an element array."""
+    signed = np.fromiter((v for (v,) in cursor), dtype=np.int64)
+    return element_array(signed.view(np.uint64))
 
 
 class SqliteBackend(StorageBackend):
@@ -188,7 +194,7 @@ class SqliteBackend(StorageBackend):
             conn.executemany(
                 "INSERT OR IGNORE INTO elements (set_name, value)"
                 " VALUES (?, ?)",
-                ((name, _to_signed(v)) for v in values),
+                _rows(name, values),
             )
         self.records_appended += 1
 
@@ -211,11 +217,11 @@ class SqliteBackend(StorageBackend):
             conn.executemany(
                 "INSERT OR IGNORE INTO elements (set_name, value)"
                 " VALUES (?, ?)",
-                ((name, _to_signed(v)) for v in add),
+                _rows(name, add),
             )
             conn.executemany(
                 "DELETE FROM elements WHERE set_name = ? AND value = ?",
-                ((name, _to_signed(v)) for v in remove),
+                _rows(name, remove),
             )
             if conn.total_changes != before:
                 conn.execute(
@@ -233,12 +239,9 @@ class SqliteBackend(StorageBackend):
         for name, version in conn.execute(
             "SELECT name, version FROM sets ORDER BY name"
         ).fetchall():
-            values = frozenset(
-                _from_signed(v)
-                for (v,) in conn.execute(
-                    "SELECT value FROM elements WHERE set_name = ?", (name,)
-                )
-            )
+            values = _elements(conn.execute(
+                "SELECT value FROM elements WHERE set_name = ?", (name,)
+            ))
             yield name, values, int(version)
 
     # -- lazy-store support ----------------------------------------------------
@@ -264,7 +267,7 @@ class SqliteBackend(StorageBackend):
             )
         ]
 
-    def load_set(self, name: str) -> tuple[set, int] | None:
+    def load_set(self, name: str) -> tuple[np.ndarray, int] | None:
         """One set's committed ``(values, version)``, or ``None``."""
         conn = self._conn
         if conn is None:
@@ -274,12 +277,9 @@ class SqliteBackend(StorageBackend):
         ).fetchone()
         if row is None:
             return None
-        values = {
-            _from_signed(v)
-            for (v,) in conn.execute(
-                "SELECT value FROM elements WHERE set_name = ?", (name,)
-            )
-        }
+        values = _elements(conn.execute(
+            "SELECT value FROM elements WHERE set_name = ?", (name,)
+        ))
         return values, int(row[0])
 
     def summary_rows(self) -> list[tuple[str, int, int]]:
@@ -383,7 +383,7 @@ class SqliteBackend(StorageBackend):
                     conn.executemany(
                         "INSERT OR IGNORE INTO elements (set_name, value)"
                         " VALUES (?, ?)",
-                        ((name, _to_signed(v)) for v in values),
+                        _rows(name, values),
                     )
         finally:
             conn.close()
@@ -451,7 +451,7 @@ class LazySetStore(SetStore):
         if loaded is None:
             raise UnknownSetError(f"no such set: {name!r}")
         values, version = loaded
-        entry = _NamedSet(values=values, version=version)
+        entry = _NamedSet(base=values, version=version)
         self._sets[name] = entry
         self.cache_faults += 1
         self._evict()
@@ -470,7 +470,7 @@ class LazySetStore(SetStore):
         self._touch(name)
         self._evict()
 
-    def items(self) -> list[tuple[str, frozenset, int]]:
+    def items(self) -> list[tuple[str, np.ndarray, int]]:
         return list(self._backend.iter_sets())
 
     def cache_stats(self) -> dict:

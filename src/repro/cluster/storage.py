@@ -52,6 +52,8 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import ReproError
 from repro.obs.logs import get_logger, slow_op_threshold_s
 from repro.obs.metrics import REGISTRY, STORAGE_COMMIT
@@ -153,8 +155,9 @@ class StorageBackend(ABC):
 
     # -- committed-state readers ----------------------------------------------
     @abstractmethod
-    def iter_sets(self) -> Iterator[tuple[str, frozenset, int]]:
-        """Yield ``(name, values, version)`` for every committed set.
+    def iter_sets(self) -> Iterator[tuple[str, np.ndarray, int]]:
+        """Yield ``(name, values, version)`` for every committed set,
+        ``values`` as an element array (:mod:`repro.core.elements`).
 
         Reads the durable state, not any live in-memory cache — this is
         what the rebalance migrates through, so it must reflect every

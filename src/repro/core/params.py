@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.analysis.optimizer import groups_for, optimize_params
 from repro.bch.codec import BCHCodec
@@ -68,19 +68,13 @@ class PBSParams:
         log_u: int = 32,
         split_model: str = "three-way",
     ) -> "PBSParams":
-        """Optimal parameters for a known difference cardinality (§5.1)."""
-        d = max(1, d)
-        best = optimize_params(d, delta=delta, r=r, p0=p0, split_model=split_model)
-        return cls(
-            n=best.n,
-            t=best.t,
-            g=groups_for(d, delta),
-            delta=delta,
-            r=r,
-            p0=p0,
-            log_u=log_u,
-            split_model=split_model,
-        )
+        """Optimal parameters for a known difference cardinality (§5.1).
+
+        A pure function of its arguments, so it is memoized: equal
+        arguments return the same frozen instance, which also shares its
+        lazily built :attr:`codec`.
+        """
+        return _from_d(cls, max(1, d), delta, r, p0, log_u, split_model)
 
     @classmethod
     def from_estimate(
@@ -91,3 +85,19 @@ class PBSParams:
     ) -> "PBSParams":
         """§6.2 flow: design for the conservative ``ceil(gamma * d_hat)``."""
         return cls.from_d(max(1, math.ceil(gamma * d_hat)), **kwargs)
+
+
+@lru_cache(maxsize=512, typed=True)
+def _from_d(cls, d, delta, r, p0, log_u, split_model) -> PBSParams:
+    """:meth:`PBSParams.from_d` itself (``__wrapped__`` is uncached)."""
+    best = optimize_params(d, delta=delta, r=r, p0=p0, split_model=split_model)
+    return cls(
+        n=best.n,
+        t=best.t,
+        g=groups_for(d, delta),
+        delta=delta,
+        r=r,
+        p0=p0,
+        log_u=log_u,
+        split_model=split_model,
+    )

@@ -23,6 +23,7 @@ import struct
 
 import numpy as np
 
+from repro.core.elements import contains, element_array
 from repro.core.params import PBSParams
 from repro.core.sessions import AliceSession, BobSession, _as_element_array
 from repro.estimators.tow import DEFAULT_GAMMA, ToWEstimator
@@ -191,10 +192,8 @@ class PBSProtocol:
         if self.bidirectional and alice.done:
             # Alice pushes A \ B so Bob can also form the union (§1.1).
             arr_a = _as_element_array(set_a, params.log_u)
-            a_only = np.intersect1d(
-                np.fromiter((int(v) for v in difference), dtype=np.uint64),
-                arr_a,
-            )
+            a_only = element_array(difference)
+            a_only = a_only[contains(arr_a, a_only)]
             channel.send(
                 Direction.ALICE_TO_BOB,
                 a_only.astype(np.uint64).tobytes(),

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.checksum import set_checksum
+from repro.core.elements import element_array
 from repro.core.messages import ReplyMessage, SketchMessage, UnitReply
 from repro.core.params import PBSParams
 from repro.core.partition import (
@@ -49,27 +50,28 @@ from repro.utils.seeds import derive_seed
 
 
 def _as_element_array(values, log_u: int) -> np.ndarray:
-    """Validate and convert an element iterable to a uint64 array."""
-    arr = np.fromiter((int(v) for v in values), dtype=np.uint64)
-    if len(arr) == 0:
-        return arr
-    if int(arr.min()) < 1 or int(arr.max()) >= (1 << log_u):
+    """``values`` as an element array (:mod:`repro.core.elements`),
+    checked against the universe ``[1, 2^log_u)``."""
+    arr = element_array(values)
+    if len(arr) and (int(arr[0]) < 1 or int(arr[-1]) >= (1 << log_u)):
         raise ParameterError(
             f"elements must be in [1, 2^{log_u}) — the all-zero element is "
             "excluded from the universe (§2.1)"
         )
-    return np.unique(arr)
+    return arr
 
 
 def _partition_by_group(arr: np.ndarray, salt: int, g: int) -> list[np.ndarray]:
-    """Split a set into its g group arrays with one vectorized pass."""
+    """Split an element array into its g group arrays (each still sorted)
+    with one vectorized pass."""
     if len(arr) == 0:
-        return [arr.copy() for _ in range(g)]
+        return [arr] * g
     gidx = group_indices(arr, salt, g)
-    order = np.argsort(gidx, kind="stable")
-    sorted_arr = arr[order]
-    sorted_gidx = gidx[order]
-    bounds = np.searchsorted(sorted_gidx, np.arange(g + 1))
+    if g <= 1 << 16:
+        gidx = gidx.astype(np.uint16)   # stable argsort is a radix sort
+    sorted_arr = arr[np.argsort(gidx, kind="stable")]
+    bounds = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum(np.bincount(gidx, minlength=g), out=bounds[1:])
     return [sorted_arr[bounds[i] : bounds[i + 1]] for i in range(g)]
 
 
@@ -218,10 +220,13 @@ class AliceSession:
                     self.recovered_by_round.get(round_no, 0) + len(candidates)
                 )
                 unit.working = np.setxor1d(
-                    unit.working, np.array(sorted(candidates), dtype=np.uint64)
+                    unit.working, element_array(candidates),
+                    assume_unique=True,
                 )
             if set_checksum(unit.working, params.log_u) == unit.b_checksum:
-                diff = np.setxor1d(unit.original, unit.working)
+                diff = np.setxor1d(
+                    unit.original, unit.working, assume_unique=True
+                )
                 self._resolved_diffs.append(diff)
                 self.resolved_by_round[round_no] = (
                     self.resolved_by_round.get(round_no, 0) + len(diff)
@@ -347,7 +352,8 @@ class AliceSession:
         """Alice's current view of A xor B (exact iff :attr:`done`)."""
         parts = list(self._resolved_diffs)
         parts.extend(
-            np.setxor1d(u.original, u.working) for u in self.pending
+            np.setxor1d(u.original, u.working, assume_unique=True)
+            for u in self.pending
         )
         if not parts:
             return frozenset()

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.hashing.families import SaltedHash
+from repro.hashing.families import SaltedHash, low_bit_balance
 from repro.hashing.fourwise import FourWiseHash
 from repro.utils.bitio import BitReader, BitWriter
 from repro.utils.seeds import derive_seed
@@ -71,17 +71,12 @@ class ToWEstimator:
     def sketch(self, values: np.ndarray) -> np.ndarray:
         """The ``l`` sketch values ``Y_1(S) .. Y_l(S)`` (int64 array)."""
         values = np.asarray(values, dtype=np.uint64)
-        out = np.empty(self.n_sketches, dtype=np.int64)
-        if len(values) == 0:
-            out[:] = 0
-            return out
-        for i, h in enumerate(self._hashes):
-            if self.family == "fourwise":
-                signs = h.signs(values)
-            else:
-                bits = h.hash_vec(values) & np.uint64(1)
-                signs = np.where(bits == 1, np.int64(1), np.int64(-1))
-            out[i] = int(signs.sum())
+        if self.family == "fast":
+            return low_bit_balance(values, self._hashes)
+        out = np.zeros(self.n_sketches, dtype=np.int64)
+        if len(values):
+            for i, h in enumerate(self._hashes):
+                out[i] = int(h.signs(values).sum())
         return out
 
     # -- estimation ----------------------------------------------------------

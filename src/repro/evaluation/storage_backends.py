@@ -6,20 +6,24 @@ SQLite backend (:mod:`repro.cluster.sqlite`) keeps the durable truth on
 disk and materializes sets lazily, so memory is proportional to the
 *working set*.  This driver measures both claims with real processes:
 
-* **populate** — a fresh child process writes N sets of M elements plus
-  a round of apply-diffs through one shard backend, reporting write
+* **populate** — a fresh child process writes N sets of M elements, a
+  round of apply-diffs, and a tail of :data:`REPLAY_TAIL` one-element
+  diffs on one set through one shard backend, reporting write
   throughput and its own peak RSS (``ru_maxrss``);
 * **serve** — a second child process opens the populated shard (the
-  recovery path), reads a small working set of sets bit-for-bit, and
-  reports recovery time and peak RSS.
+  recovery path: the journal replays every record, diff tail included,
+  so ``recover_s`` carries the per-diff replay cost), reads a small
+  working set of sets bit-for-bit, and reports recovery time and peak
+  RSS.
 
 Each phase runs in its own child so ``ru_maxrss`` — a process-lifetime
 high-water mark — measures exactly one backend in exactly one phase.
 The headline column is the serve phase's ``rss_delta_mb`` against
-``materialized_mb_est`` (what holding every element in Python sets
-costs): the journal's delta tracks the estimate, SQLite's tracks the
-working set — that gap is the bigger-than-RAM headroom
-``repro serve --storage sqlite`` buys.
+``materialized_mb_est`` (what holding every element in the store's
+``uint64`` arrays costs): the journal holds the whole store, plus the
+transient buffers of replay; SQLite's delta tracks the working set —
+that gap is the bigger-than-RAM headroom ``repro serve --storage
+sqlite`` buys.
 """
 
 from __future__ import annotations
@@ -43,15 +47,23 @@ COLUMNS = [
 #: Sets the serve phase actually reads — the "working set".
 TOUCH_SETS = 8
 
-#: Rough per-element cost of a materialized Python ``set`` of 64-bit
-#: ints (object header + set slot, amortized), used only for the
-#: ``materialized_mb_est`` yardstick column.
-BYTES_PER_ELEMENT_EST = 90
+#: Per-element cost of a materialized set: one ``uint64`` in the
+#: store's element array.  Used only for the ``materialized_mb_est``
+#: yardstick column.
+BYTES_PER_ELEMENT_EST = 8
+
+#: One-element diffs applied to the first set at the end of populate.
+REPLAY_TAIL = 2000
 
 
 def _values(index: int, size: int) -> range:
     # disjoint, deterministic, no RNG cost in the measured window
     return range(index << 32, (index << 32) + size)
+
+
+def _tail(n_sets: int, i: int) -> int:
+    """The element the ``i``-th tail diff adds (the next one removes it)."""
+    return ((n_sets + TOUCH_SETS) << 32) + i
 
 
 def _child_main(argv) -> None:
@@ -78,6 +90,12 @@ def _child_main(argv) -> None:
                 add=_values(n_sets + i, 16),
                 remove=list(_values(i, 8)),
             )
+        for i in range(REPLAY_TAIL):         # the replay tail
+            store.apply_diff(
+                "set-00000",
+                add=[_tail(n_sets, i)],
+                remove=[_tail(n_sets, i - 1)] if i else [],
+            )
         if not backend.compact_from_entries:
             backend.compact()                # checkpoint the WAL
         backend.close()
@@ -90,6 +108,8 @@ def _child_main(argv) -> None:
             expected = (
                 set(_values(i, set_size)) - set(_values(i, 8))
             ) | set(_values(n_sets + i, 16))
+            if i == 0:
+                expected.add(_tail(n_sets, REPLAY_TAIL - 1))
             if store.get(f"set-{i:05d}") != expected:
                 out["ok"] = False
         if len(store.names()) != n_sets:
@@ -165,15 +185,17 @@ def run(n_sets: int | None = None, set_size: int | None = None,
                     materialized_mb_est=est_mb,
                 )
     table.note(
-        f"{n_sets} sets x {set_size} elements (~{est_mb:.0f} MB if fully "
-        f"materialized), one fresh child process per (backend, phase) so "
-        f"ru_maxrss isolates each measurement; the serve phase recovers "
-        f"the shard and reads {TOUCH_SETS} sets bit-for-bit.  The journal "
-        "backend replays everything into RAM at open (rss_delta tracks "
-        "materialized_mb_est); the SQLite backend faults in only the "
-        "working set, so the same data dir serves from a small, flat "
-        "footprint — stores larger than RAM stay servable with "
-        "`repro serve --storage sqlite`."
+        f"{n_sets} sets x {set_size} elements (~{est_mb:.1f} MB as uint64 "
+        f"arrays), plus {REPLAY_TAIL} one-element diffs on one set; one "
+        f"fresh child process per (backend, phase) so ru_maxrss isolates "
+        f"each measurement; the serve phase recovers the shard and reads "
+        f"{TOUCH_SETS} sets bit-for-bit.  The journal backend replays "
+        "every record into RAM at open (rss_delta is the store's arrays "
+        "plus the transient replay buffers, so it sits above "
+        "materialized_mb_est; recover_s includes the diff tail); the "
+        "SQLite backend faults in only the working set, so the same data "
+        "dir serves from a small, flat footprint — stores larger than "
+        "RAM stay servable with `repro serve --storage sqlite`."
     )
     return table
 

@@ -47,6 +47,55 @@ def mix64_vec(x: np.ndarray) -> np.ndarray:
     return x
 
 
+#: Cells (members x elements) per tile of :func:`low_bit_balance`; the
+#: two uint64 work buffers of one tile stay cache-resident.
+_TILE_CELLS = 1 << 16
+
+
+def low_bit_balance(xs: np.ndarray, hashes) -> np.ndarray:
+    """``sum_x (+1 if h(x) is odd else -1)`` for each ``h`` in ``hashes``.
+
+    The Tug-of-War estimator's ±1 sums under the :class:`SaltedHash`
+    family (int64, one per member).  Bit-exact with ``h.hash_vec(xs) & 1``
+    per member, but the mixing runs in place over cache-sized tiles of
+    (members x elements) — a large set is hashed one member at a time,
+    a small one many members per pass — and allocates nothing per
+    member.
+    """
+    xs = np.asarray(xs, dtype=np.uint64)
+    n = len(xs)
+    out = np.full(len(hashes), -n, dtype=np.int64)
+    if not n or not len(hashes):
+        return out
+    salt = np.array([h.salt for h in hashes], dtype=np.uint64)[:, None]
+    salt2 = np.array([h._salt2 for h in hashes], dtype=np.uint64)[:, None]
+    cols = min(n, _TILE_CELLS)
+    rows = max(1, min(len(hashes), _TILE_CELLS // cols))
+    buf = np.empty((rows, cols), dtype=np.uint64)
+    tmp = np.empty_like(buf)
+    golden, c1, c2 = np.uint64(_GOLDEN), np.uint64(_C1), np.uint64(_C2)
+    for lo in range(0, n, cols):
+        x = xs[lo : lo + cols]
+        for first in range(0, len(hashes), rows):
+            k = min(rows, len(hashes) - first)
+            b, t = buf[:k, : len(x)], tmp[:k, : len(x)]
+            np.bitwise_xor(x, salt[first : first + k], out=b)
+            np.multiply(b, salt2[first : first + k], out=b)
+            # mix64_vec, in place
+            np.add(b, golden, out=b)
+            np.right_shift(b, np.uint64(30), out=t)
+            np.bitwise_xor(b, t, out=b)
+            np.multiply(b, c1, out=b)
+            np.right_shift(b, np.uint64(27), out=t)
+            np.bitwise_xor(b, t, out=b)
+            np.multiply(b, c2, out=b)
+            np.right_shift(b, np.uint64(31), out=t)
+            np.bitwise_xor(b, t, out=b)
+            np.bitwise_and(b, np.uint64(1), out=b)
+            out[first : first + k] += 2 * b.sum(axis=1, dtype=np.int64)
+    return out
+
+
 class SaltedHash:
     """One member of the salted hash family.
 

@@ -33,6 +33,7 @@ import time
 
 import numpy as np
 
+from repro.core.elements import contains, element_array
 from repro.core.messages import ReplyMessage
 from repro.core.sessions import AliceSession, _as_element_array
 from repro.errors import SerializationError
@@ -273,10 +274,8 @@ class ClientConnection:
             "snapshot_version": announce.set_version,
         }
         if self.bidirectional:
-            a_only = np.intersect1d(
-                np.fromiter((int(v) for v in difference), dtype=np.uint64),
-                arr,
-            )
+            a_only = element_array(difference)
+            a_only = a_only[contains(arr, a_only)]
         else:
             a_only = np.empty(0, dtype=np.uint64)
         await stream.send(

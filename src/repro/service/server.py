@@ -412,12 +412,10 @@ class ReconciliationServer:
                             and sketch_b_cache[0] == cache_key):
                         sketch_b = sketch_b_cache[1]
                     else:
-                        sketch_b = estimator.sketch(
-                            np.fromiter(snapshot.values, dtype=np.uint64)
-                        )
+                        sketch_b = estimator.sketch(snapshot.values)
                         sketch_b_cache = (cache_key, sketch_b)
                     params, d_hat = self._negotiate_params(
-                        estimator, hello, sketch_b, payload
+                        estimator, hello, sketch_b, len(snapshot), payload
                     )
                 session.d_hat = d_hat
                 await stream.send(
@@ -533,15 +531,26 @@ class ReconciliationServer:
         estimator: ToWEstimator,
         hello: Hello,
         sketch_b,
+        size_b: int,
         estimate_payload: bytes,
     ) -> tuple[PBSParams, float]:
-        """Estimate d from the client's ToW sketch, optimize (n, t, g)."""
+        """Estimate d from the client's ToW sketch, optimize (n, t, g).
+
+        The design d is clamped to ``|A| + |B|``, which the true d can
+        never exceed: a hostile ESTIMATE (a huge declared |A|, extreme
+        sketch values) then cannot push the optimizer past what the two
+        sets justify — at worst it raises ``ParameterError``, which ends
+        the session with an ERROR frame.
+        """
         (size_a,) = _unpack_from("<I", estimate_payload)
         # |A| may legitimately drift from hello.set_size on repeat passes;
         # the self-declared size in the ESTIMATE payload is authoritative.
         sketch_a = estimator.deserialize(estimate_payload[4:], size_a)
         d_hat = estimator.estimate(sketch_a, sketch_b)
-        design_d = ToWEstimator.conservative(max(1, round(d_hat)), self.gamma)
+        design_d = min(
+            ToWEstimator.conservative(max(1, round(d_hat)), self.gamma),
+            max(1, size_a + size_b),
+        )
         params = PBSParams.from_d(
             design_d,
             delta=self.delta,

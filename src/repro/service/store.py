@@ -7,6 +7,15 @@ completion the session's additions are applied to the *live* set, so
 concurrent sessions against the same name merge: two clients that both
 snapshotted ``B`` leave the store at ``B ∪ (A1 \\ B) ∪ (A2 \\ B)``.
 
+A set is held as an element array (:mod:`repro.core.elements`: sorted,
+distinct, read-only ``uint64``) plus a small overlay of the elements
+added and removed since that array was built.  A snapshot folds the
+overlay into a new array and returns a reference to it — O(1) when the
+set has not changed since the last snapshot, one pass over the array
+when it has — so an applied diff costs O(d log n) and no snapshot ever
+copies the set into Python objects.  Arrays are never written in
+place, which is what keeps an older snapshot frozen.
+
 The store is designed for a single-threaded asyncio server: methods are
 plain synchronous functions (no awaits inside), which on one event loop is
 already atomic.  A per-set monotonically increasing ``version`` lets
@@ -19,7 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.elements import contains, element_array, merge
 from repro.errors import ReproError
+
+#: An overlay larger than ``1/OVERLAY_FRACTION`` of its base array is
+#: folded in at once rather than at the next snapshot: that bounds the
+#: overlay's Python-object memory, and the fold stays amortized O(1) per
+#: changed element.
+OVERLAY_FRACTION = 8
 
 
 class UnknownSetError(ReproError, KeyError):
@@ -28,9 +44,50 @@ class UnknownSetError(ReproError, KeyError):
 
 @dataclass
 class _NamedSet:
-    values: set[int] = field(default_factory=set)
+    base: np.ndarray = field(default_factory=lambda: element_array(()))
+    added: set[int] = field(default_factory=set)    #: in the set, not in base
+    removed: set[int] = field(default_factory=set)  #: in base, not in the set
     version: int = 0          #: bumped on every mutation
     reconciles: int = 0       #: completed sessions against this set
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.added) - len(self.removed)
+
+    def values(self) -> np.ndarray:
+        """The current contents as an element array (folds the overlay)."""
+        if self.added or self.removed:
+            self.base = merge(
+                self.base,
+                element_array(self.added),
+                element_array(self.removed),
+            )
+            self.added = set()
+            self.removed = set()
+        return self.base
+
+    def apply(self, add: np.ndarray, remove: np.ndarray) -> int:
+        """Add, then remove; returns how many elements changed."""
+        changed = 0
+        if len(add):
+            in_base = contains(self.base, add)
+            revived = self.removed.intersection(add[in_base].tolist())
+            self.removed -= revived
+            fresh = set(add[~in_base].tolist())
+            fresh -= self.added
+            self.added |= fresh
+            changed += len(revived) + len(fresh)
+        if len(remove):
+            in_base = contains(self.base, remove)
+            gone = set(remove[in_base].tolist())
+            gone -= self.removed
+            self.removed |= gone
+            dropped = self.added.intersection(remove[~in_base].tolist())
+            self.added -= dropped
+            changed += len(gone) + len(dropped)
+        overlay = len(self.added) + len(self.removed)
+        if overlay > len(self.base) // OVERLAY_FRACTION:
+            self.values()
+        return changed
 
 
 @dataclass
@@ -39,7 +96,7 @@ class Snapshot:
 
     name: str
     version: int
-    values: frozenset[int]
+    values: np.ndarray    #: the set's element array, shared, read-only
 
     def __len__(self) -> int:
         return len(self.values)
@@ -80,24 +137,24 @@ class SetStore:
         ``version`` seeds the mutation counter — journal recovery uses it
         to restore a set at the exact version it had when snapshotted.
         """
-        values = {int(v) for v in values}
+        values = element_array(values)
         if self.persistence is not None and not persisted:
             self.persistence.record_create(name, values, version=version)
-        self._sets[name] = _NamedSet(values=values, version=version)
+        self._sets[name] = _NamedSet(base=values, version=version)
 
-    def items(self) -> list[tuple[str, frozenset[int], int]]:
+    def items(self) -> list[tuple[str, np.ndarray, int]]:
         """``(name, values, version)`` for every set (snapshot compaction)."""
         return [
-            (name, frozenset(entry.values), entry.version)
+            (name, entry.values(), entry.version)
             for name, entry in sorted(self._sets.items())
         ]
 
     def get(self, name: str) -> set[int]:
-        """The live set (a copy — the store's own copy is private)."""
-        return set(self._require(name).values)
+        """The live set as a Python ``set`` (a copy, off the hot path)."""
+        return set(self._require(name).values().tolist())
 
     def size(self, name: str) -> int:
-        return len(self._require(name).values)
+        return len(self._require(name))
 
     def version(self, name: str) -> int:
         return self._require(name).version
@@ -110,9 +167,7 @@ class SetStore:
                 raise UnknownSetError(f"no such set: {name!r}")
             self.create(name)
         entry = self._require(name)
-        return Snapshot(
-            name=name, version=entry.version, values=frozenset(entry.values)
-        )
+        return Snapshot(name=name, version=entry.version, values=entry.values())
 
     def apply_diff(self, name: str, add=(), remove=(),
                    persisted: bool = False, trace=None) -> int:
@@ -127,38 +182,26 @@ class SetStore:
         storage-commit span on it.
         """
         entry = self._require(name)
-        add = self._as_ints(add)
-        remove = self._as_ints(remove)
+        add = element_array(add)
+        remove = element_array(remove)
         if (
-            (add or remove)
+            (len(add) or len(remove))
             and self.persistence is not None
             and not persisted
         ):
             self.persistence.record_diff(name, add=add, remove=remove)
-        added = set(add) - entry.values
-        entry.values |= added
-        removed = set(remove) & entry.values
-        entry.values -= removed
-        changed = len(added) + len(removed)
+        changed = entry.apply(add, remove)
         if changed:
             entry.version += 1
         entry.reconciles += 1
         return changed
-
-    @staticmethod
-    def _as_ints(values) -> list[int]:
-        """Plain-int elements via numpy (``.tolist()`` unboxes at C speed;
-        large diff pushes arrive as uint64 arrays on the hot apply path)."""
-        if not isinstance(values, np.ndarray):
-            values = np.asarray(list(values), dtype=np.uint64)
-        return values.astype(np.uint64, copy=False).tolist()
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> dict:
         """JSON-able per-set summary for the metrics endpoint."""
         return {
             name: {
-                "size": len(entry.values),
+                "size": len(entry),
                 "version": entry.version,
                 "reconciles": entry.reconciles,
             }

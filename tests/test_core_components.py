@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checksum import checksum_update, set_checksum
-from repro.core.params import PBSParams
+from repro.analysis.optimizer import groups_for, optimize_params
+from repro.core.params import PBSParams, _from_d
 from repro.core.partition import (
     bin_indices,
     bin_tables,
@@ -200,3 +201,25 @@ class TestPBSParams:
     def test_invalid_log_u_rejected(self):
         with pytest.raises(ParameterError):
             PBSParams(n=63, t=5, g=1, log_u=4)
+
+
+class TestFromDMemo:
+    def test_equal_arguments_share_one_instance(self):
+        first = PBSParams.from_d(77, r=3)
+        again = PBSParams.from_d(77, delta=5, r=3, p0=0.99, log_u=32)
+        assert again is first
+        assert again.codec is first.codec      # the lazy codec is shared
+        assert PBSParams.from_d(77, r=2) is not first
+        assert PBSParams.from_d(78) is not first
+
+    @pytest.mark.parametrize("d", [0, 1, 5, 77, 138, 1000])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matches_the_uncached_optimizer(self, d, r):
+        best = optimize_params(max(1, d), delta=5, r=r, p0=0.99)
+        params = PBSParams.from_d(d, r=r)
+        assert (params.n, params.t, params.g) == (
+            best.n, best.t, groups_for(max(1, d), 5)
+        )
+        assert params == _from_d.__wrapped__(
+            PBSParams, max(1, d), 5, r, 0.99, 32, "three-way"
+        )

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.estimators import MinWiseEstimator, StrataEstimator, ToWEstimator
+from repro.hashing.families import _TILE_CELLS
 
 
 def _sample_distinct(rng, count: int) -> np.ndarray:
@@ -106,6 +109,61 @@ class TestToWWire:
         sketch = est.sketch(a)
         data = est.serialize(sketch, 300)
         assert (est.deserialize(data, 300) == sketch).all()
+
+
+def _per_salt_sketch(est: ToWEstimator, values) -> np.ndarray:
+    """The reference for the "fast" family: one ``hash_vec`` pass and
+    one ±1 sum per sketch."""
+    values = np.asarray(values, dtype=np.uint64)
+    out = np.zeros(est.n_sketches, dtype=np.int64)
+    for i, h in enumerate(est._hashes):
+        bits = h.hash_vec(values) & np.uint64(1)
+        out[i] = int(np.where(bits == 1, 1, -1).sum())
+    return out
+
+
+_ELEMENTS = st.one_of(
+    st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**63, 2**64 - 1])
+)
+
+
+class TestToWFastKernel:
+    """The in-place "fast" kernel is bit-exact with the per-salt oracle."""
+
+    @given(
+        values=st.lists(_ELEMENTS, max_size=200),
+        n_sketches=st.sampled_from([1, 2, 128, 1024]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_salt_oracle(self, values, n_sketches, seed):
+        est = ToWEstimator(n_sketches=n_sketches, seed=seed, family="fast")
+        arr = np.array(values, dtype=np.uint64)
+        assert np.array_equal(est.sketch(arr), _per_salt_sketch(est, arr))
+
+    @pytest.mark.parametrize("n_sketches", [1, 2, 128, 1024])
+    @pytest.mark.parametrize(
+        "values",
+        [[], [5], [0], [2**64 - 1], [0, 2**64 - 1], [9, 9, 9, 2, 2]],
+        ids=["empty", "single", "zero", "max", "zero-and-max", "duplicates"],
+    )
+    def test_edge_inputs(self, values, n_sketches):
+        est = ToWEstimator(n_sketches=n_sketches, seed=3, family="fast")
+        arr = np.array(values, dtype=np.uint64)
+        assert np.array_equal(est.sketch(arr), _per_salt_sketch(est, arr))
+
+    @pytest.mark.parametrize(
+        "size, n_sketches",
+        [(_TILE_CELLS + 17, 3), (300, 1024)],
+        ids=["column-tiles", "row-blocks"],
+    )
+    def test_partial_last_tile(self, rng, size, n_sketches):
+        # more elements than one tile holds, or more sketches than fit
+        # one tile's rows: the tile loop runs and its last tile is short
+        arr = rng.integers(0, 2**64 - 1, size=size,
+                           dtype=np.uint64, endpoint=True)
+        est = ToWEstimator(n_sketches=n_sketches, seed=8, family="fast")
+        assert np.array_equal(est.sketch(arr), _per_salt_sketch(est, arr))
 
 
 class TestStrata:

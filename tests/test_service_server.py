@@ -201,6 +201,65 @@ class TestSingleSession:
         assert server.metrics.sessions_failed == 1
         assert server.metrics.sessions_completed == 0
 
+    def test_hostile_estimate_gets_error_frame_and_counts_failed(self):
+        """An ESTIMATE declaring |A| = 2^32 - 1 with every sketch value at
+        +|A| puts d_hat near 10^19 against a 3-element set.  The design d
+        is clamped to |A| + |B|; the optimizer then rejects it with a
+        ParameterError, which must end the session with an ERROR frame
+        (not an unhandled exception) and leave the server serving."""
+        import struct
+
+        import numpy as np
+
+        from repro.estimators.tow import ToWEstimator
+        from repro.service.wire import (
+            Error, FrameType, Hello, encode_frame, read_frame,
+        )
+        from repro.utils.seeds import derive_seed
+
+        size_a = 2**32 - 1
+
+        async def scenario():
+            store = SetStore()
+            store.create("inv", {1, 2, 3})
+            async with ReconciliationServer(store) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(encode_frame(
+                    FrameType.HELLO,
+                    Hello(set_name="inv", seed=1).serialize(),
+                ))
+                await writer.drain()
+                await read_frame(reader)                  # WELCOME
+                est = ToWEstimator(128, derive_seed(1, "estimator"), "fast")
+                sketch = np.full(128, size_a, dtype=np.int64)
+                writer.write(encode_frame(
+                    FrameType.ESTIMATE,
+                    struct.pack("<I", size_a) + est.serialize(sketch, size_a),
+                ))
+                await writer.drain()
+                ftype, payload = await read_frame(reader)
+                writer.close()
+                await writer.wait_closed()
+                result = await sync_with_server(
+                    "127.0.0.1", server.port, {1, 2, 3, 4}, set_name="inv",
+                    seed=2,
+                )
+                return server, ftype, payload, result
+
+        server, ftype, payload, result = asyncio.run(scenario())
+        assert ftype is FrameType.ERROR
+        # the optimizer saw the clamped design d = |A| + |B|
+        assert f"d={size_a + 3}" in Error.deserialize(payload).message
+        errors = [
+            s["error"] for s in server.metrics.snapshot()["recent_sessions"]
+        ]
+        assert any(e.startswith("ParameterError") for e in errors)
+        assert server.metrics.sessions_failed == 1
+        assert result.success
+        assert server.metrics.sessions_completed == 1
+
     def test_garbage_hello_fails_session_cleanly(self):
         from repro.service.wire import FrameType, encode_frame, read_frame
 

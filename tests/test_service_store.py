@@ -1,10 +1,31 @@
-"""Named set store: snapshot isolation and apply-diff merging."""
+"""Named set store: snapshot isolation, apply-diff merging, and a model
+check of the element-array representation across storage backends."""
 
 from __future__ import annotations
 
-import pytest
+import shutil
+import tempfile
+from pathlib import Path
 
-from repro.service.store import SetStore, UnknownSetError
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.cluster.journal import JournalBackend
+from repro.cluster.sqlite import SqliteBackend
+from repro.service.store import (
+    OVERLAY_FRACTION,
+    SetStore,
+    Snapshot,
+    UnknownSetError,
+)
 
 
 @pytest.fixture()
@@ -41,7 +62,7 @@ class TestSnapshotSemantics:
     def test_snapshot_is_frozen_against_later_mutation(self, store):
         snap = store.snapshot("inv")
         store.apply_diff("inv", add={10})
-        assert snap.values == frozenset({1, 2, 3})
+        assert snap.values.tolist() == [1, 2, 3]
         assert store.get("inv") == {1, 2, 3, 10}
 
     def test_version_tracks_mutations(self, store):
@@ -59,7 +80,7 @@ class TestApplyDiff:
         # two sessions snapshot the same base, then both apply
         snap_1 = store.snapshot("inv")
         snap_2 = store.snapshot("inv")
-        assert snap_1.values == snap_2.values
+        assert snap_1.values.tolist() == snap_2.values.tolist()
         assert store.apply_diff("inv", add={100, 101}) == 2
         assert store.apply_diff("inv", add={101, 102}) == 1  # 101 already in
         assert store.get("inv") == {1, 2, 3, 100, 101, 102}
@@ -72,3 +93,212 @@ class TestApplyDiff:
         store.apply_diff("inv", add={9})
         stats = store.stats()
         assert stats == {"inv": {"size": 4, "version": 1, "reconciles": 1}}
+
+
+class TestElementArrays:
+    def test_snapshot_shares_the_store_array(self, store):
+        first = store.snapshot("inv")
+        assert store.snapshot("inv").values is first.values   # no copy
+        assert not first.values.flags.writeable
+        with pytest.raises(ValueError):
+            first.values[0] = 7
+
+    def test_add_and_remove_same_element_counts_twice(self, store):
+        assert store.apply_diff("inv", add=[50], remove=[50]) == 2
+        assert store.apply_diff("inv", add=[1], remove=[1]) == 1
+        assert store.get("inv") == {2, 3}
+        assert store.version("inv") == 2
+
+    def test_overlay_folds_past_its_cap_without_a_snapshot(self):
+        # small diffs wait in the overlay for the next snapshot; past
+        # 1/OVERLAY_FRACTION of the set they are folded in right away, so
+        # replaying many diffs never builds a huge overlay
+        store = SetStore()
+        store.create("s", range(1, 801))
+        cap = 800 // OVERLAY_FRACTION
+        store.apply_diff("s", add=range(1000, 1000 + cap))
+        entry = store._sets["s"]
+        assert len(entry.added) == cap and len(entry.base) == 800
+        store.apply_diff("s", remove=[1])
+        assert not entry.added and not entry.removed
+        assert len(entry.base) == 800 + cap - 1
+        assert store.get("s") == set(range(2, 801)) | set(
+            range(1000, 1000 + cap)
+        )
+
+
+_MODEL_ELEMENTS = st.one_of(
+    st.integers(0, 300), st.sampled_from([2**63, 2**64 - 1])
+)
+_NAMES = st.sampled_from(["a", "b", "c"])
+
+
+class _Exploding:
+    """A persistence hook whose durable write always fails."""
+
+    def record_create(self, name, values, version=0):
+        raise OSError("disk full")
+
+    def record_diff(self, name, add=(), remove=()):
+        raise OSError("disk full")
+
+
+class StoreModel(RuleBasedStateMachine):
+    """``SetStore`` against a dict of Python sets.
+
+    Three stores take every mutation: a plain in-memory store, a
+    journal-backed one (closed and reopened at random) and SQLite's
+    lazy store with a 2-set cache.  After every step each must equal the
+    model, every array it hands out must be a sorted, distinct,
+    read-only element array, and every snapshot taken earlier must still
+    hold the contents it was taken with.  The plain store is checked
+    through its overlay without folding it, so diffs pile up there
+    across steps until a read, a snapshot or the overlay cap folds them.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tmp = Path(tempfile.mkdtemp(prefix="store-model-"))
+        self.model: dict[str, tuple[set[int], int]] = {}
+        self.snapshots: list[tuple[Snapshot, list[int], int]] = []
+        self.plain = SetStore()
+        self.journal = JournalBackend(self.tmp / "journal")
+        self.journal_store = self.journal.open_store()
+        self.sqlite = SqliteBackend(self.tmp / "sqlite", cache_sets=2)
+        self.sqlite_store = self.sqlite.open_store()
+
+    def teardown(self) -> None:
+        self.journal.close()
+        self.sqlite.close()
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    @property
+    def stores(self) -> list[SetStore]:
+        return [self.plain, self.journal_store, self.sqlite_store]
+
+    # -- rules ---------------------------------------------------------------
+    @rule(name=_NAMES, version=st.integers(0, 3),
+          values=st.lists(_MODEL_ELEMENTS, min_size=80, max_size=160))
+    def create(self, name, values, version):
+        for store in self.stores:
+            store.create(name, values, version=version)
+        self.model[name] = (set(values), version)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), diffs=st.lists(
+        st.tuples(st.lists(_MODEL_ELEMENTS, max_size=4),
+                  st.lists(_MODEL_ELEMENTS, max_size=4)),
+        min_size=1, max_size=4,
+    ))
+    def apply_diffs(self, data, diffs):
+        # back-to-back diffs on one set, no read in between
+        name = data.draw(st.sampled_from(sorted(self.model)))
+        for add, remove in diffs:
+            self._apply(name, add, remove)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), element=_MODEL_ELEMENTS)
+    def add_and_remove_same_element(self, data, element):
+        name = data.draw(st.sampled_from(sorted(self.model)))
+        present = element in self.model[name][0]
+        assert self._apply(name, [element], [element]) == (1 if present else 2)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def snapshot(self, data):
+        name = data.draw(st.sampled_from(sorted(self.model)))
+        snap = self.plain.snapshot(name)
+        self.snapshots.append(
+            (snap, sorted(self.model[name][0]), self.model[name][1])
+        )
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), add=st.lists(_MODEL_ELEMENTS, min_size=1,
+                                       max_size=4))
+    def failed_durable_write(self, data, add):
+        name = data.draw(st.sampled_from(sorted(self.model)))
+        self.plain.persistence = _Exploding()
+        try:
+            with pytest.raises(OSError):
+                self.plain.apply_diff(name, add=add, remove=add[:1])
+            with pytest.raises(OSError):
+                self.plain.create(name, add)
+        finally:
+            self.plain.persistence = None
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def read_plain(self, data):
+        name = data.draw(st.sampled_from(sorted(self.model)))
+        self._check_reads(self.plain, name)
+
+    @rule()
+    def reopen_journal(self):
+        self.journal.close()
+        self.journal = JournalBackend(self.tmp / "journal")
+        self.journal_store = self.journal.open_store()
+
+    def _apply(self, name, add, remove) -> int:
+        values, version = self.model[name]
+        changed = len(set(add) - values)
+        values = values | set(add)
+        changed += len(set(remove) & values)
+        values = values - set(remove)
+        self.model[name] = (values, version + (1 if changed else 0))
+        for store in self.stores:
+            assert store.apply_diff(
+                name, add=np.array(add, dtype=np.uint64), remove=remove
+            ) == changed
+        return changed
+
+    # -- invariants ----------------------------------------------------------
+    @invariant()
+    def plain_store_overlay_equals_the_model(self):
+        assert self.plain.names() == sorted(self.model)
+        for name, (values, version) in self.model.items():
+            entry = self.plain._sets[name]
+            _assert_element_array(entry.base)
+            base = set(entry.base.tolist())
+            assert entry.removed <= base and not entry.added & base
+            assert (base - entry.removed) | entry.added == values
+            assert self.plain.size(name) == len(values)
+            assert self.plain.version(name) == version
+
+    @invariant()
+    def durable_stores_equal_the_model(self):
+        for store in (self.journal_store, self.sqlite_store):
+            assert store.names() == sorted(self.model)
+            for name in self.model:
+                self._check_reads(store, name)
+            for name, arr, version in store.items():
+                _assert_element_array(arr)
+                assert (set(arr.tolist()), version) == self.model[name]
+
+    def _check_reads(self, store: SetStore, name: str) -> None:
+        values, version = self.model[name]
+        assert store.size(name) == len(values)
+        assert store.version(name) == version
+        assert store.get(name) == values
+        arr = store.snapshot(name).values
+        _assert_element_array(arr)
+        assert arr.tolist() == sorted(values)
+
+    @invariant()
+    def earlier_snapshots_are_frozen(self):
+        for snap, contents, version in self.snapshots:
+            _assert_element_array(snap.values)
+            assert snap.values.tolist() == contents
+            assert snap.version == version
+            assert len(snap) == len(contents)
+
+
+def _assert_element_array(arr) -> None:
+    assert arr.dtype == np.uint64 and arr.ndim == 1
+    assert not arr.flags.writeable
+    assert np.all(arr[1:] > arr[:-1])      # sorted and distinct
+
+
+TestStoreModel = StoreModel.TestCase
+TestStoreModel.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)

@@ -64,6 +64,15 @@ def _committed(name: str, directory) -> list:
         backend.close()
 
 
+def _contents(entries) -> list:
+    """``(name, values, version)`` entries with the values as a Python
+    set, so element arrays and set literals compare by contents."""
+    return [
+        (name, {int(v) for v in values}, version)
+        for name, values, version in entries
+    ]
+
+
 class TestBackendContract:
     """Every registered backend must pass these identically."""
 
@@ -87,11 +96,13 @@ class TestBackendContract:
 
         committed = dict(
             (name, (values, version))
-            for name, values, version in _committed(storage_backend, tmp_path)
+            for name, values, version in _contents(
+                _committed(storage_backend, tmp_path)
+            )
         )
         assert committed == {
-            "a": (frozenset({2, 3, 4}), 1),
-            "b": (frozenset({10}), 0),
+            "a": ({2, 3, 4}, 1),
+            "b": ({10}, 0),
         }
 
     def test_failed_durable_write_persists_nothing(
@@ -111,8 +122,8 @@ class TestBackendContract:
         assert store.get("s") == {1, 2}
         assert store.version("s") == 0
         backend.close()
-        assert _committed(storage_backend, tmp_path) == [
-            ("s", frozenset({1, 2}), 0)
+        assert _contents(_committed(storage_backend, tmp_path)) == [
+            ("s", {1, 2}, 0)
         ]
 
     def test_diff_against_unknown_set_raises_before_persisting(
@@ -138,7 +149,9 @@ class TestBackendContract:
         # and a read-only open at that epoch sees every entry
         backend = cls(tmp_path, epoch=3, create=False)
         try:
-            assert sorted(backend.iter_sets()) == sorted(entries)
+            assert _contents(sorted(backend.iter_sets())) == _contents(
+                sorted(entries)
+            )
         finally:
             backend.close()
 
@@ -171,12 +184,11 @@ class TestBackendContract:
         store.create("s", range(1, 200))
         for i in range(30):
             store.apply_diff("s", add=[1000 + i], remove=[1 + i])
-        expected = (frozenset(store.get("s")), store.version("s"))
+        expected = ("s", store.get("s"), store.version("s"))
         backend.compact(store.items() if backend.compact_from_entries
                         else None)
         backend.close()
-        [(name, values, version)] = _committed(storage_backend, tmp_path)
-        assert (values, version) == expected
+        assert _contents(_committed(storage_backend, tmp_path)) == [expected]
 
     def test_tuning_keys_are_validated_and_filtered(self, tmp_path):
         # a key another backend owns is silently dropped ...
@@ -227,7 +239,7 @@ class TestCrossBackendEquivalence:
                     store.apply_diff(step[1], add=step[2], remove=step[3])
             backend.close()
             states[name] = _committed(name, tmp_path / name)
-        first, *rest = states.values()
+        first, *rest = (_contents(state) for state in states.values())
         assert all(state == first for state in rest)
         assert len(first) == 6
 
@@ -254,8 +266,8 @@ class TestSqliteSpecific:
         store.create("wide", values)
         store.apply_diff("wide", remove=[1 << 63])
         backend.close()
-        [(_, committed, _)] = _committed("sqlite", tmp_path)
-        assert committed == frozenset(values) - {1 << 63}
+        [(_, committed, _)] = _contents(_committed("sqlite", tmp_path))
+        assert committed == values - {1 << 63}
 
     def test_lazy_store_faults_and_evicts_under_cache_cap(self, tmp_path):
         backend = SqliteBackend(tmp_path, cache_sets=4)
@@ -304,11 +316,9 @@ class TestSqliteSpecific:
             [sys.executable, "-c", script, str(tmp_path)], env=env
         )
         assert proc.returncode == -9
-        [(name, values, version)] = _committed("sqlite", tmp_path)
+        [(name, values, version)] = _contents(_committed("sqlite", tmp_path))
         assert name == "crash"
-        assert values == frozenset(range(1, 100)) | frozenset(
-            1000 + i for i in range(25)
-        )
+        assert values == set(range(1, 100)) | {1000 + i for i in range(25)}
         assert version == 25
 
     def test_compact_truncates_the_wal(self, tmp_path):
