@@ -119,13 +119,24 @@ def prob_reconcile_within(
     raise ParameterError(f"unknown split_model {split_model!r}")
 
 
+@lru_cache(maxsize=1024)
+def _group_pmf(d: int, g: int) -> np.ndarray:
+    """``Pr[X = x]`` for X ~ Binomial(d, 1/g), x in [0, min(d, X_MAX)].
+
+    Depends on (d, g) only, so the optimizer's (n, t) candidates share
+    one vector; it is read-only because every caller gets the same one.
+    """
+    pmf = stats.binom.pmf(np.arange(min(d, _X_MAX) + 1), d, 1.0 / g)
+    pmf.flags.writeable = False
+    return pmf
+
+
 def group_success_probability(
     n: int, t: int, d: int, g: int, r: int, split_model: str = "three-way"
 ) -> float:
     """``alpha(n, t)``: per-group success probability, X ~ Binomial(d, 1/g)."""
-    x_max = min(d, _X_MAX)
-    xs = np.arange(x_max + 1)
-    pmf = stats.binom.pmf(xs, d, 1.0 / g)
+    pmf = _group_pmf(d, g)
+    x_max = len(pmf) - 1
     if split_model == "three-way":
         table = _success_table(n, t, r)
         return float((pmf * table[: x_max + 1]).sum())

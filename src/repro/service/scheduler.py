@@ -81,7 +81,8 @@ class DecodeCoalescer:
     ``decode_many`` call and the results are scattered back.  A window
     that caught a single session degenerates to exactly the per-session
     call (the fallback path, also used when ``enabled=False`` for
-    apples-to-apples benchmarking).
+    apples-to-apples benchmarking, and without any window for a ``lone``
+    submission that finds none open).
     """
 
     def __init__(
@@ -105,7 +106,8 @@ class DecodeCoalescer:
         return (type(codec.field).__name__, codec.field.m, codec.t)
 
     async def decode(
-        self, codec: BCHCodec, deltas: list[list[int]], trace=None
+        self, codec: BCHCodec, deltas: list[list[int]], trace=None,
+        lone: bool = False,
     ) -> tuple[list[list[int] | None], float]:
         """Decode one session's sketch deltas, possibly in a shared batch.
 
@@ -116,13 +118,16 @@ class DecodeCoalescer:
         (the submitting pass's span context, if any) parents the
         decode-batch span; a merged batch is parented on its *first*
         submission's trace, with the session count in the span args.
+        ``lone`` says no other session can submit before the window
+        would close (the server's only open connection): unless a window
+        of this shape is already open, the rows decode at once.
         """
         self.stats.submissions += 1
         if not deltas:
             return [], 0.0
-        if not self.enabled:
-            return self._direct(codec, deltas, trace)
         key = self._shape(codec)
+        if not self.enabled or (lone and key not in self._pending):
+            return self._direct(codec, deltas, trace)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         bucket = self._pending.setdefault(key, [])
         bucket.append(_Submission(codec, deltas, future, trace))

@@ -13,6 +13,7 @@ Per connection the server speaks the frame protocol of
     client                                server
     HELLO(set, seed, ...)     ->
                               <-          WELCOME(|B|)   [or RETRY: shed]
+    (ToW sketch of A)                     (ToW sketch of B)
     ESTIMATE(ToW sketch)      ->
                               <-          PARAMS(d_hat, n, t, g, ...)
     SKETCH(round 1)           ->
@@ -238,15 +239,20 @@ class ReconciliationServer:
         """Decode one round's deltas — in-process (coalesced across all
         sessions) by default, or on the owning shard's worker process
         when the store runs the subprocess executor (each worker then
-        coalesces its own shard's sessions).  Admission decode-queue
-        caps apply identically in both paths.  ``trace`` (the pass's
-        :class:`TraceContext`, if any) parents the decode-batch span —
-        locally for the coalescer, across the RPC for a worker."""
+        coalesces its own shard's sessions).  The server's only open
+        connection skips the coalescing window: no peer could join it.
+        Admission decode-queue caps apply identically in both paths.
+        ``trace`` (the pass's :class:`TraceContext`, if any) parents the
+        decode-batch span — locally for the coalescer, across the RPC
+        for a worker."""
         remote = getattr(self.store, "decode_remote", None)
         decode = (
             (lambda: remote(shard, codec, deltas, trace=trace))
             if remote is not None
-            else (lambda: self.coalescer.decode(codec, deltas, trace=trace))
+            else (lambda: self.coalescer.decode(
+                codec, deltas, trace=trace,
+                lone=self.metrics.active_sessions == 1,
+            ))
         )
         if self.admission is None:
             return await decode()
@@ -357,11 +363,15 @@ class ReconciliationServer:
             seed=derive_seed(hello.seed, "estimator"),
             family=hello.family,
         )
-        # Bob-side ToW sketch cache across passes: hashing is O(l * |B|),
-        # which an idle periodic re-sync must not pay when the snapshot
-        # did not move.  Keyed on (version, size): version alone could
+        # Bob's O(l * |B|) sketch needs nothing from Alice, so it runs
+        # now, while the client sketches A.  It is the sketch of the last
+        # snapshot: a repeat pass re-sketches only when its snapshot's
+        # key moved.  Keyed on (version, size): version alone could
         # collide if the set were replaced mid-connection via create().
-        sketch_b_cache: tuple[tuple[int, int], object] | None = None
+        trc = tracer()
+        sketch_key = (snapshot.version, len(snapshot))
+        with trc.span("server.sketch", session_ctx):
+            sketch_b = estimator.sketch(snapshot.values)
 
         # 2. Reconciliation passes: ESTIMATE/PARAMS, rounds, PUSH/RESULT —
         # repeated for as long as the client opens a new pass.
@@ -402,18 +412,14 @@ class ReconciliationServer:
                 )
             else:
                 _, payload = await stream.recv(expect=FrameType.ESTIMATE)
-            trc = tracer()
             with trc.span(
                 "server.pass", session_ctx, pass_no=pass_no
             ) as pass_ctx:
-                cache_key = (snapshot.version, len(snapshot))
-                with trc.span("server.estimate", pass_ctx):
-                    if (sketch_b_cache is not None
-                            and sketch_b_cache[0] == cache_key):
-                        sketch_b = sketch_b_cache[1]
-                    else:
+                if (snapshot.version, len(snapshot)) != sketch_key:
+                    sketch_key = (snapshot.version, len(snapshot))
+                    with trc.span("server.sketch", pass_ctx):
                         sketch_b = estimator.sketch(snapshot.values)
-                        sketch_b_cache = (cache_key, sketch_b)
+                with trc.span("server.estimate", pass_ctx):
                     params, d_hat = self._negotiate_params(
                         estimator, hello, sketch_b, len(snapshot), payload
                     )

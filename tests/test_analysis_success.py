@@ -16,6 +16,7 @@ from repro.analysis.piecewise import (
     expected_cumulative_reconciled,
     expected_round_proportions,
 )
+from repro.analysis import success
 from repro.analysis.success import (
     group_success_probability,
     overall_lower_bound,
@@ -160,6 +161,42 @@ class TestOptimizer:
         assert isinstance(best, OptimalParams)
         with pytest.raises(AttributeError):
             best.n = 1  # frozen dataclass
+
+
+class TestBinomialPmfMemo:
+    """The optimizer's Binomial(d, 1/g) pmf is computed once per (d, g)."""
+
+    D_GRID = (1, 2, 7, 40, 96, 97, 250, 1000, 1381, 4000, 25_000)
+
+    @staticmethod
+    def _results() -> list:
+        out: list = []
+        for split_model in ("three-way", "none"):
+            for d in TestBinomialPmfMemo.D_GRID:
+                try:
+                    out.append(optimize_params(d, split_model=split_model))
+                except ParameterError as exc:
+                    out.append(str(exc))
+                out.append(lower_bound_grid(d, split_model=split_model))
+        return out
+
+    def test_memo_changes_no_result(self, monkeypatch):
+        cached = self._results()
+        monkeypatch.setattr(
+            success, "_group_pmf", success._group_pmf.__wrapped__
+        )
+        assert self._results() == cached
+
+    def test_one_optimizer_call_computes_the_pmf_once(self):
+        success._group_pmf.cache_clear()
+        optimize_params(1234)
+        info = success._group_pmf.cache_info()
+        assert info.misses == 1
+        assert info.hits == 6 * len(default_t_candidates(5)) - 1
+
+    def test_shared_pmf_is_read_only(self):
+        with pytest.raises(ValueError):
+            success._group_pmf(100, 20)[0] = 1.0
 
 
 class TestPiecewise:

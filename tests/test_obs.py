@@ -240,8 +240,10 @@ class TestWireTracePropagation:
                     "127.0.0.1", server.port, set_name="traced")
                 await conn.connect()
                 result = await conn.sync(set(range(1, 200)))
+                # pass 1 pushed A into the set, so pass 2 re-sketches it
+                again = await conn.sync(set(range(1, 200)))
                 await conn.close()
-                assert result.success
+                assert result.success and again.success
             finally:
                 await server.close()
 
@@ -259,6 +261,15 @@ class TestWireTracePropagation:
         server_pass = by_name["server.pass"][0]
         assert server_pass["args"]["parent"] == \
             server_session["args"]["span"]
+        # Bob sketches at WELCOME, under the session; a later pass whose
+        # snapshot moved re-sketches under that pass
+        pass_no = {
+            e["args"]["span"]: e["args"]["pass_no"]
+            for e in by_name["server.pass"]
+        }
+        first, later = sorted(by_name["server.sketch"], key=lambda e: e["ts"])
+        assert first["args"]["parent"] == server_session["args"]["span"]
+        assert pass_no[later["args"]["parent"]] == 2
         assert by_name["decode.batch"][0]["args"]["trace"] == \
             client["args"]["trace"]
         merged = merge_trace(tmp_path)

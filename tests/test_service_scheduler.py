@@ -124,3 +124,38 @@ class TestCoalescedDecode:
 
         coalescer, total_share = asyncio.run(scenario())
         assert total_share == pytest.approx(coalescer.stats.decode_s)
+
+
+class TestLoneSubmission:
+    """``lone``: the submitter is the server's only open connection."""
+
+    def test_lone_submission_decodes_without_a_window(self, codec):
+        async def scenario():
+            coalescer = DecodeCoalescer(window_s=30.0)
+            decoded, _ = await asyncio.wait_for(
+                coalescer.decode(codec, _deltas(codec, [[5, 6]]), lone=True),
+                timeout=5.0,
+            )
+            return coalescer, decoded
+
+        coalescer, decoded = asyncio.run(scenario())
+        assert decoded == [[5, 6]]
+        assert coalescer.stats.batches == 1
+        assert coalescer.stats.coalesced_batches == 0
+
+    def test_lone_submission_joins_an_open_window(self, codec):
+        async def scenario():
+            coalescer = DecodeCoalescer(window_s=0.05)
+            first = asyncio.create_task(
+                coalescer.decode(codec, _deltas(codec, [[3, 4]]))
+            )
+            await asyncio.sleep(0)   # the first submission opens the window
+            lone = await coalescer.decode(
+                codec, _deltas(codec, [[9]]), lone=True
+            )
+            return coalescer, await first, lone
+
+        coalescer, (r1, _), (r2, _) = asyncio.run(scenario())
+        assert (r1, r2) == ([[3, 4]], [[9]])
+        assert coalescer.stats.batches == 1
+        assert coalescer.stats.coalesced_batches == 1

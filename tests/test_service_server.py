@@ -29,6 +29,32 @@ def _pair(seed: int, size: int = 2000, d: int = 24):
     return set(pair.a), set(pair.b), pair.difference
 
 
+@pytest.fixture
+def server_sketches(monkeypatch) -> list[int]:
+    """Sizes of the sets the server's ToW estimators sketch, in call
+    order (the client's estimator is left alone)."""
+    import repro.service.server as server_mod
+
+    calls: list[int] = []
+
+    class SpyEstimator(server_mod.ToWEstimator):
+        def sketch(self, values):
+            calls.append(len(values))
+            return super().sketch(values)
+
+    monkeypatch.setattr(server_mod, "ToWEstimator", SpyEstimator)
+    return calls
+
+
+async def _until(condition, timeout: float = 5.0) -> None:
+    """Poll ``condition`` on the running loop; fail after ``timeout``."""
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.005)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
 class TestSingleSession:
     def test_client_learns_difference_and_server_applies_push(self):
         set_a, set_b, expected = _pair(seed=11)
@@ -260,6 +286,71 @@ class TestSingleSession:
         assert result.success
         assert server.metrics.sessions_completed == 1
 
+    def test_server_sketches_b_before_the_estimate(self, server_sketches):
+        """Bob's ToW sketch runs once WELCOME is out, while the client is
+        still to send its ESTIMATE, and the ESTIMATE reuses it."""
+        set_a, set_b, expected = _pair(seed=13)
+
+        async def scenario():
+            store = SetStore()
+            store.create("inv", set_b)
+            async with ReconciliationServer(store) as server:
+                # HELLO sent and WELCOME read; no ESTIMATE yet
+                async with ClientConnection(
+                    "127.0.0.1", server.port, set_name="inv", seed=4
+                ) as conn:
+                    await _until(lambda: server_sketches)
+                    result = await conn.sync(set_a)
+            return result
+
+        result = asyncio.run(scenario())
+        assert result.success and result.difference == expected
+        assert server_sketches == [len(set_b)]
+
+    def test_hello_then_eof_fails_and_releases_the_slot(
+        self, server_sketches
+    ):
+        """A client that hangs up after WELCOME costs one sketch, counts
+        as failed and gives its admission slot back."""
+        from repro.cluster.admission import AdmissionController
+        from repro.service.wire import (
+            FrameType, Hello, encode_frame, read_frame,
+        )
+
+        async def scenario():
+            store = SetStore()
+            store.create("inv", {1, 2, 3})
+            admission = AdmissionController(shards=1, max_sessions=1)
+            async with ReconciliationServer(
+                store, admission=admission
+            ) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(encode_frame(
+                    FrameType.HELLO,
+                    Hello(set_name="inv", seed=1).serialize(),
+                ))
+                await writer.drain()
+                ftype, _ = await read_frame(reader)
+                assert ftype is FrameType.WELCOME
+                writer.close()
+                await writer.wait_closed()
+                await _until(lambda: server.metrics.sessions_failed == 1)
+                # a leaked slot would shed this one (max_sessions=1)
+                result = await sync_with_server(
+                    "127.0.0.1", server.port, {1, 2, 3, 4}, set_name="inv",
+                    seed=2, retries=0,
+                )
+            return server, admission, result
+
+        server, admission, result = asyncio.run(scenario())
+        assert result.success
+        assert server.metrics.sessions_failed == 1
+        assert server.metrics.sessions_completed == 1
+        assert admission.stats()["per_shard"][0]["active"] == 0
+        assert server_sketches == [3, 3]
+
     def test_garbage_hello_fails_session_cleanly(self):
         from repro.service.wire import FrameType, encode_frame, read_frame
 
@@ -353,6 +444,55 @@ class TestConcurrentSessions:
         assert stats.coalesced_batches >= 1
         assert stats.max_sessions_per_batch >= 2
         assert server.metrics.sessions_completed == self.N
+
+    def test_lone_session_skips_the_decode_window(self):
+        set_a, set_b, expected = _pair(seed=17)
+
+        async def scenario():
+            store = SetStore()
+            store.create("inv", set_b)
+            async with ReconciliationServer(
+                store, coalescer=DecodeCoalescer(window_s=30.0)
+            ) as server:
+                result = await asyncio.wait_for(
+                    sync_with_server(
+                        "127.0.0.1", server.port, set_a, set_name="inv",
+                        seed=3,
+                    ),
+                    timeout=10.0,
+                )
+            return server, result
+
+        server, result = asyncio.run(scenario())
+        assert result.success and result.difference == expected
+        assert server.coalescer.stats.batches >= 1
+        assert server.coalescer.stats.coalesced_batches == 0
+
+    def test_two_concurrent_sessions_share_a_batch(self):
+        """Neither of two open connections is lone: identical pairs (same
+        codec shape) synced at once meet in one window."""
+        set_a, set_b, expected = _pair(seed=19, d=10)
+
+        async def scenario():
+            store = SetStore()
+            store.create("s0", set_b)
+            store.create("s1", set_b)
+            async with ReconciliationServer(
+                store, coalescer=DecodeCoalescer(window_s=0.2)
+            ) as server:
+                results = await asyncio.gather(*[
+                    sync_with_server(
+                        "127.0.0.1", server.port, set_a, set_name=name,
+                        seed=1,
+                    )
+                    for name in ("s0", "s1")
+                ])
+            return server, results
+
+        server, results = asyncio.run(scenario())
+        for result in results:
+            assert result.success and result.difference == expected
+        assert server.coalescer.stats.coalesced_batches >= 1
 
     def test_two_clients_same_set_converge_after_second_pass(self):
         base = set(range(1, 1500))
@@ -486,6 +626,29 @@ class TestRepeatSync:
 
         store = asyncio.run(scenario())
         assert store.get("inv") == base | {500_001, 500_002, 600_001}
+
+    def test_repeat_pass_resketches_only_a_moved_set(self, server_sketches):
+        base = set(range(1, 1000))
+
+        async def scenario():
+            store = SetStore()
+            store.create("inv", base)
+            async with ReconciliationServer(store) as server:
+                async with ClientConnection(
+                    "127.0.0.1", server.port, set_name="inv", seed=5
+                ) as conn:
+                    r1 = await conn.sync(base)
+                    r2 = await conn.sync(base)
+                    assert server_sketches == [len(base)]
+                    store.apply_diff("inv", add=[5_000_001])
+                    r3 = await conn.sync(base)
+                    assert server_sketches == [len(base), len(base) + 1]
+            return r1, r2, r3
+
+        r1, r2, r3 = asyncio.run(scenario())
+        assert r1.success and r2.success and r3.success
+        assert r1.difference == r2.difference == frozenset()
+        assert r3.difference == frozenset({5_000_001})
 
     def test_per_pass_byte_accounting_is_fresh(self):
         base = set(range(1, 800))
