@@ -82,9 +82,9 @@ class BatchBCHDecoder:
     # -- encoding ----------------------------------------------------------
     def sketch_many(self, groups: Sequence[np.ndarray]) -> np.ndarray:
         """``(g, t)`` syndrome matrix, one row per group of field elements."""
-        return self._sketch_matrix(stack_groups(groups))
+        return self.sketch_matrix(stack_groups(groups))
 
-    def _sketch_matrix(self, values: np.ndarray) -> np.ndarray:
+    def sketch_matrix(self, values: np.ndarray) -> np.ndarray:
         """Power-sum syndromes of a zero-padded ``(g, L)`` element matrix."""
         field = self.field
         t = self.t
@@ -306,7 +306,7 @@ class BatchBCHDecoder:
         if verify:
             # Re-sketching the already-failed rows' (possibly garbage)
             # elements is harmless: `failed` only ever accumulates.
-            failed |= (self._sketch_matrix(elements) != sk).any(axis=1)
+            failed |= (self.sketch_matrix(elements) != sk).any(axis=1)
         return [
             None if failed[i] else elements[i, : counts[i]].tolist()
             for i in range(g)

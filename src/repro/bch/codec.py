@@ -83,6 +83,22 @@ class BCHCodec:
         ]
         return engine.sketch_many(arrays).tolist()
 
+    def sketch_rows(self, rows: np.ndarray, batch: bool = True) -> np.ndarray:
+        """``(g, t)`` int64 sketches of the rows of a zero-padded ``(g, L)``
+        element matrix (zeros are padding, not elements).
+
+        The batch engine sketches the matrix as is; ``batch=False`` (or a
+        field without ``mul_vec``) strips each row's padding and runs the
+        scalar :meth:`sketch`.
+        """
+        engine = self.batch_engine if batch else None
+        if engine is not None:
+            return engine.sketch_matrix(rows)
+        out = np.zeros((len(rows), self.t), dtype=np.int64)
+        for i, row in enumerate(rows):
+            out[i] = self.sketch(row[row != 0])
+        return out
+
     # -- decoding ----------------------------------------------------------
     def decode(
         self,

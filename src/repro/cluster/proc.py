@@ -391,10 +391,11 @@ class _Worker:
 
     async def _handle_decode(self, rid: int, body) -> None:
         try:
-            m, t, deltas, trace_t = body
+            m, t, deltas, trace_t, lone = body
             decoded, share = await self.coalescer.decode(
                 self._codec(m, t), deltas,
                 trace=TraceContext(*trace_t) if trace_t else None,
+                lone=lone,
             )
             await self._reply_ok(
                 rid,

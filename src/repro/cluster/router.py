@@ -1093,14 +1093,18 @@ class ClusterStore:
         if shipped:
             await repl.wait_durable(shipped[0])
 
-    async def decode_remote(self, shard_id: int, codec, deltas, trace=None):
+    async def decode_remote(
+        self, shard_id: int, codec, deltas, trace=None, lone: bool = False
+    ):
         """Decode sketch deltas on the shard's worker process (proc mode).
 
         The server routes each session's BCH decode work here instead of
         its own in-process coalescer, so decode CPU runs on the worker's
         core; the worker's own :class:`DecodeCoalescer` still merges
         submissions from concurrent sessions of that shard into shared
-        ``decode_many`` batches.  Returns the same ``(decoded, seconds)``
+        ``decode_many`` batches.  ``lone`` is forwarded to that
+        coalescer: the caller's session is the server's only open one,
+        so no batch could form.  Returns the same ``(decoded, seconds)``
         contract as :meth:`DecodeCoalescer.decode`.  Raises
         :class:`~repro.cluster.proc.WorkerUnavailableError` while the
         worker is dead or the shard id predates a shrink — the session
@@ -1121,7 +1125,7 @@ class ClusterStore:
             )
         trace_t = tuple(trace) if trace is not None else None
         decoded, share, stats, obs = await worker.call(
-            RpcType.DECODE, (codec.field.m, codec.t, deltas, trace_t)
+            RpcType.DECODE, (codec.field.m, codec.t, deltas, trace_t, lone)
         )
         shard.last_coalescer_stats = stats
         shard.last_obs = obs or shard.last_obs

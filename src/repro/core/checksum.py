@@ -24,6 +24,25 @@ def set_checksum(values: np.ndarray, log_u: int = 32) -> int:
     return total & ((1 << log_u) - 1)
 
 
+def segment_checksums(
+    values: np.ndarray, bounds: np.ndarray, log_u: int = 32
+) -> list[int]:
+    """:func:`set_checksum` of every segment ``values[bounds[i]:bounds[i+1]]``.
+
+    One ``add.reduceat`` pass over ``values`` (``uint64``) for all
+    segments; empty segments have checksum 0.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sums = np.zeros(len(bounds) - 1, dtype=np.uint64)
+    nonempty = bounds[1:] > bounds[:-1]
+    if nonempty.any():
+        # consecutive non-empty starts are strictly increasing, and the
+        # empty segments between them add nothing
+        sums[nonempty] = np.add.reduceat(values, bounds[:-1][nonempty])
+    sums &= np.uint64((1 << log_u) - 1)
+    return sums.tolist()
+
+
 def checksum_update(
     checksum: int, toggled: np.ndarray, sign: int, log_u: int = 32
 ) -> int:

@@ -59,12 +59,14 @@ class SketchMessage:
     def deserialize(cls, data: bytes, t: int, m: int) -> "SketchMessage":
         reader = BitReader(data)
         round_no = reader.read(_ROUND_BITS)
-        mask = [bool(reader.read(1)) for _ in range(reader.read(_COUNT_BITS))]
+        mask = reader.read_array(reader.read(_COUNT_BITS), 1).astype(bool)
         n_units = reader.read(_COUNT_BITS)
-        sketches = [
-            [reader.read(m) for _ in range(t)] for _ in range(n_units)
-        ]
-        return cls(round_no=round_no, continue_mask=mask, sketches=sketches)
+        sketches = reader.read_array(n_units * t, m).reshape(n_units, t)
+        return cls(
+            round_no=round_no,
+            continue_mask=mask.tolist(),
+            sketches=sketches.tolist(),
+        )
 
 
 @dataclass
@@ -109,20 +111,19 @@ class ReplyMessage:
     @classmethod
     def deserialize(cls, data: bytes, t: int, m: int, log_u: int) -> "ReplyMessage":
         count_bits = max(1, t.bit_length())
-        reader = BitReader(data)
-        round_no = reader.read(_ROUND_BITS)
-        n_units = reader.read(_COUNT_BITS)
+        read = BitReader(data).read
+        round_no = read(_ROUND_BITS)
+        n_units = read(_COUNT_BITS)
         replies: list[UnitReply] = []
         for _ in range(n_units):
-            checksum = reader.read(log_u) if reader.read(1) else None
-            failed = bool(reader.read(1))
+            checksum = read(log_u) if read(1) else None
+            failed = bool(read(1))
             positions: list[int] = []
             xor_sums: list[int] = []
             if not failed:
-                count = reader.read(count_bits)
-                for _ in range(count):
-                    positions.append(reader.read(m))
-                    xor_sums.append(reader.read(log_u))
+                for _ in range(read(count_bits)):
+                    positions.append(read(m))
+                    xor_sums.append(read(log_u))
             replies.append(
                 UnitReply(
                     decode_failed=failed,

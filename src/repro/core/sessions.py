@@ -14,10 +14,19 @@ One *round* (§2.4, §3.3) is a single exchange:
    folds survivors into her working set, and verifies the §2.2.3 checksum.
    Verified units retire; the rest continue into the next round.
 
-Alice's working set evolves as ``A -> A xor D_hat_1 -> ...`` (§2.4); the
-final per-unit difference is ``original xor working`` once the checksum
-certifies ``working == B_u``, so fake elements that sneaked in are
-automatically corrected by later rounds.
+Every pending unit of a round hashes with the same salt, so each step is
+a fixed number of numpy passes over all pending units together
+(:mod:`repro.core.partition`), not a pass per unit.  Bin XOR sums are
+computed only where they are read: Bob's at the positions his decode
+returns, Alice's at the positions Bob's reply names.
+
+Alice's working set evolves as ``A -> A xor D_hat_1 -> ...`` (§2.4).  A
+unit stores it as its original elements plus its *toggles*, the
+candidates folded in so far (``working = original xor toggles``), and
+keeps the working set's checksum incrementally, which is why §2.2.3
+picks ``c(S)``.  Once the checksum certifies ``working == B_u`` the
+toggles are the unit's difference; fake elements that sneaked in are
+corrected by later rounds.
 
 Both sides keep their pending-unit lists in lockstep: failed units are
 deterministically replaced by their three split children; surviving OK
@@ -29,24 +38,30 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
-from repro.core.checksum import set_checksum
-from repro.core.elements import element_array
+from repro.core.checksum import checksum_update, segment_checksums, set_checksum
+from repro.core.elements import contains, element_array
 from repro.core.messages import ReplyMessage, SketchMessage, UnitReply
 from repro.core.params import PBSParams
 from repro.core.partition import (
-    bin_indices,
-    bin_tables,
+    bin_xors,
     group_indices,
-    parity_positions,
+    parity_rows,
     split_by_hash,
+    unit_bin_keys,
 )
 from repro.core.units import SPLIT_WAYS, MembershipConstraint, UnitId
 from repro.errors import ParameterError, SerializationError
-from repro.hashing.families import SaltedHash
+from repro.hashing.families import SaltedHash, bucket_many
 from repro.utils.seeds import derive_seed
+
+_NONE = element_array(())
+_NO_KEYS = np.empty(0, dtype=np.int64)
+#: per-unit element counts of a round's concatenated elements
+_Sizes = Union[np.ndarray, list[int]]
 
 
 def _as_element_array(values, log_u: int) -> np.ndarray:
@@ -61,18 +76,51 @@ def _as_element_array(values, log_u: int) -> np.ndarray:
     return arr
 
 
-def _partition_by_group(arr: np.ndarray, salt: int, g: int) -> list[np.ndarray]:
-    """Split an element array into its g group arrays (each still sorted)
-    with one vectorized pass."""
+def _group_sorted(
+    arr: np.ndarray, salt: int, g: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``arr`` reordered group by group (each group still sorted) and the
+    ``g + 1`` group boundaries, with one vectorized pass."""
+    bounds = np.zeros(g + 1, dtype=np.int64)
     if len(arr) == 0:
-        return [arr] * g
+        return arr, bounds
     gidx = group_indices(arr, salt, g)
     if g <= 1 << 16:
         gidx = gidx.astype(np.uint16)   # stable argsort is a radix sort
-    sorted_arr = arr[np.argsort(gidx, kind="stable")]
-    bounds = np.zeros(g + 1, dtype=np.int64)
     np.cumsum(np.bincount(gidx, minlength=g), out=bounds[1:])
-    return [sorted_arr[bounds[i] : bounds[i + 1]] for i in range(g)]
+    return arr[np.argsort(gidx, kind="stable")], bounds
+
+
+def _partition_by_group(arr: np.ndarray, salt: int, g: int) -> list[np.ndarray]:
+    """Split an element array into its g group arrays (each still sorted)."""
+    grouped, bounds = _group_sorted(arr, salt, g)
+    return [grouped[bounds[i] : bounds[i + 1]] for i in range(g)]
+
+
+def _round_sketches(
+    params: PBSParams, values: np.ndarray, sizes: _Sizes, salt: int, batch: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round's encode for all pending units: ``(keys, sketches)``.
+
+    ``values`` holds the units' elements back to back, ``sizes[u]`` of
+    them for unit u; ``keys`` are their :func:`unit_bin_keys` and
+    ``sketches`` the ``(units, t)`` BCH sketches of the parity bitmaps.
+    An element listed twice for one unit cancels, as in any parity
+    bitmap or XOR sum.
+    """
+    keys = unit_bin_keys(values, sizes, salt, params.n)
+    rows = parity_rows(keys, len(sizes), params.n)
+    return keys, params.codec.sketch_rows(rows, batch=batch)
+
+
+def _working_checksum(original: np.ndarray, toggles: np.ndarray, log_u: int) -> int:
+    """``c(original xor toggles)`` without materializing the working set."""
+    checksum = set_checksum(original, log_u)
+    if len(toggles):
+        removed = contains(original, toggles)
+        checksum = checksum_update(checksum, toggles[~removed], +1, log_u)
+        checksum = checksum_update(checksum, toggles[removed], -1, log_u)
+    return checksum
 
 
 @dataclass
@@ -80,10 +128,17 @@ class _AliceUnit:
     uid: UnitId
     constraints: list[MembershipConstraint]
     original: np.ndarray
-    working: np.ndarray
+    checksum: int                   #: c(working), kept incrementally
+    #: candidates folded in so far, sorted: working = original xor toggles
+    toggles: np.ndarray = field(default_factory=lambda: _NONE, repr=False)
     b_checksum: int | None = None
-    # per-round scratch (bin XOR table for candidate recovery)
-    xors: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def working(self) -> np.ndarray:
+        """Alice's current view of Bob's unit."""
+        if not len(self.toggles):
+            return self.original
+        return np.setxor1d(self.original, self.toggles, assume_unique=True)
 
 
 @dataclass
@@ -91,6 +146,7 @@ class _BobUnit:
     uid: UnitId
     constraints: list[MembershipConstraint]
     values: np.ndarray
+    checksum: int                   #: c(B_u), fixed from the unit's creation
     fresh: bool = True
     last_failed: bool = False
     split_salt: int = 0
@@ -109,7 +165,8 @@ class BobRoundWork:
 
     round_no: int
     deltas: list[list[int]]          #: per-unit XOR of Alice's and Bob's sketches
-    xors_b: list[np.ndarray] = field(repr=False, default_factory=list)
+    values: np.ndarray = field(repr=False)   #: the round's elements, unit by unit
+    keys: np.ndarray = field(repr=False)     #: their ``unit * n + bin`` keys
 
 
 class AliceSession:
@@ -117,7 +174,8 @@ class AliceSession:
 
     ``split_ways`` and ``membership_check`` exist for the ablation studies
     (§3.2's three-way-vs-two-way argument and Procedure 3's fake-element
-    defense); production use keeps the defaults.
+    defense); production use keeps the defaults.  ``batch=False`` selects
+    the codec's scalar BCH engine, for cross-checking.
     """
 
     def __init__(
@@ -141,21 +199,28 @@ class AliceSession:
         #: candidate elements recovered per round — the empirical
         #: counterpart of the §5.3 "good balls" piecewise analysis
         self.recovered_by_round: dict[int, int] = {}
-        arr = _as_element_array(values, params.log_u)
+        self._elements = _as_element_array(values, params.log_u)
         group_salt = derive_seed(seed, "group")
-        groups = _partition_by_group(arr, group_salt, params.g)
+        grouped, bounds = _group_sorted(self._elements, group_salt, params.g)
+        checksums = segment_checksums(grouped, bounds, params.log_u)
         self.pending: list[_AliceUnit] = [
             _AliceUnit(
                 uid=UnitId(i),
                 constraints=[MembershipConstraint(group_salt, params.g, i)],
-                original=groups[i],
-                working=groups[i],
+                original=grouped[bounds[i] : bounds[i + 1]],
+                checksum=checksums[i],
             )
             for i in range(params.g)
         ]
+        #: the first round's elements: every group, back to back
+        self._grouped: tuple[np.ndarray, _Sizes] | None = (
+            grouped, np.diff(bounds)
+        )
         self._resolved_diffs: list[np.ndarray] = []
         self._next_mask: list[bool] = []
         self._round_salt: int = 0
+        self._round_values = _NONE
+        self._round_keys = _NO_KEYS
 
     # -- round driver --------------------------------------------------------
     @property
@@ -163,26 +228,19 @@ class AliceSession:
         return not self.pending
 
     def build_sketch_message(self, round_no: int) -> SketchMessage:
-        """Step 1: per-unit parity bitmaps and their BCH sketches.
-
-        The sketches of all pending units are computed in one batched
-        pass over a stacked position matrix (the scalar per-unit loop is
-        kept behind ``batch=False`` for cross-checking).
-        """
+        """Step 1: every pending unit's parity bitmap and BCH sketch, in
+        one hash pass and one sketch pass over all of them."""
         start = time.perf_counter()
-        params = self.params
         self._round_salt = derive_seed(self.seed, "bin", round_no)
-        positions: list[np.ndarray] = []
-        for unit in self.pending:
-            idx = bin_indices(unit.working, self._round_salt, params.n)
-            parity, xors = bin_tables(unit.working, idx, params.n)
-            unit.xors = xors
-            positions.append(parity_positions(parity))
-        sketches = params.codec.sketch_many(positions, batch=self.batch)
+        values, sizes = self._round_elements()
+        self._round_keys, sketches = _round_sketches(
+            self.params, values, sizes, self._round_salt, self.batch
+        )
+        self._round_values = values
         message = SketchMessage(
             round_no=round_no,
             continue_mask=self._next_mask,
-            sketches=sketches,
+            sketches=sketches.tolist(),
         )
         self._next_mask = []
         self.encode_s += time.perf_counter() - start
@@ -191,14 +249,17 @@ class AliceSession:
     def handle_reply(self, reply: ReplyMessage, round_no: int) -> None:
         """Step 3: recover, verify, retire/split/continue units."""
         start = time.perf_counter()
-        params = self.params
         if len(reply.replies) != len(self.pending):
             raise SerializationError(
                 f"reply covers {len(reply.replies)} units, "
                 f"{len(self.pending)} pending"
             )
-        bin_hash = SaltedHash(self._round_salt)
-        recovered = self._recover_batch(reply, bin_hash) if self.batch else None
+        candidates, bounds, deltas = self._recover(reply)
+        if len(candidates):
+            self.recovered_by_round[round_no] = (
+                self.recovered_by_round.get(round_no, 0) + len(candidates)
+            )
+        log_mask = (1 << self.params.log_u) - 1
         next_pending: list[_AliceUnit] = []
         mask: list[bool] = []
         for i, (unit, unit_reply) in enumerate(zip(self.pending, reply.replies)):
@@ -211,153 +272,175 @@ class AliceSession:
                 raise SerializationError(
                     f"no checksum ever received for unit {unit.uid.label()}"
                 )
-            if recovered is not None:
-                candidates = recovered[i]
-            else:
-                candidates = self._recover(unit, unit_reply, bin_hash)
-            if candidates:
-                self.recovered_by_round[round_no] = (
-                    self.recovered_by_round.get(round_no, 0) + len(candidates)
+            if bounds[i + 1] > bounds[i]:
+                found = candidates[bounds[i] : bounds[i + 1]]
+                unit.toggles = (
+                    np.setxor1d(unit.toggles, found, assume_unique=True)
+                    if len(unit.toggles) else found
                 )
-                unit.working = np.setxor1d(
-                    unit.working, element_array(candidates),
-                    assume_unique=True,
-                )
-            if set_checksum(unit.working, params.log_u) == unit.b_checksum:
-                diff = np.setxor1d(
-                    unit.original, unit.working, assume_unique=True
-                )
-                self._resolved_diffs.append(diff)
+                unit.checksum = (unit.checksum + deltas[i]) & log_mask
+            if unit.checksum == unit.b_checksum:
+                self._resolved_diffs.append(unit.toggles)
                 self.resolved_by_round[round_no] = (
-                    self.resolved_by_round.get(round_no, 0) + len(diff)
+                    self.resolved_by_round.get(round_no, 0) + len(unit.toggles)
                 )
                 mask.append(False)
             else:
                 next_pending.append(unit)
                 mask.append(True)
-            unit.xors = None
         self.pending = next_pending
         self._next_mask = mask
+        self._grouped = None
+        self._round_values, self._round_keys = _NONE, _NO_KEYS
         self.decode_s += time.perf_counter() - start
 
     # -- internals -------------------------------------------------------------
+    def _round_elements(self) -> tuple[np.ndarray, _Sizes]:
+        """The pending units' working sets back to back, each as its
+        original elements followed by its toggles (a toggled-off element
+        appears twice and cancels)."""
+        if self._grouped is not None:
+            return self._grouped
+        parts = [p for u in self.pending for p in (u.original, u.toggles)]
+        sizes = [len(u.original) + len(u.toggles) for u in self.pending]
+        return (np.concatenate(parts) if parts else _NONE), sizes
+
     def _recover(
-        self, unit: _AliceUnit, unit_reply: UnitReply, bin_hash: SaltedHash
-    ) -> set[int]:
-        """Procedure 1 per position + Procedure 3 checks (§2.2.2, §2.3)."""
-        params = self.params
-        assert unit.xors is not None
-        candidates: set[int] = set()
-        for pos, bob_xor in zip(unit_reply.positions, unit_reply.xor_sums):
-            if not 1 <= pos <= params.n:
-                continue
-            s = int(unit.xors[pos - 1]) ^ bob_xor
-            if s == 0 or s >= (1 << params.log_u):
-                continue  # exceptions; cannot be a real element
-            if self.membership_check:
-                if bin_hash.bucket(s, params.n) != pos - 1:
-                    continue  # fake distinct element caught by Procedure 3
-                if not all(c.accepts(s) for c in unit.constraints):
-                    continue  # not in this unit's sub-universe
-            candidates.add(s)
-        return candidates
+        self, reply: ReplyMessage
+    ) -> tuple[np.ndarray, list[int], list[int]]:
+        """Procedure 1 and Procedure 3's checks (§2.2.2, §2.3) for the
+        whole round.
 
-    def _recover_batch(
-        self, reply: ReplyMessage, bin_hash: SaltedHash
-    ) -> list[set[int]]:
-        """Vectorized :meth:`_recover` across every unit of the round.
-
-        Procedure 1 and Procedure 3's checks are data-parallel over the
-        flattened (unit, position) pairs: one hash pass for the bin check
-        and one per constraint level instead of a Python call per
-        candidate.  Produces exactly the candidate sets of the scalar
-        path.
+        Returns the candidates (unit by unit, each unit's sorted and
+        distinct), the ``k + 1`` unit boundaries into them, and each
+        pending unit's checksum change from folding its candidates into
+        its working set (+ for an added element, - for a removed one).
         """
         params = self.params
-        out: list[set[int]] = [set() for _ in reply.replies]
-        uidx_parts: list[np.ndarray] = []
-        pos_parts: list[np.ndarray] = []
-        s_parts: list[np.ndarray] = []
-        for i, (unit, unit_reply) in enumerate(zip(self.pending, reply.replies)):
+        n, k = params.n, len(self.pending)
+        units: list[int] = []
+        positions: list[int] = []
+        bob_xors: list[int] = []
+        for i, unit_reply in enumerate(reply.replies):
             if unit_reply.decode_failed or not unit_reply.positions:
                 continue
-            pos = np.asarray(unit_reply.positions, dtype=np.int64)
-            in_range = (pos >= 1) & (pos <= params.n)
-            pos = pos[in_range]
-            if not len(pos):
-                continue
-            xor_sums = np.asarray(unit_reply.xor_sums, dtype=np.uint64)[in_range]
-            assert unit.xors is not None
-            s_parts.append(unit.xors[pos - 1] ^ xor_sums)
-            pos_parts.append(pos)
-            uidx_parts.append(np.full(len(pos), i, dtype=np.int64))
-        if not s_parts:
-            return out
-        uidx = np.concatenate(uidx_parts)
-        pos = np.concatenate(pos_parts)
-        s = np.concatenate(s_parts)
+            if len(unit_reply.xor_sums) != len(unit_reply.positions):
+                raise SerializationError(
+                    f"{len(unit_reply.xor_sums)} XOR sums for "
+                    f"{len(unit_reply.positions)} positions"
+                )
+            units.extend([i] * len(unit_reply.positions))
+            positions.extend(unit_reply.positions)
+            bob_xors.extend(unit_reply.xor_sums)
+        if not units:
+            return _NONE, [0] * (k + 1), [0] * k
+        unit = np.array(units, dtype=np.int64)
+        pos = np.array(positions, dtype=np.int64)
+        in_range = (pos >= 1) & (pos <= n)
+        unit, pos = unit[in_range], pos[in_range]
+        s = bin_xors(
+            self._round_values, self._round_keys, unit * n + pos - 1, k * n
+        )
+        s ^= np.array(bob_xors, dtype=np.uint64)[in_range]
         keep = s != 0
         if params.log_u < 64:
             keep &= s < np.uint64(1 << params.log_u)
         if self.membership_check:
             # Procedure 3: the candidate must hash back into its bin ...
-            keep &= bin_hash.bucket_vec(s, params.n) == pos - 1
-            # ... and into its unit's sub-universe.  Level 0 is the group
-            # partition, which shares (salt, g) across all units by
-            # construction; only the expected branch varies.
-            level0 = self.pending[0].constraints[0]
-            branch = np.array(
-                [u.constraints[0].branch for u in self.pending], dtype=np.int64
-            )
-            level0_bucket = SaltedHash(level0.salt).bucket_vec(s, level0.buckets)
-            keep &= level0_bucket == branch[uidx]
-            # Deeper levels exist only on split descendants; check those
-            # units' candidate slices constraint by constraint.
-            for i, unit in enumerate(self.pending):
-                if len(unit.constraints) <= 1:
-                    continue
-                at_unit = uidx == i
-                if not at_unit.any():
-                    continue
-                vals = s[at_unit]
-                ok = np.ones(len(vals), dtype=bool)
-                for constraint in unit.constraints[1:]:
-                    ok &= constraint.accepts_vec(vals)
-                keep[at_unit] &= ok
-        for i, value in zip(uidx[keep], s[keep]):
-            out[int(i)].add(int(value))
-        return out
+            keep &= SaltedHash(self._round_salt).bucket_vec(s, n) == pos - 1
+        unit, s = unit[keep], s[keep]
+        # ... and into its unit's sub-universe.  Without the check an
+        # outsider can get in, so this also decides below whether a
+        # candidate is one of the unit's original elements.
+        in_unit = self._in_unit(unit, s)
+        if self.membership_check:
+            unit, s, in_unit = unit[in_unit], s[in_unit], in_unit[in_unit]
+        order = np.lexsort((s, unit))
+        unit, s, in_unit = unit[order], s[order], in_unit[order]
+        distinct = np.ones(len(s), dtype=bool)
+        distinct[1:] = (unit[1:] != unit[:-1]) | (s[1:] != s[:-1])
+        unit, s, in_unit = unit[distinct], s[distinct], in_unit[distinct]
+        in_working = contains(self._elements, s) & in_unit
+        if any(len(u.toggles) for u in self.pending):
+            in_working ^= self._toggled(unit, s)
+        bounds = np.searchsorted(unit, np.arange(k + 1))
+        deltas = segment_checksums(
+            np.where(in_working, -s, s), bounds, params.log_u
+        )
+        return s, bounds.tolist(), deltas
+
+    def _in_unit(self, unit: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Does each candidate ``s`` hash into its unit's sub-universe?
+
+        Level 0 is the group partition, which shares (salt, g) across all
+        units by construction; only the expected branch varies.  Deeper
+        levels exist only on split descendants; each level is one hash
+        pass over the candidates of the units that have it.
+        """
+        if not len(s):
+            return np.zeros(0, dtype=bool)
+        level0 = self.pending[0].constraints[0]
+        branch = np.array(
+            [u.constraints[0].branch for u in self.pending], dtype=np.int64
+        )
+        ok = level0.hash.bucket_vec(s, level0.buckets) == branch[unit]
+        depth = np.array([len(u.constraints) for u in self.pending])
+        for level in range(1, int(depth.max())):
+            deep = depth[unit] > level
+            if not deep.any():
+                continue
+            owners = np.unique(unit[deep])
+            which = np.searchsorted(owners, unit[deep])
+            constraints = [self.pending[i].constraints[level] for i in owners.tolist()]
+            ok[deep] &= bucket_many(
+                s[deep], [c.hash for c in constraints], which,
+                [c.buckets for c in constraints],
+            ) == np.array([c.branch for c in constraints])[which]
+        return ok
+
+    def _toggled(self, unit: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Which ``(unit, s)`` candidates are already among that unit's
+        toggles.  Both sides are distinct within a unit, so a match shows
+        up as two equal neighbours once the pairs are sorted together."""
+        sizes = [len(u.toggles) for u in self.pending]
+        all_units = np.concatenate(
+            [unit, np.repeat(np.arange(len(sizes)), sizes)]
+        )
+        all_values = np.concatenate([s] + [u.toggles for u in self.pending])
+        order = np.lexsort((all_values, all_units))
+        su, sv = all_units[order], all_values[order]
+        same = (su[1:] == su[:-1]) & (sv[1:] == sv[:-1])
+        hit = np.zeros(len(all_units), dtype=bool)
+        hit[order[1:][same]] = True
+        hit[order[:-1][same]] = True
+        return hit[: len(s)]
 
     def _split(self, unit: _AliceUnit, round_no: int) -> list[_AliceUnit]:
         """Three-way split after a BCH decoding failure (§3.2)."""
         ways = self.split_ways
         salt = derive_seed(self.seed, "split", unit.uid.group, unit.uid.path, round_no)
-        working_parts = split_by_hash(unit.working, salt, ways)
-        original_parts = split_by_hash(unit.original, salt, ways)
-        children = []
-        for b in range(ways):
-            children.append(
-                _AliceUnit(
-                    uid=unit.uid.child(b),
-                    constraints=unit.constraints
-                    + [MembershipConstraint(salt, ways, b)],
-                    original=original_parts[b],
-                    working=working_parts[b],
-                )
+        originals = split_by_hash(unit.original, salt, ways)
+        toggles = split_by_hash(unit.toggles, salt, ways)
+        return [
+            _AliceUnit(
+                uid=unit.uid.child(b),
+                constraints=unit.constraints + [MembershipConstraint(salt, ways, b)],
+                original=originals[b],
+                toggles=toggles[b],
+                checksum=_working_checksum(
+                    originals[b], toggles[b], self.params.log_u
+                ),
             )
-        return children
+            for b in range(ways)
+        ]
 
     # -- results -----------------------------------------------------------------
     def difference(self) -> frozenset[int]:
         """Alice's current view of A xor B (exact iff :attr:`done`)."""
-        parts = list(self._resolved_diffs)
-        parts.extend(
-            np.setxor1d(u.original, u.working, assume_unique=True)
-            for u in self.pending
-        )
+        parts = self._resolved_diffs + [u.toggles for u in self.pending]
         if not parts:
             return frozenset()
-        return frozenset(int(v) for v in np.concatenate(parts))
+        return frozenset(np.concatenate(parts).tolist())
 
 
 class BobSession:
@@ -379,22 +462,28 @@ class BobSession:
         self.decode_s = 0.0
         arr = _as_element_array(values, params.log_u)
         group_salt = derive_seed(seed, "group")
-        groups = _partition_by_group(arr, group_salt, params.g)
+        grouped, bounds = _group_sorted(arr, group_salt, params.g)
+        checksums = segment_checksums(grouped, bounds, params.log_u)
         self.pending: list[_BobUnit] = [
             _BobUnit(
                 uid=UnitId(i),
                 constraints=[MembershipConstraint(group_salt, params.g, i)],
-                values=groups[i],
+                values=grouped[bounds[i] : bounds[i + 1]],
+                checksum=checksums[i],
             )
             for i in range(params.g)
         ]
+        #: the first round's elements: every group, back to back
+        self._grouped: tuple[np.ndarray, _Sizes] | None = (
+            grouped, np.diff(bounds)
+        )
 
     def handle_sketch_message(self, message: SketchMessage) -> ReplyMessage:
         """Step 2: advance the pending list, decode every sketch.
 
         All pending units are sketched and BCH-decoded in one batched
-        pass (stacked syndrome matrices); ``batch=False`` keeps the
-        scalar per-unit loop as the cross-checking reference.
+        pass (stacked syndrome matrices); ``batch=False`` selects the
+        codec's scalar engine as the cross-checking reference.
         """
         work = self.begin_reply(message)
         decode_start = time.perf_counter()
@@ -413,32 +502,31 @@ class BobSession:
         """
         params = self.params
         self._advance_pending(message)
-        if len(message.sketches) != len(self.pending):
+        k = len(self.pending)
+        if len(message.sketches) != k:
             raise SerializationError(
                 f"sketch message covers {len(message.sketches)} units, "
-                f"{len(self.pending)} pending"
+                f"{k} pending"
+            )
+        if any(len(sketch) != params.t for sketch in message.sketches):
+            raise SerializationError(
+                f"a sketch does not have {params.t} syndromes"
             )
         round_salt = derive_seed(self.seed, "bin", message.round_no)
 
         encode_start = time.perf_counter()
-        positions_b: list[np.ndarray] = []
-        xors_b: list[np.ndarray] = []
-        for unit in self.pending:
-            idx = bin_indices(unit.values, round_salt, params.n)
-            parity, xors = bin_tables(unit.values, idx, params.n)
-            positions_b.append(parity_positions(parity))
-            xors_b.append(xors)
-        sketches_b = params.codec.sketch_many(positions_b, batch=self.batch)
+        values, sizes = self._round_elements()
+        keys, sketches = _round_sketches(
+            params, values, sizes, round_salt, self.batch
+        )
         self.encode_s += time.perf_counter() - encode_start
 
         decode_start = time.perf_counter()
-        deltas = [
-            params.codec.sketch_xor(alice_sketch, sketch_b)
-            for alice_sketch, sketch_b in zip(message.sketches, sketches_b)
-        ]
+        sketches ^= np.array(message.sketches, dtype=np.int64).reshape(k, params.t)
         self.decode_s += time.perf_counter() - decode_start
         return BobRoundWork(
-            round_no=message.round_no, deltas=deltas, xors_b=xors_b
+            round_no=message.round_no, deltas=sketches.tolist(),
+            values=values, keys=keys,
         )
 
     def finish_reply(
@@ -454,14 +542,24 @@ class BobSession:
         ``decode_seconds`` attributes this session's share of a coalesced
         decode batch to :attr:`decode_s`.
         """
-        params = self.params
+        n = self.params.n
         self.decode_s += decode_seconds
         start = time.perf_counter()
+        wanted: list[int] = []
+        for i, positions in enumerate(decoded):
+            if positions:
+                base = i * n - 1
+                wanted.extend([base + p for p in positions])
+        xors = (
+            bin_xors(
+                work.values, work.keys, np.array(wanted, dtype=np.int64),
+                len(self.pending) * n,
+            ).tolist()
+            if wanted else []
+        )
         replies: list[UnitReply] = []
-        for unit, xors, positions in zip(self.pending, work.xors_b, decoded):
-            checksum = (
-                set_checksum(unit.values, params.log_u) if unit.fresh else None
-            )
+        offset = 0
+        for unit, positions in zip(self.pending, decoded):
             if positions is None:
                 unit.last_failed = True
                 unit.split_salt = derive_seed(
@@ -474,38 +572,56 @@ class BobSession:
                         checksum=None,
                     )
                 )
-            else:
-                unit.fresh = False
-                replies.append(
-                    UnitReply(
-                        decode_failed=False,
-                        positions=positions,
-                        xor_sums=[int(xors[p - 1]) for p in positions],
-                        checksum=checksum,
-                    )
+                continue
+            replies.append(
+                UnitReply(
+                    decode_failed=False,
+                    positions=positions,
+                    xor_sums=xors[offset : offset + len(positions)],
+                    checksum=unit.checksum if unit.fresh else None,
                 )
+            )
+            unit.fresh = False
+            offset += len(positions)
         self.decode_s += time.perf_counter() - start
         return ReplyMessage(round_no=work.round_no, replies=replies)
 
+    def _round_elements(self) -> tuple[np.ndarray, _Sizes]:
+        """The pending units' elements back to back, and their counts."""
+        if self._grouped is not None:
+            return self._grouped
+        parts = [u.values for u in self.pending]
+        return (
+            (np.concatenate(parts) if parts else _NONE),
+            [len(p) for p in parts],
+        )
+
     def _advance_pending(self, message: SketchMessage) -> None:
-        """Mirror Alice's pending-list evolution (splits + continuation mask)."""
+        """Mirror Alice's pending-list evolution (splits + continuation
+        mask); the mask must have exactly one bit per unit that was not
+        split."""
         if message.round_no == 1:
             return
-        mask = iter(message.continue_mask)
+        mask = message.continue_mask
+        used = 0
         next_pending: list[_BobUnit] = []
         for unit in self.pending:
             if unit.last_failed:
                 next_pending.extend(self._split(unit))
                 continue
-            try:
-                keep = next(mask)
-            except StopIteration:
+            if used == len(mask):
                 raise SerializationError(
                     "continuation mask shorter than pending list"
-                ) from None
-            if keep:
+                )
+            if mask[used]:
                 next_pending.append(unit)
+            used += 1
+        if used != len(mask):
+            raise SerializationError(
+                f"continuation mask has {len(mask)} bits for {used} units"
+            )
         self.pending = next_pending
+        self._grouped = None
 
     def _split(self, unit: _BobUnit) -> list[_BobUnit]:
         ways = self.split_ways
@@ -516,6 +632,7 @@ class BobSession:
                 constraints=unit.constraints
                 + [MembershipConstraint(unit.split_salt, ways, b)],
                 values=parts[b],
+                checksum=set_checksum(parts[b], self.params.log_u),
             )
             for b in range(ways)
         ]

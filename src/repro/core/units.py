@@ -14,7 +14,8 @@ just into the right bin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,21 +61,12 @@ class MembershipConstraint:
     buckets: int
     branch: int
 
+    @cached_property
+    def hash(self) -> SaltedHash:
+        return SaltedHash(self.salt)
+
     def accepts(self, value: int) -> bool:
-        return SaltedHash(self.salt).bucket(value, self.buckets) == self.branch
+        return self.hash.bucket(value, self.buckets) == self.branch
 
     def accepts_vec(self, values: np.ndarray) -> np.ndarray:
-        return SaltedHash(self.salt).bucket_vec(values, self.buckets) == self.branch
-
-
-@dataclass
-class UnitCore:
-    """State common to Alice's and Bob's view of a unit."""
-
-    uid: UnitId
-    constraints: list[MembershipConstraint] = field(default_factory=list)
-    fresh: bool = True  #: True until the unit's first Bob reply is consumed
-
-    def member_ok(self, value: int) -> bool:
-        """Procedure-3 sub-universe check against this unit (all levels)."""
-        return all(c.accepts(value) for c in self.constraints)
+        return self.hash.bucket_vec(values, self.buckets) == self.branch

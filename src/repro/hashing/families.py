@@ -134,6 +134,21 @@ class SaltedHash:
         return self(x) & 1
 
 
+def bucket_many(
+    xs: np.ndarray, hashes: list[SaltedHash], which: np.ndarray, n_buckets
+) -> np.ndarray:
+    """``hashes[which[i]].bucket(xs[i], n_buckets[which[i]])`` for every i.
+
+    One vectorized pass however many members are involved, bit-exact with
+    :meth:`SaltedHash.bucket_vec` per member.
+    """
+    salt = np.array([h.salt for h in hashes], dtype=np.uint64)[which]
+    salt2 = np.array([h._salt2 for h in hashes], dtype=np.uint64)[which]
+    buckets = np.asarray(n_buckets, dtype=np.uint64)[which]
+    xs = np.asarray(xs, dtype=np.uint64)
+    return (mix64_vec((xs ^ salt) * salt2) % buckets).astype(np.int64)
+
+
 def bucket_of(x: int, salt: int, n_buckets: int) -> int:
     """Convenience: one-off bucketing without constructing a family member."""
     return SaltedHash(salt).bucket(x, n_buckets)

@@ -240,18 +240,19 @@ class ReconciliationServer:
         sessions) by default, or on the owning shard's worker process
         when the store runs the subprocess executor (each worker then
         coalesces its own shard's sessions).  The server's only open
-        connection skips the coalescing window: no peer could join it.
-        Admission decode-queue caps apply identically in both paths.
-        ``trace`` (the pass's :class:`TraceContext`, if any) parents the
-        decode-batch span — locally for the coalescer, across the RPC
-        for a worker."""
+        connection skips the coalescing window in either path: no peer
+        could join it, since every session a worker serves is one of this
+        server's connections.  Admission decode-queue caps apply
+        identically in both paths.  ``trace`` (the pass's
+        :class:`TraceContext`, if any) parents the decode-batch span —
+        locally for the coalescer, across the RPC for a worker."""
         remote = getattr(self.store, "decode_remote", None)
+        lone = self.metrics.active_sessions == 1
         decode = (
-            (lambda: remote(shard, codec, deltas, trace=trace))
+            (lambda: remote(shard, codec, deltas, trace=trace, lone=lone))
             if remote is not None
             else (lambda: self.coalescer.decode(
-                codec, deltas, trace=trace,
-                lone=self.metrics.active_sessions == 1,
+                codec, deltas, trace=trace, lone=lone,
             ))
         )
         if self.admission is None:

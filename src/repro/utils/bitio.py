@@ -9,11 +9,25 @@ packing on top of plain ``bytes``.
 
 Bits are written most-significant-first within the stream, which makes the
 encoding independent of host endianness and easy to eyeball in tests.
+
+Both directions cost time linear in the stream length: the writer moves
+whole bytes out of a bounded accumulator, and the reader extracts fields
+from a bounded window of bytes around them, so no field costs a shift of
+the whole message.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import SerializationError
+
+#: The writer's accumulator moves its whole bytes to the output once it
+#: holds this many bits, so no write shifts a longer integer.
+_FLUSH_BITS = 1024
+#: Bytes the reader converts to an integer at a time (plus the field's own
+#: length when a field is wider).
+_WINDOW_BYTES = 128
 
 
 class BitWriter:
@@ -30,8 +44,9 @@ class BitWriter:
     """
 
     def __init__(self) -> None:
-        self._chunks: list[int] = []  # (value) pairs flattened below
-        self._widths: list[int] = []
+        self._out = bytearray()
+        self._acc = 0        # the bits not yet moved to _out
+        self._acc_bits = 0
         self._bits = 0
 
     @property
@@ -52,9 +67,14 @@ class BitWriter:
             raise SerializationError(
                 f"value {value} does not fit in {width} bits"
             )
-        self._chunks.append(value)
-        self._widths.append(width)
+        self._acc = (self._acc << width) | value
+        self._acc_bits += width
         self._bits += width
+        if self._acc_bits >= _FLUSH_BITS:
+            keep = self._acc_bits & 7
+            self._out += (self._acc >> keep).to_bytes(self._acc_bits >> 3, "big")
+            self._acc &= (1 << keep) - 1
+            self._acc_bits = keep
 
     def write_uint(self, value: int, width: int) -> None:
         """Alias of :meth:`write`, for symmetry with :class:`BitReader`."""
@@ -62,12 +82,9 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Return the packed bytes, zero-padded to a byte boundary."""
-        acc = 0
-        for value, width in zip(self._chunks, self._widths):
-            acc = (acc << width) | value
-        pad = (-self._bits) % 8
-        acc <<= pad
-        return acc.to_bytes((self._bits + pad) // 8, "big")
+        pad = (-self._acc_bits) % 8
+        tail = (self._acc << pad).to_bytes((self._acc_bits + pad) // 8, "big")
+        return bytes(self._out) + tail
 
 
 class BitReader:
@@ -80,21 +97,58 @@ class BitReader:
         self._data = data
         self._total_bits = 8 * len(data)
         self._pos = 0
-        self._acc = int.from_bytes(data, "big") if data else 0
+        self._window = 0      # the stream's bits before _window_end, as an int
+        self._window_end = 0
 
     @property
     def bits_remaining(self) -> int:
         return self._total_bits - self._pos
 
+    def _over_read(self, bits: int) -> SerializationError:
+        return SerializationError(
+            f"over-read: want {bits} bits, {self.bits_remaining} left"
+        )
+
     def read(self, width: int) -> int:
         """Read the next ``width`` bits as an unsigned integer."""
         if width < 0:
             raise SerializationError(f"negative width {width}")
-        if self._pos + width > self._total_bits:
+        end = self._pos + width
+        if end > self._total_bits:
+            raise self._over_read(width)
+        self._pos = end
+        if end > self._window_end:
+            first = (end - width) >> 3
+            last = min(len(self._data), first + _WINDOW_BYTES + (width >> 3) + 1)
+            self._window = int.from_bytes(self._data[first:last], "big")
+            self._window_end = last << 3
+        return (self._window >> (self._window_end - end)) & ((1 << width) - 1)
+
+    def read_array(self, count: int, width: int) -> np.ndarray:
+        """The next ``count`` fields of ``width`` bits each (at most 64),
+        as a ``uint64`` array — the values ``count`` calls of :meth:`read`
+        would return.  Raises before reading anything if the stream is
+        too short for all of them."""
+        if not 0 <= width <= 64 or count < 0:
             raise SerializationError(
-                f"over-read: want {width} bits, {self.bits_remaining} left"
+                f"cannot read {count} fields of {width} bits as an array"
             )
-        shift = self._total_bits - self._pos - width
-        value = (self._acc >> shift) & ((1 << width) - 1)
-        self._pos += width
-        return value
+        start = self._pos
+        if start + count * width > self._total_bits:
+            raise self._over_read(count * width)
+        self._pos += count * width
+        out = np.zeros(count, dtype=np.uint64)
+        if not count or not width:
+            return out
+        first, skip = start >> 3, start & 7
+        span = (skip + count * width + 7) >> 3
+        bits = np.unpackbits(
+            np.frombuffer(self._data, dtype=np.uint8, count=span, offset=first)
+        )
+        lead = -width % 8        # left-pad every field to whole bytes
+        fields = np.zeros((count, width + lead), dtype=np.uint8)
+        fields[:, lead:] = bits[skip : skip + count * width].reshape(count, width)
+        for column in np.packbits(fields, axis=1).T:
+            out <<= np.uint64(8)
+            out |= column
+        return out

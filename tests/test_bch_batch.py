@@ -70,6 +70,15 @@ class TestEngineAgainstScalar:
         groups = random_groups(rng, codec.field.order, t, 40)
         assert codec.sketch_many(groups) == [codec.sketch(g) for g in groups]
 
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_sketch_rows_matches_scalar(self, batch):
+        """Zero-padded rows sketch like their unpadded groups, on both
+        engines."""
+        codec = BCHCodec(field_for(7), 5)
+        groups = random_groups(np.random.default_rng(3), codec.field.order, 5, 30)
+        got = codec.sketch_rows(stack_groups(groups), batch=batch)
+        assert got.tolist() == [codec.sketch(g) for g in groups]
+
     @pytest.mark.parametrize("m", [6, 7, 8, 11])
     @pytest.mark.parametrize("t", [1, 3, 8])
     def test_decode_many_matches_scalar(self, m, t):

@@ -140,6 +140,60 @@ class TestInlineProcEquivalence:
         asyncio.run(inner())
 
 
+class TestWorkerDecodeWindow:
+    """A worker's coalescer learns from the server whether the session
+    is the only open one (``lone``) and then skips its window."""
+
+    def test_lone_session_skips_the_worker_window(self):
+        a, b = set(range(1, 2000)), set(range(40, 2040))
+
+        async def inner():
+            async with _cluster(
+                1, executor="subprocess", worker_window_s=30.0
+            ) as store:
+                await store.create("inv", b)
+                async with ReconciliationServer(store) as server:
+                    result = await asyncio.wait_for(
+                        sync_with_server(
+                            "127.0.0.1", server.port, a, set_name="inv",
+                            seed=3,
+                        ),
+                        timeout=10.0,
+                    )
+                return result, store.cluster_stats()["per_shard"][0]
+
+        result, shard = asyncio.run(inner())
+        assert result.success and result.difference == a ^ b
+        assert shard["coalescer"]["batches"] >= 1
+        assert shard["coalescer"]["coalesced_batches"] == 0
+
+    def test_two_concurrent_sessions_share_a_worker_batch(self):
+        """Neither of two open connections is lone: identical pairs (same
+        codec shape) synced at once meet in one worker window."""
+        a, b = set(range(1, 2000)), set(range(40, 2040))
+
+        async def inner():
+            async with _cluster(
+                1, executor="subprocess", worker_window_s=0.5
+            ) as store:
+                await store.create("s0", b)
+                await store.create("s1", b)
+                async with ReconciliationServer(store) as server:
+                    results = await asyncio.gather(*[
+                        sync_with_server(
+                            "127.0.0.1", server.port, a, set_name=name,
+                            seed=1,
+                        )
+                        for name in ("s0", "s1")
+                    ])
+                return results, store.cluster_stats()["per_shard"][0]
+
+        results, shard = asyncio.run(inner())
+        for result in results:
+            assert result.success and result.difference == a ^ b
+        assert shard["coalescer"]["coalesced_batches"] >= 1
+
+
 class TestResizeRollback:
     def test_failed_restore_rolls_back_to_old_layout(self, monkeypatch):
         """A failure while repopulating the new layout's children must

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checksum import checksum_update, set_checksum
+from repro.core.checksum import checksum_update, segment_checksums, set_checksum
 from repro.analysis.optimizer import groups_for, optimize_params
 from repro.core.params import PBSParams, _from_d
 from repro.core.partition import (
     bin_indices,
     bin_tables,
+    bin_xors,
     group_indices,
     parity_positions,
+    parity_rows,
     split_by_hash,
+    unit_bin_keys,
 )
 from repro.core.units import MembershipConstraint, UnitId
 from repro.errors import ParameterError
@@ -53,6 +56,18 @@ class TestChecksum:
         assert added == set_checksum(np.concatenate([base_arr, extra_arr]))
         removed = checksum_update(added, extra_arr, -1)
         assert removed == c
+
+    @given(st.lists(st.integers(1, 2**64 - 1), max_size=40),
+           st.lists(st.integers(0, 40), max_size=8),
+           st.sampled_from([8, 32, 64]))
+    @settings(max_examples=100)
+    def test_segment_checksums_match_per_segment(self, values, cuts, log_u):
+        arr = np.array(values, dtype=np.uint64)
+        bounds = [0] + sorted(min(c, len(arr)) for c in cuts) + [len(arr)]
+        assert segment_checksums(arr, bounds, log_u) == [
+            set_checksum(arr[lo:hi], log_u)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
     def test_detects_single_element_change(self, rng):
         vals = rng.integers(1, 1 << 32, size=50, dtype=np.uint64)
@@ -132,6 +147,72 @@ class TestPartition:
         diff_xor = np.zeros(n, dtype=np.uint64)
         np.bitwise_xor.at(diff_xor, idx_diff, diff_elements)
         assert ((xa ^ xb) == diff_xor).all()
+
+
+class TestRoundTables:
+    """The round-wide helpers reproduce the per-unit reference
+    (:func:`bin_indices`, :func:`bin_tables`, :func:`parity_positions`)
+    unit by unit."""
+
+    @staticmethod
+    def _check(units, salt, n, rng):
+        values = np.concatenate(units)
+        keys = unit_bin_keys(values, [len(u) for u in units], salt, n)
+        rows = parity_rows(keys, len(units), n)
+        assert rows.shape[0] == len(units)
+        tables = []
+        offset = 0
+        for u, unit in enumerate(units):
+            idx = bin_indices(unit, salt, n)
+            parity, xors = bin_tables(unit, idx, n)
+            tables.append(xors)
+            assert (keys[offset : offset + len(unit)] == u * n + idx).all()
+            offset += len(unit)
+            positions = parity_positions(parity)
+            assert rows[u, : len(positions)].tolist() == positions.tolist()
+            assert not rows[u, len(positions):].any()
+        # XOR sums at arbitrary bins, repeated bins included
+        wanted = rng.integers(0, len(units) * n, size=2 * n)
+        assert bin_xors(values, keys, wanted, len(units) * n).tolist() == [
+            int(tables[w // n][w % n]) for w in wanted
+        ]
+
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=10),
+           st.integers(2, 8), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_units_match_reference(self, sizes, m, salt, seed):
+        rng = np.random.default_rng(seed)
+        units = [
+            np.unique(rng.integers(1, 1 << 32, size=size, dtype=np.uint64))
+            for size in sizes
+        ]
+        self._check(units, salt, (1 << m) - 1, rng)
+
+    def test_empty_units(self, rng):
+        self._check([np.empty(0, dtype=np.uint64)] * 3, 5, 63, rng)
+
+    def test_single_unit(self, rng):
+        unit = np.unique(rng.integers(1, 1 << 32, size=500, dtype=np.uint64))
+        self._check([unit], 5, 127, rng)
+
+    def test_element_listed_twice_cancels(self, rng):
+        """A unit given as ``original`` followed by ``toggles`` has the
+        tables of ``original xor toggles``."""
+        original = np.unique(rng.integers(1, 1 << 32, size=300, dtype=np.uint64))
+        toggles = np.unique(np.concatenate([
+            original[:7], rng.integers(1, 1 << 32, size=5, dtype=np.uint64),
+        ]))
+        working = np.setxor1d(original, toggles)
+        listed = np.concatenate([original, toggles])
+        n = 63
+        keys_w = unit_bin_keys(working, [len(working)], 9, n)
+        keys_l = unit_bin_keys(listed, [len(listed)], 9, n)
+        assert (parity_rows(keys_w, 1, n) == parity_rows(keys_l, 1, n)).all()
+        bins = np.arange(n)
+        assert (
+            bin_xors(working, keys_w, bins, n) == bin_xors(listed, keys_l, bins, n)
+        ).all()
 
 
 class TestUnits:

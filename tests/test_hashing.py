@@ -18,6 +18,7 @@ from repro.hashing import (
     xxh32,
     xxh64,
 )
+from repro.hashing.families import bucket_many
 from repro.hashing.fourwise import P61
 
 
@@ -96,6 +97,16 @@ class TestSaltedHash:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # dof = 63; mean 63, sd ~11; 200 is a ~12-sigma guard band
         assert chi2 < 200
+
+    def test_bucket_many_matches_each_member(self, rng):
+        hashes = [SaltedHash(3), SaltedHash(7), SaltedHash(2**63 + 5)]
+        buckets = [3, 5, 2]
+        xs = rng.integers(1, 1 << 32, size=300, dtype=np.uint64)
+        which = rng.integers(0, 3, size=300)
+        got = bucket_many(xs, hashes, which, buckets)
+        for i, h in enumerate(hashes):
+            mask = which == i
+            assert (got[mask] == h.bucket_vec(xs[mask], buckets[i])).all()
 
     def test_bucket_of_convenience(self):
         assert bucket_of(5, 7, 10) == SaltedHash(7).bucket(5, 10)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.messages import ReplyMessage, UnitReply
 from repro.core.params import PBSParams
+from repro.core.protocol import PBSProtocol
 from repro.core.sessions import (
     AliceSession,
     BobSession,
@@ -14,6 +17,7 @@ from repro.core.sessions import (
     _partition_by_group,
 )
 from repro.errors import ParameterError, SerializationError
+from repro.transport.channel import Channel
 from repro.workloads.generator import SetPairGenerator
 
 
@@ -136,6 +140,18 @@ class TestSessionLockstep:
             bob.handle_sketch_message(msg2)
 
 
+    def test_bob_rejects_long_mask(self):
+        """Extra continuation bits are a desync too, not padding."""
+        _, alice, bob = self._sessions(d=200, seed=1)
+        msg = alice.build_sketch_message(1)
+        alice.handle_reply(bob.handle_sketch_message(msg), 1)
+        assert not alice.done
+        msg2 = alice.build_sketch_message(2)
+        msg2.continue_mask = msg2.continue_mask + [True, True, True]
+        with pytest.raises(SerializationError):
+            bob.handle_sketch_message(msg2)
+
+
 class TestSplitBehaviour:
     def test_forced_split_converges(self):
         """Tiny capacity + underestimated d forces BCH failures; splits
@@ -204,3 +220,80 @@ class TestInstrumentation:
         _drive(alice, bob, 4)
         assert alice.encode_s > 0 and alice.decode_s > 0
         assert bob.encode_s > 0 and bob.decode_s > 0
+
+
+class _HashingChannel(Channel):
+    """A channel that also feeds every SKETCH and REPLY payload to a hash."""
+
+    def __init__(self, digest) -> None:
+        super().__init__()
+        self.digest = digest
+
+    def send(self, direction, payload, round_no=0, label=""):
+        if label in ("sketch", "reply"):
+            self.digest.update(
+                label.encode() + len(payload).to_bytes(4, "little") + payload
+            )
+        return super().send(direction, payload, round_no=round_no, label=label)
+
+
+#: |A| -> (seeds, SHA-256 over the whole grid of TestWireDigest)
+_WIRE_DIGESTS = {
+    50: ((1, 2, 3),
+         "50bbe4d1fd14f8981aa512fe59d2939728fce936bec4ee57376007c6179287d9"),
+    500: ((1, 2, 3),
+          "c90849767bb90dc2db379bfde57ce8fca337d24ab24653751e8966ebef14c854"),
+    3000: ((1, 2),
+           "0bba6bbc38b11f80789c22f8f3123fcfae2efbc6f695ba9ea75bb65881d9f11f"),
+    10_000: ((1,),
+             "fd4f66f6d51e1cacb622c9857736adbe3d44f1f2f8454b3b154696acfedaf249"),
+}
+
+
+class TestWireDigest:
+    """Every wire payload and result is pinned bit for bit.
+
+    For each |A| and seed, two-sided pairs with d in {0, |A|/100,
+    |A|/10, |A|} (half of d on each side) run through
+    :meth:`PBSProtocol.run` with ``max_rounds=8`` under every combination
+    of ``membership_check`` in {True, False}, ``split_ways`` in {2, 3},
+    ``batch`` in {True, False} and a design d of the true d or d/6 (which
+    forces splits).  One SHA-256 hashes, in order, every SKETCH and
+    REPLY payload and each run's success, rounds, sorted difference,
+    ``resolved_by_round`` and ``recovered_by_round``.
+
+    The pinned digests were generated by this grid at commit 9637ffd,
+    whose sessions still encoded, recovered and verified unit by unit;
+    the round-wide sessions must reproduce them exactly.
+    """
+
+    @pytest.mark.parametrize("size", sorted(_WIRE_DIGESTS))
+    def test_grid_digest_is_pinned(self, size):
+        seeds, expected = _WIRE_DIGESTS[size]
+        digest = hashlib.sha256()
+        for seed in seeds:
+            for d in sorted({0, max(1, size // 100), size // 10, size}):
+                pair = SetPairGenerator(seed=seed).generate_two_sided(
+                    size - d // 2, d // 2, d - d // 2, seed=d
+                )
+                for design_d in sorted({max(1, d), max(1, d // 6)}):
+                    for check in (True, False):
+                        for ways in (2, 3):
+                            for batch in (True, False):
+                                result = PBSProtocol(
+                                    seed=seed, membership_check=check,
+                                    split_ways=ways, batch=batch,
+                                    max_rounds=8,
+                                ).run(
+                                    pair.a, pair.b,
+                                    channel=_HashingChannel(digest),
+                                    true_d=design_d,
+                                )
+                                digest.update(repr((
+                                    result.success,
+                                    result.rounds,
+                                    sorted(result.difference),
+                                    sorted(result.extra["resolved_by_round"].items()),
+                                    sorted(result.extra["recovered_by_round"].items()),
+                                )).encode())
+        assert digest.hexdigest() == expected
