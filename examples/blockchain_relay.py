@@ -16,11 +16,12 @@ Run:  python examples/blockchain_relay.py
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.baselines import DifferenceDigestProtocol
 from repro.core.protocol import PBSProtocol
-from repro.hashing import xxh64
 from repro.utils.seeds import spawn_rng
 
 TX_BYTES = 250          # average Bitcoin transaction size
@@ -31,8 +32,8 @@ ONLY_AT_BOB = 200       # ... and only to Bob
 
 def short_id(payload: bytes) -> int:
     """32-bit transaction short ID (nonzero, as PBS's universe requires)."""
-    h = xxh64(payload) & 0xFFFFFFFF
-    return h if h != 0 else 1
+    digest = hashlib.blake2b(payload, digest_size=4).digest()
+    return int.from_bytes(digest, "little") or 1
 
 
 def make_mempools(seed: int = 0):

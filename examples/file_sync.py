@@ -12,10 +12,10 @@ Run:  python examples/file_sync.py
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.core.protocol import PBSProtocol
-from repro.hashing import xxh64
 from repro.utils.seeds import spawn_rng
 
 
@@ -25,8 +25,10 @@ class FileState:
     version: int
 
     def signature(self) -> int:
-        sig = xxh64(f"{self.path}@{self.version}".encode()) & 0xFFFFFFFF
-        return sig or 1
+        digest = hashlib.blake2b(
+            f"{self.path}@{self.version}".encode(), digest_size=4
+        ).digest()
+        return int.from_bytes(digest, "little") or 1
 
 
 def make_replicas(n_files: int = 30_000, seed: int = 5):

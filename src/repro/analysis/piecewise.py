@@ -16,9 +16,9 @@ over 95% of the work (and hence of the communication).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.markov import transition_matrix
+from repro.analysis.success import binom_pmf
 
 
 def expected_cumulative_reconciled(
@@ -41,7 +41,7 @@ def expected_round_proportions(
     pessimistic convention); their Binomial mass is negligible for sane
     parameters.
     """
-    pmf = stats.binom.pmf(np.arange(t + 1), d, 1.0 / g)
+    pmf = binom_pmf(d, 1.0 / g, t)
     matrix = transition_matrix(n, t)
     xs = np.arange(t + 1, dtype=np.float64)
 

@@ -37,7 +37,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.markov import chain_power
 from repro.errors import ParameterError
@@ -48,15 +47,33 @@ from repro.errors import ParameterError
 _X_MAX = 96
 
 
+def binom_pmf(d: int, p: float, k_max: int) -> np.ndarray:
+    """``Pr[X = k]`` for X ~ Binomial(d, p) and k in [0, k_max].
+
+    The recurrence ``pmf[k] = pmf[k-1] * (d-k+1)/k * p/(1-p)`` from
+    ``pmf[0] = (1-p)^d``, summed in log space so neither end underflows;
+    zero beyond d.  Its relative error against an exact pmf stays below
+    1e-12, small enough that the §5.1 optimizer's near-ties resolve the
+    same way (a log-gamma pmf, at ~3e-9, flipped three of them).
+    """
+    out = np.zeros(k_max + 1)
+    if p >= 1.0:
+        if d <= k_max:
+            out[d] = 1.0
+        return out
+    k = np.arange(1, min(d, k_max) + 1)
+    steps = np.log((d - k + 1) / k) + math.log(p / (1.0 - p))
+    log_pmf = d * math.log1p(-p) + np.concatenate(([0.0], np.cumsum(steps)))
+    out[: len(log_pmf)] = np.exp(log_pmf)
+    return out
+
+
 @lru_cache(maxsize=4)
 def _binom_pmf_matrix(p_num: int, p_den: int) -> np.ndarray:
     """``B[x, k] = Binomial(x, p).pmf(k)`` for x, k in [0, X_MAX]."""
-    size = _X_MAX + 1
-    out = np.zeros((size, size))
-    ks = np.arange(size)
-    for x in range(size):
-        out[x, : x + 1] = stats.binom.pmf(ks[: x + 1], x, p_num / p_den)
-    return out
+    return np.array(
+        [binom_pmf(x, p_num / p_den, _X_MAX) for x in range(_X_MAX + 1)]
+    )
 
 
 @lru_cache(maxsize=512)
@@ -126,7 +143,7 @@ def _group_pmf(d: int, g: int) -> np.ndarray:
     Depends on (d, g) only, so the optimizer's (n, t) candidates share
     one vector; it is read-only because every caller gets the same one.
     """
-    pmf = stats.binom.pmf(np.arange(min(d, _X_MAX) + 1), d, 1.0 / g)
+    pmf = binom_pmf(d, 1.0 / g, min(d, _X_MAX))
     pmf.flags.writeable = False
     return pmf
 

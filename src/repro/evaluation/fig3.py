@@ -20,7 +20,11 @@ from repro.evaluation.harness import (
 
 DEFAULT_D_VALUES = (10, 100, 1000, 3000)
 DEFAULT_SIZE_A = 20_000
-DEFAULT_TRIALS = 10
+#: Trials per d, and their floor under REPRO_SCALE.  PBS's byte
+#: advantage over PinSketch/WP at d = 10 is ~4% (0.1008 vs 0.1057 kB
+#: over 2,000 trials); with 3 trials the comparison came out wrong for
+#: 7 of 20 instance seeds, with 60 for at most 1 of 20.
+DEFAULT_TRIALS = 60
 
 
 def run(
@@ -29,7 +33,7 @@ def run(
     trials: int = DEFAULT_TRIALS,
     seed: int = 3,
 ) -> ExperimentTable:
-    trials = scaled(trials, minimum=3)
+    trials = scaled(trials, minimum=DEFAULT_TRIALS)
     table = ExperimentTable(
         name="Fig. 3 — PBS vs PinSketch/WP (p0 = 0.99)",
         columns=[

@@ -3,18 +3,15 @@
 The paper builds every randomized component on seedable uniform hashing (it
 uses the xxHash library [11]).  We provide:
 
-* :mod:`repro.hashing.xxhash` — a faithful pure-Python port of xxHash32 /
-  xxHash64 for one-off hashing;
 * :mod:`repro.hashing.families` — a splitmix64-based salted family with a
   numpy-vectorized bulk path, used for all partitioning (bins, groups,
-  IBF cells, Bloom filters);
+  IBF cells, Bloom filters) and for the bit-sliced Tug-of-War sketches;
 * :mod:`repro.hashing.fourwise` — a four-wise independent family (degree-3
   polynomials over GF(2^61 - 1)) required by the Tug-of-War estimator (§6).
 """
 
 from repro.hashing.families import SaltedHash, bucket_of, mix64, mix64_vec
 from repro.hashing.fourwise import FourWiseHash, mulmod_p61, mulmod_p61_vec
-from repro.hashing.xxhash import xxh32, xxh64
 
 __all__ = [
     "SaltedHash",
@@ -24,6 +21,4 @@ __all__ = [
     "FourWiseHash",
     "mulmod_p61",
     "mulmod_p61_vec",
-    "xxh32",
-    "xxh64",
 ]

@@ -35,65 +35,62 @@ def mix64(x: int) -> int:
     return x
 
 
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """:func:`mix64` over ``uint64`` array ``x`` in place; ``tmp`` is a work
+    buffer of the same shape."""
+    np.add(x, np.uint64(_GOLDEN), out=x)
+    for shift, mult in ((30, _C1), (27, _C2)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        np.bitwise_xor(x, tmp, out=x)
+        np.multiply(x, np.uint64(mult), out=x)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+
+
 def mix64_vec(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a ``uint64`` array."""
-    x = x.astype(np.uint64, copy=True)
-    x += np.uint64(_GOLDEN)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_C1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_C2)
-    x ^= x >> np.uint64(31)
+    x = np.array(x, dtype=np.uint64)
+    _mix64_inplace(x, np.empty_like(x))
     return x
 
 
-#: Cells (members x elements) per tile of :func:`low_bit_balance`; the
-#: two uint64 work buffers of one tile stay cache-resident.
-_TILE_CELLS = 1 << 16
+#: Elements per tile of :func:`bit_balance`: a tile's work buffers and
+#: the index copies ``np.bincount`` makes of its byte lanes stay in cache.
+_TILE = 1 << 15
+
+#: ``_BIT_TABLE[v, k]`` is bit k of the byte value v.
+_BIT_TABLE = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
-def low_bit_balance(xs: np.ndarray, hashes) -> np.ndarray:
-    """``sum_x (+1 if h(x) is odd else -1)`` for each ``h`` in ``hashes``.
+def bit_balance(xs: np.ndarray, hashes) -> np.ndarray:
+    """``sum_x (+1 if bit k of h(x) is set else -1)`` for every ``h`` in
+    ``hashes`` and bit ``k < 64``.
 
-    The Tug-of-War estimator's ±1 sums under the :class:`SaltedHash`
-    family (int64, one per member).  Bit-exact with ``h.hash_vec(xs) & 1``
-    per member, but the mixing runs in place over cache-sized tiles of
-    (members x elements) — a large set is hashed one member at a time,
-    a small one many members per pass — and allocates nothing per
-    member.
+    The Tug-of-War estimator's ±1 sums under the bit-sliced
+    :class:`SaltedHash` family: 64 per member (int64, member-major, low
+    bit first), bit-exact with ``(h.hash_vec(xs) >> k) & 1``.  One
+    mixing pass per member runs in place over cache-sized tiles; each
+    pass's 64 bits are counted with one ``np.bincount`` per byte lane,
+    and a fixed 256 x 8 bit table turns the byte-value counts into bit
+    counts.  The lanes are read little-endian, so every host computes
+    the same sums.
     """
     xs = np.asarray(xs, dtype=np.uint64)
-    n = len(xs)
-    out = np.full(len(hashes), -n, dtype=np.int64)
-    if not n or not len(hashes):
-        return out
-    salt = np.array([h.salt for h in hashes], dtype=np.uint64)[:, None]
-    salt2 = np.array([h._salt2 for h in hashes], dtype=np.uint64)[:, None]
-    cols = min(n, _TILE_CELLS)
-    rows = max(1, min(len(hashes), _TILE_CELLS // cols))
-    buf = np.empty((rows, cols), dtype=np.uint64)
+    counts = np.zeros((len(hashes), 8, 256), dtype=np.int64)
+    buf = np.empty(min(len(xs), _TILE), dtype=np.uint64)
     tmp = np.empty_like(buf)
-    golden, c1, c2 = np.uint64(_GOLDEN), np.uint64(_C1), np.uint64(_C2)
-    for lo in range(0, n, cols):
-        x = xs[lo : lo + cols]
-        for first in range(0, len(hashes), rows):
-            k = min(rows, len(hashes) - first)
-            b, t = buf[:k, : len(x)], tmp[:k, : len(x)]
-            np.bitwise_xor(x, salt[first : first + k], out=b)
-            np.multiply(b, salt2[first : first + k], out=b)
-            # mix64_vec, in place
-            np.add(b, golden, out=b)
-            np.right_shift(b, np.uint64(30), out=t)
-            np.bitwise_xor(b, t, out=b)
-            np.multiply(b, c1, out=b)
-            np.right_shift(b, np.uint64(27), out=t)
-            np.bitwise_xor(b, t, out=b)
-            np.multiply(b, c2, out=b)
-            np.right_shift(b, np.uint64(31), out=t)
-            np.bitwise_xor(b, t, out=b)
-            np.bitwise_and(b, np.uint64(1), out=b)
-            out[first : first + k] += 2 * b.sum(axis=1, dtype=np.int64)
-    return out
+    for lo in range(0, len(xs), _TILE):
+        x = xs[lo : lo + _TILE]
+        b, t = buf[: len(x)], tmp[: len(x)]
+        for lane_counts, h in zip(counts, hashes):
+            np.bitwise_xor(x, np.uint64(h.salt), out=b)
+            np.multiply(b, np.uint64(h._salt2), out=b)
+            _mix64_inplace(b, t)
+            lanes = b.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            for k in range(8):
+                lane_counts[k] += np.bincount(lanes[:, k], minlength=256)
+    ones = (counts @ _BIT_TABLE).reshape(-1)
+    return 2 * ones - len(xs)
 
 
 class SaltedHash:

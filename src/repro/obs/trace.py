@@ -4,7 +4,7 @@ One reconciliation session touches up to three processes: the client,
 the server parent, and (in proc mode) the shard-worker subprocess that
 decodes and commits.  To see that session as a single tree, the client
 mints a random 64-bit *trace id* at connect time, the id rides the
-HELLO frame (wire v3) and every proc-executor RPC body, and each
+HELLO frame and every proc-executor RPC body, and each
 process appends its own spans to a per-process JSONL file under the
 configured trace directory.  ``python -m repro.obs.trace <dir>``
 merges the files into one Chrome JSON trace for
@@ -114,7 +114,7 @@ class Tracer:
         With tracing disabled the parent context passes through
         untouched and nothing is written — the caller can always
         forward whatever ``span()`` yields.  With tracing enabled and
-        no parent (e.g. a v2 client that sent no trace id), the span
+        no parent (e.g. an untraced client sent trace id 0), the span
         roots a fresh trace so server-side timing is never lost.
         """
         if self.trace_dir is None:

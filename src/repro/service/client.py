@@ -126,7 +126,7 @@ class ClientConnection:
         when admission control sheds the session with a RETRY frame.
         """
         # mint the session's trace identity before dialing: the ids ride
-        # the HELLO (wire v3) so server and worker spans join this trace
+        # the HELLO trailer so server and worker spans join this trace
         self.trace = tracer().mint()
         self._session_ts = time.time()
         self._session_start = time.perf_counter()

@@ -72,7 +72,7 @@ class SessionMetrics:
     started_unix: float = field(default_factory=time.time)
     #: monotonic start mark; all interval math happens on this clock
     started_mono: float = field(default_factory=time.monotonic)
-    #: trace context joined from the HELLO (wire v3), if any
+    #: trace context joined from the HELLO, if any
     trace: TraceContext | None = None
     rounds: int = 0
     d_hat: float = 0.0

@@ -280,8 +280,8 @@ class ReconciliationServer:
             )
         shard = self._shard_of(hello.set_name)
         session.shard = shard
-        # join the client's trace when the HELLO carried one (wire v3);
-        # a v2 peer's session still gets a server-rooted span tree
+        # join the client's trace when its HELLO carries one; an
+        # untraced client's session gets a server-rooted span tree
         session.trace = (
             TraceContext(hello.trace_id, hello.span_id)
             if hello.trace_id

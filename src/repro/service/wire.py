@@ -33,20 +33,17 @@ from repro.core.params import PBSParams
 from repro.errors import ReproError, SerializationError
 from repro.transport.channel import Channel, Direction
 
-#: Protocol version — bumped on any incompatible frame-format change.
+#: Protocol version — bumped on any incompatible change to the frames or
+#: to what their fields mean.
 #: v2: RETRY frame (admission control), set-version fields on
 #: WELCOME/PARAMS/RESULT, and multi-pass sessions (a client may send a
 #: fresh ESTIMATE after RESULT to re-sync on the same connection).
-#: v3: optional trace-context trailer (trace id + span id) on HELLO for
-#: cross-process span trees — purely additive, so v2 peers still
-#: interoperate (see :data:`MIN_WIRE_VERSION`).
-WIRE_VERSION = 3
-
-#: Oldest peer version this build still serves.  v3 only *appends* an
-#: optional trailer to HELLO, so v2 sessions run unchanged (they simply
-#: carry no trace context); anything older predates the RETRY frame and
-#: the multi-pass state machine and cannot be spoken safely.
-MIN_WIRE_VERSION = 2
+#: v3: trace-context trailer (trace id + span id) on HELLO for
+#: cross-process span trees.
+#: v4: the bit-sliced ``"fast"`` Tug-of-War family (64 sketches per
+#: hash pass).  A v3 peer sketches with the old family, so its estimates
+#: would silently disagree; only this exact version is served.
+WIRE_VERSION = 4
 
 #: Bytes added to every payload by the frame header (length + type).
 FRAME_HEADER_BYTES = 5
@@ -181,9 +178,8 @@ class Hello:
     log_u: int = 32
     bidirectional: bool = True
     version: int = WIRE_VERSION
-    #: v3 trace context (trace id, span id), or ``(0, 0)`` when the
-    #: client is not tracing.  Serialized as a trailer *after* the set
-    #: name so a v2 frame is byte-identical to what a v2 build emits.
+    #: Trace context (trace id, span id), or ``(0, 0)`` when the client
+    #: is not tracing; a trailer after the set name.
     trace_id: int = 0
     span_id: int = 0
 
@@ -195,7 +191,7 @@ class Hello:
         name = self.set_name.encode("utf-8")
         if len(name) > 0xFFFF:
             raise SerializationError("set name too long")
-        payload = (
+        return (
             struct.pack(
                 "!BQHBB?",
                 self.version,
@@ -207,10 +203,8 @@ class Hello:
             )
             + struct.pack("!H", len(name))
             + name
+            + struct.pack("!QQ", self.trace_id, self.span_id)
         )
-        if self.version >= 3:
-            payload += struct.pack("!QQ", self.trace_id, self.span_id)
-        return payload
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Hello":
@@ -218,10 +212,10 @@ class Hello:
         version, seed, n_sketches, family_ix, log_u, bidi = (
             _unpack_from("!BQHBB?", data)
         )
-        if not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
+        if version != WIRE_VERSION:
             raise SerializationError(
                 f"peer speaks wire version {version}, this build serves "
-                f"{MIN_WIRE_VERSION}..{WIRE_VERSION}"
+                f"only {WIRE_VERSION}"
             )
         if family_ix >= len(_HASH_FAMILIES):
             raise SerializationError(f"unknown hash family index {family_ix}")
@@ -233,11 +227,7 @@ class Hello:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SerializationError(f"set name not UTF-8: {exc}") from exc
-        trace_id = span_id = 0
-        if version >= 3:
-            trace_id, span_id = _unpack_from(
-                "!QQ", data, fixed + 2 + name_len
-            )
+        trace_id, span_id = _unpack_from("!QQ", data, fixed + 2 + name_len)
         return cls(
             set_name=name,
             seed=seed,

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,20 @@ class TestServeValidation:
     def test_fsync_without_data_dir_is_a_usage_error(self, capsys):
         assert main(["serve", "--fsync"]) == 2
         assert "--data-dir" in capsys.readouterr().err
+
+
+def test_service_import_path_loads_no_scipy():
+    """numpy is the only runtime dependency: the CLI and the proc-mode
+    worker module import without loading any scipy module."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = (
+        "import sys, repro.cli, repro.cluster.proc; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

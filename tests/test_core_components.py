@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,4 +305,30 @@ class TestFromDMemo:
         )
         assert params == _from_d.__wrapped__(
             PBSParams, max(1, d), 5, r, 0.99, 32, "three-way"
+        )
+
+
+#: The design grid of :class:`TestFromDDigest`: every d up to 2,000, every
+#: 97th beyond it up to 2 * 10^5, and 10^6 (4,042 designs).  The grid
+#: holds the optimizer's near-ties at d = 68,154, 163,505 and 163,699.
+_DESIGN_GRID = sorted({*range(1, 2001), *range(2000, 200_001, 97), 10**6})
+
+
+class TestFromDDigest:
+    """Every design ``(n, t, g)`` of :meth:`PBSParams.from_d` is pinned.
+
+    The digest hashes ``"{d}:{n},{t},{g};"`` over :data:`_DESIGN_GRID`.
+    It was generated at commit ab4208f, whose Binomial pmf came from
+    scipy; the numpy pmf must make the §5.1 optimizer pick the same
+    design everywhere, near-ties included.
+    """
+
+    def test_design_grid_digest_is_pinned(self):
+        digest = hashlib.sha256()
+        for d in _DESIGN_GRID:
+            p = PBSParams.from_d(d)
+            digest.update(f"{d}:{p.n},{p.t},{p.g};".encode())
+        assert len(_DESIGN_GRID) == 4042
+        assert digest.hexdigest() == (
+            "63aa8a1fa3d7222137159d077ce6c3a9e2c0e653a576e9fa981aac2d1895da63"
         )

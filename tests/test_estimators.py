@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.estimators import MinWiseEstimator, StrataEstimator, ToWEstimator
-from repro.hashing.families import _TILE_CELLS
+from repro.hashing.families import _TILE
 
 
 def _sample_distinct(rng, count: int) -> np.ndarray:
@@ -111,13 +111,14 @@ class TestToWWire:
         assert (est.deserialize(data, 300) == sketch).all()
 
 
-def _per_salt_sketch(est: ToWEstimator, values) -> np.ndarray:
-    """The reference for the "fast" family: one ``hash_vec`` pass and
-    one ±1 sum per sketch."""
+def _per_bit_sketch(est: ToWEstimator, values) -> np.ndarray:
+    """The reference for the bit-sliced "fast" family: sketch i is the
+    ±1 sum of bit ``i % 64`` of member ``i // 64``'s ``hash_vec``."""
     values = np.asarray(values, dtype=np.uint64)
+    hashed = [h.hash_vec(values) for h in est._hashes]
     out = np.zeros(est.n_sketches, dtype=np.int64)
-    for i, h in enumerate(est._hashes):
-        bits = h.hash_vec(values) & np.uint64(1)
+    for i in range(est.n_sketches):
+        bits = (hashed[i // 64] >> np.uint64(i % 64)) & np.uint64(1)
         out[i] = int(np.where(bits == 1, 1, -1).sum())
     return out
 
@@ -126,22 +127,24 @@ _ELEMENTS = st.one_of(
     st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**63, 2**64 - 1])
 )
 
+_SKETCH_COUNTS = [1, 63, 64, 65, 128, 1024]
+
 
 class TestToWFastKernel:
-    """The in-place "fast" kernel is bit-exact with the per-salt oracle."""
+    """The bit-sliced "fast" kernel is bit-exact with the per-bit oracle."""
 
     @given(
         values=st.lists(_ELEMENTS, max_size=200),
-        n_sketches=st.sampled_from([1, 2, 128, 1024]),
+        n_sketches=st.sampled_from(_SKETCH_COUNTS),
         seed=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_salt_oracle(self, values, n_sketches, seed):
+    def test_matches_per_bit_oracle(self, values, n_sketches, seed):
         est = ToWEstimator(n_sketches=n_sketches, seed=seed, family="fast")
         arr = np.array(values, dtype=np.uint64)
-        assert np.array_equal(est.sketch(arr), _per_salt_sketch(est, arr))
+        assert np.array_equal(est.sketch(arr), _per_bit_sketch(est, arr))
 
-    @pytest.mark.parametrize("n_sketches", [1, 2, 128, 1024])
+    @pytest.mark.parametrize("n_sketches", _SKETCH_COUNTS)
     @pytest.mark.parametrize(
         "values",
         [[], [5], [0], [2**64 - 1], [0, 2**64 - 1], [9, 9, 9, 2, 2]],
@@ -150,20 +153,24 @@ class TestToWFastKernel:
     def test_edge_inputs(self, values, n_sketches):
         est = ToWEstimator(n_sketches=n_sketches, seed=3, family="fast")
         arr = np.array(values, dtype=np.uint64)
-        assert np.array_equal(est.sketch(arr), _per_salt_sketch(est, arr))
+        assert np.array_equal(est.sketch(arr), _per_bit_sketch(est, arr))
 
     @pytest.mark.parametrize(
-        "size, n_sketches",
-        [(_TILE_CELLS + 17, 3), (300, 1024)],
-        ids=["column-tiles", "row-blocks"],
+        "size", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 17]
     )
-    def test_partial_last_tile(self, rng, size, n_sketches):
-        # more elements than one tile holds, or more sketches than fit
-        # one tile's rows: the tile loop runs and its last tile is short
+    def test_sizes_around_a_tile(self, rng, size):
+        # one tile short, exact, one over, and two full tiles plus a
+        # short one: the tile loop's last tile is full or partial
         arr = rng.integers(0, 2**64 - 1, size=size,
                            dtype=np.uint64, endpoint=True)
-        est = ToWEstimator(n_sketches=n_sketches, seed=8, family="fast")
-        assert np.array_equal(est.sketch(arr), _per_salt_sketch(est, arr))
+        est = ToWEstimator(n_sketches=65, seed=8, family="fast")
+        assert np.array_equal(est.sketch(arr), _per_bit_sketch(est, arr))
+
+    @pytest.mark.parametrize("n_sketches", _SKETCH_COUNTS)
+    def test_one_member_per_64_sketches(self, n_sketches):
+        est = ToWEstimator(n_sketches=n_sketches, seed=1, family="fast")
+        assert len(est._hashes) == -(-n_sketches // 64)
+        assert len(est.sketch(np.arange(10, dtype=np.uint64))) == n_sketches
 
 
 class TestStrata:

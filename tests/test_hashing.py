@@ -1,9 +1,8 @@
-"""Hashing substrates: xxHash vectors, salted family, 4-wise family."""
+"""Hashing substrates: splitmix64 mixer, salted family, 4-wise family."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,49 +14,9 @@ from repro.hashing import (
     mix64_vec,
     mulmod_p61,
     mulmod_p61_vec,
-    xxh32,
-    xxh64,
 )
 from repro.hashing.families import bucket_many
 from repro.hashing.fourwise import P61
-
-
-class TestXXHashVectors:
-    """Known-answer vectors from the reference implementation."""
-
-    def test_xxh32_empty(self):
-        assert xxh32(b"") == 0x02CC5D05
-
-    def test_xxh64_empty(self):
-        assert xxh64(b"") == 0xEF46DB3751D8E999
-
-    def test_xxh32_abc(self):
-        assert xxh32(b"abc") == 0x32D153FF
-
-    def test_xxh64_abc(self):
-        assert xxh64(b"abc") == 0x44BC2CF5AD770999
-
-    def test_seed_changes_output(self):
-        assert xxh64(b"hello", 0) != xxh64(b"hello", 1)
-        assert xxh32(b"hello", 0) != xxh32(b"hello", 1)
-
-    @pytest.mark.parametrize("length", [0, 1, 3, 4, 7, 8, 15, 16, 17, 31, 32, 33, 100])
-    def test_all_length_regimes_deterministic(self, length):
-        data = bytes(range(256))[:length] * (1 if length <= 256 else 1)
-        assert xxh64(data, 7) == xxh64(data, 7)
-        assert 0 <= xxh32(data, 7) < 2**32
-        assert 0 <= xxh64(data, 7) < 2**64
-
-    def test_long_input_stripe_path(self):
-        data = bytes(i % 256 for i in range(1000))
-        # exercises the 32-byte stripe loop plus tail
-        assert xxh64(data) != xxh64(data[:-1])
-
-    def test_avalanche_single_bit(self):
-        a = xxh64(b"\x00" * 16)
-        b = xxh64(b"\x00" * 15 + b"\x01")
-        # a single flipped input bit should flip roughly half the output
-        assert 20 <= bin(a ^ b).count("1") <= 44
 
 
 class TestMix64:

@@ -1,9 +1,9 @@
-"""Observability subsystem: histograms, traces, admin endpoint, wire v3.
+"""Observability subsystem: histograms, traces, admin endpoint, HELLO.
 
 Covers the telemetry contracts end to end: log-linear histogram
 accuracy against a sorted reference, registry merging (the proc-mode
 worker-dump path), trace-context propagation through the HELLO frame
-(v3 <-> v2 compatibility), the snapshot schema pin, the admin HTTP
+(and the refusal of an older wire version), the snapshot schema pin, the admin HTTP
 endpoint's Prometheus/healthz/varz surfaces, and — as real spawned
 subprocesses — the cross-process span tree of one proc-mode session.
 
@@ -56,7 +56,7 @@ from repro.obs.trace import (
     merge_trace,
 )
 from repro.service.metrics import SNAPSHOT_SCHEMA, ServiceMetrics
-from repro.service.wire import MIN_WIRE_VERSION, WIRE_VERSION, Hello
+from repro.service.wire import WIRE_VERSION, Hello
 
 
 @pytest.fixture
@@ -196,31 +196,48 @@ class TestMetricsRegistry:
             parent.merged_with([bad])
 
 
-# -- wire v3 trace propagation -------------------------------------------------
+# -- HELLO trace propagation ----------------------------------------------------
 
 class TestWireTracePropagation:
-    def test_v3_hello_carries_trace(self):
+    def test_hello_carries_trace(self):
         hello = Hello(set_name="inv", seed=7,
                       trace_id=0xABCD1234, span_id=0x42)
         back = Hello.deserialize(hello.serialize())
-        assert back.version == WIRE_VERSION == 3
+        assert back.version == WIRE_VERSION == 4
         assert (back.trace_id, back.span_id) == (0xABCD1234, 0x42)
         assert back.set_name == "inv"
 
-    def test_v2_hello_interoperates(self):
-        """A v2 peer's HELLO (no trailer) still parses — trace absent;
-        and a v2 frame this build emits is trailer-free."""
-        v2_frame = Hello(set_name="inv", seed=7, version=2).serialize()
-        v3_frame = Hello(set_name="inv", seed=7, version=3,
-                         trace_id=1, span_id=2).serialize()
-        assert len(v3_frame) == len(v2_frame) + 16
-        back = Hello.deserialize(v2_frame)
-        assert back.version == MIN_WIRE_VERSION == 2
-        assert (back.trace_id, back.span_id) == (0, 0)
+    def test_v3_hello_gets_error_frame(self):
+        """A v3 peer sketches with the pre-bit-sliced ToW family, so its
+        estimates would silently disagree: the server answers its HELLO
+        with an ERROR frame naming the version, and serves nothing."""
+        from repro.service import ReconciliationServer
+        from repro.service.wire import (
+            Error, FrameType, encode_frame, read_frame,
+        )
+
+        async def run():
+            async with ReconciliationServer(port=0) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                v3 = Hello(set_name="inv", seed=7, version=3).serialize()
+                writer.write(encode_frame(FrameType.HELLO, v3))
+                await writer.drain()
+                ftype, payload = await read_frame(reader)
+                writer.close()
+                await writer.wait_closed()
+                await asyncio.sleep(0.05)
+                return ftype, Error.deserialize(payload), server.metrics
+
+        ftype, error, metrics = asyncio.run(run())
+        assert ftype is FrameType.ERROR
+        assert "wire version 3" in error.message
+        assert metrics.sessions_failed == 1
+        assert metrics.sessions_completed == 0
 
     def test_version_range_enforced(self):
         frame = bytearray(Hello(set_name="x", seed=1).serialize())
-        for bad in (1, WIRE_VERSION + 1):
+        for bad in (1, WIRE_VERSION - 1, WIRE_VERSION + 1):
             frame[0] = bad
             with pytest.raises(SerializationError, match="wire version"):
                 Hello.deserialize(bytes(frame))
