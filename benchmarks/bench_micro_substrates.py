@@ -19,14 +19,8 @@ from repro.baselines.ibf import IBF
 from repro.bch.codec import BCHCodec
 from repro.core.params import PBSParams
 from repro.core.partition import bin_indices, bin_tables
-from repro.core.protocol import PBSProtocol
 from repro.errors import DecodeFailure
-from repro.evaluation.harness import (
-    ExperimentTable,
-    batch_mode_rows,
-    instances,
-    scaled,
-)
+from repro.evaluation.harness import ExperimentTable
 from repro.gf import CarrylessField, TableField, TowerField32
 from repro.hashing.families import SaltedHash
 
@@ -162,19 +156,6 @@ class TestBatchVsScalar:
                 layer="bch-engine", d=3000, mode=mode, success=1.0,
                 decode_s=best[mode], encode_s=0.0,
                 decode_speedup=engine_speedup if mode == "batch" else "",
-            )
-        # Protocol level: the same comparison end-to-end (includes the
-        # non-BCH per-round work, so the ratio is lower than the engine's).
-        d = scaled(1000, minimum=100)
-        pairs = instances(20_000, d, scaled(3, minimum=2), seed=7)
-        for row in batch_mode_rows(
-            lambda batch: PBSProtocol(seed=7, batch=batch), pairs, true_d=d
-        ):
-            table.add_row(
-                layer="pbs-protocol", d=d, mode=row["mode"],
-                success=row["success"], decode_s=row["decode_s"],
-                encode_s=row["encode_s"],
-                decode_speedup=row.get("decode_speedup", ""),
             )
         table.note(
             f"engine best-of-5 speedup {engine_speedup:.1f}x "

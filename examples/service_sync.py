@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.service import ReconciliationServer, SetStore, sync_with_server
+from repro.cluster import open_cluster
+from repro.service import ReconciliationServer, sync_with_server
 
 
 async def main() -> None:
@@ -24,10 +25,10 @@ async def main() -> None:
     client_1 = warehouse - {10, 20} | {5001, 5002}  # two diverged replicas
     client_2 = warehouse - {30} | {7001}
 
-    store = SetStore()
-    store.create("inventory", warehouse)
-
-    async with ReconciliationServer(store) as server:
+    # open_cluster() with no data dir: one in-memory shard, as served by
+    # a plain `repro serve`
+    async with open_cluster() as store, ReconciliationServer(store) as server:
+        await store.create("inventory", warehouse)
         print(f"server listening on {server.host}:{server.port}")
         print(f"inventory: {store.size('inventory')} elements\n")
 

@@ -197,11 +197,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--window-ms", type=float, default=2.0,
-        help="decode-coalescing window in milliseconds (default 2.0)",
-    )
-    parser.add_argument(
-        "--no-coalesce", action="store_true",
-        help="decode each session separately (benchmarking baseline)",
+        help="decode-coalescing window in milliseconds (default 2.0; "
+             "0 decodes each session separately)",
     )
     parser.add_argument(
         "--no-create", action="store_true",
@@ -528,7 +525,7 @@ def cmd_serve(argv: list[str]) -> int:
     )
     from repro.obs.metrics import SloTracker, WindowedMetrics
     from repro.obs.trace import configure_tracing
-    from repro.service import DecodeCoalescer, ReconciliationServer, SetStore
+    from repro.service import DecodeCoalescer, ReconciliationServer
     from repro.service.metrics import merged_histograms
 
     args = build_serve_parser().parse_args(argv)
@@ -538,6 +535,10 @@ def cmd_serve(argv: list[str]) -> int:
         set_slow_op_threshold(args.slow_op_ms / 1000.0)
     if args.window_s <= 0:
         print(f"error: --window-s must be > 0, got {args.window_s}",
+              file=sys.stderr)
+        return 2
+    if args.window_ms < 0:
+        print(f"error: --window-ms must be >= 0, got {args.window_ms}",
               file=sys.stderr)
         return 2
     if args.trace_dir is not None:
@@ -619,29 +620,19 @@ def cmd_serve(argv: list[str]) -> int:
             return 2
         preload.append((name, load_signatures(Path(file_spec))))
 
-    # A cluster store (sharded, journaled, and/or multi-process) when
-    # asked for one; the plain in-memory SetStore keeps the PR-2
-    # single-tenant behavior.
-    cluster = (
-        shards > 1 or args.data_dir is not None or args.workers == "proc"
-    )
-    store = (
-        open_cluster(
-            args.data_dir,
-            ClusterConfig(
-                shards=shards,
-                storage=storage,
-                fsync=args.fsync,
-                executor="subprocess" if args.workers == "proc" else "inline",
-                replicas=args.replicas,
-                replication=args.replication,
-                promote_after=args.promote_after,
-                worker_window_s=args.window_ms / 1000.0,
-                worker_coalesce=not args.no_coalesce,
-            ),
-        )
-        if cluster
-        else SetStore()
+    # without cluster flags: a 1-shard in-memory inline cluster
+    store = open_cluster(
+        args.data_dir,
+        ClusterConfig(
+            shards=shards,
+            storage=storage,
+            fsync=args.fsync,
+            executor="subprocess" if args.workers == "proc" else "inline",
+            replicas=args.replicas,
+            replication=args.replication,
+            promote_after=args.promote_after,
+            worker_window_s=args.window_ms / 1000.0,
+        ),
     )
     admission = (
         AdmissionController(
@@ -656,9 +647,7 @@ def cmd_serve(argv: list[str]) -> int:
         store,
         host=args.host,
         port=args.port,
-        coalescer=DecodeCoalescer(
-            window_s=args.window_ms / 1000.0, enabled=not args.no_coalesce
-        ),
+        coalescer=DecodeCoalescer(window_s=args.window_ms / 1000.0),
         create_missing=not args.no_create,
         admission=admission,
     )
@@ -680,7 +669,7 @@ def cmd_serve(argv: list[str]) -> int:
                 "sheds": m.sessions_shed,
                 "syncs": m.syncs_total,
             },
-            merged_histograms(store.cluster_stats() if cluster else None),
+            merged_histograms(store.cluster_stats()),
         )
         if window is not None and slo.enabled:
             slo.grade(window)
@@ -689,7 +678,7 @@ def cmd_serve(argv: list[str]) -> int:
         return (
             store.stats(),
             admission.stats() if admission is not None else None,
-            store.cluster_stats() if cluster else None,
+            store.cluster_stats(),
             windowed.timeseries(),
             slo.state() if slo.enabled else None,
         )
@@ -706,8 +695,6 @@ def cmd_serve(argv: list[str]) -> int:
             "status": "ok",
             "active_sessions": server.metrics.active_sessions,
         }
-        if not cluster:
-            return True, detail
         ok = True
         shard_list = []
         for entry in store.cluster_stats()["per_shard"]:
@@ -748,8 +735,7 @@ def cmd_serve(argv: list[str]) -> int:
                 handled.append(sig)
             except (NotImplementedError, RuntimeError):
                 pass   # non-Unix event loop: KeyboardInterrupt still works
-        if cluster:
-            await store.start()
+        await store.start()
         heartbeat_task = None
         window_task = None
         admin = None
@@ -758,9 +744,7 @@ def cmd_serve(argv: list[str]) -> int:
         # journals instead of abandoning them to loop teardown
         try:
             for name, values in preload:
-                result = store.create(name, values)
-                if cluster:
-                    await result
+                await store.create(name, values)
             await server.start()
             print(
                 f"# serving on {server.host}:{server.port} "
@@ -779,7 +763,7 @@ def cmd_serve(argv: list[str]) -> int:
                     varz=lambda: server.metrics.snapshot(*_stats_args()),
                     health=_health,
                     histograms=lambda: merged_histograms(
-                        store.cluster_stats() if cluster else None
+                        store.cluster_stats()
                     ),
                     timeseries=windowed.timeseries,
                     host=args.admin_host,
@@ -833,8 +817,7 @@ def cmd_serve(argv: list[str]) -> int:
                 heartbeat_task.cancel()
             if window_task is not None:
                 window_task.cancel()
-            if cluster:
-                await store.close()
+            await store.close()
             for sig in handled:
                 loop.remove_signal_handler(sig)
 

@@ -24,13 +24,13 @@ Pieces (bottom up):
   replay through the committed backend, stage under the next epoch
   through the new one, commit via one atomic manifest replace
   (crash-safe, idempotent);
-* :mod:`repro.cluster.config` — :class:`ClusterConfig` +
-  :func:`open_cluster`, the front door that replaced the keyword
-  sprawl on ``ClusterStore(...)``;
-* :mod:`repro.cluster.router` — :class:`ClusterStore`, the async sharded
-  facade the server consults (one worker per shard, each owning a
-  :class:`~repro.service.store.SetStore` and its storage backend), with
-  a live drain-and-swap :meth:`~ClusterStore.resize`;
+* :mod:`repro.cluster.config` — :class:`ClusterConfig`, every knob
+  that shapes a cluster, and :func:`open_cluster`, which builds one;
+* :mod:`repro.cluster.router` — :class:`ClusterStore`, the store every
+  server serves from (one worker per shard, each owning a
+  :class:`~repro.service.store.SetStore` and its storage backend; a
+  1-shard memory cluster is what plain ``repro serve`` runs), with a
+  live drain-and-swap :meth:`~ClusterStore.resize`;
 * :mod:`repro.cluster.proc` — the ``subprocess`` shard executor: shard
   workers as child processes speaking the service framing as an
   internal RPC, so BCH decode CPU scales across cores
@@ -50,7 +50,6 @@ from repro.cluster.admission import (
     retry_delay,
 )
 from repro.cluster.config import (
-    CONFIG_FIELDS,
     EXECUTORS,
     REPLICATION_MODES,
     ClusterConfig,
@@ -112,7 +111,6 @@ from repro.cluster.storage import (
 __all__ = [
     "AdmissionController",
     "BACKEND_NAMES",
-    "CONFIG_FIELDS",
     "ClusterConfig",
     "ClusterManifest",
     "ClusterStore",
@@ -132,7 +130,6 @@ __all__ = [
     "Record",
     "ReplicationError",
     "ShardReplication",
-    "ShardStorage",
     "SqliteBackend",
     "StorageBackend",
     "StorageCorruptError",
@@ -162,18 +159,3 @@ __all__ = [
     "write_snapshot",
 ]
 
-
-def __getattr__(name: str):
-    # Pre-PR-6 import path for the journal backend; kept working with a
-    # deprecation nudge toward the backend-neutral name.
-    if name == "ShardStorage":
-        import warnings
-
-        warnings.warn(
-            "repro.cluster.ShardStorage is deprecated; use "
-            "repro.cluster.JournalBackend (or open_backend('journal', ...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return JournalBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,5 @@
-"""Cluster construction: one config object instead of kwarg sprawl.
+"""Cluster construction: one config object for every cluster knob.
 
-``ClusterStore(...)`` had grown nine keyword arguments threaded through
-``repro serve``, the rebalance, and every test that builds a cluster —
-and PR 6's storage backends would have made it eleven.
 :class:`ClusterConfig` gathers every knob that shapes a cluster into a
 single validated, frozen dataclass, and :func:`open_cluster` is the
 front door::
@@ -17,14 +14,11 @@ front door::
 the config describes *how* a cluster behaves, the data dir says *which*
 durable state it owns — the same config is routinely reused across
 directories (tests, benchmarks, blue/green restarts).
-
-The pre-PR-6 keyword constructor still works via a shim on
-``ClusterStore`` that emits :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.cluster.proc import DEFAULT_RESTART_BACKOFF_S, DEFAULT_WINDOW_S
 from repro.cluster.ring import DEFAULT_VNODES
@@ -61,8 +55,9 @@ class ClusterConfig:
     cache_sets: int | None = None
     # -- execution --
     executor: str = "inline"
+    #: each worker's decode-coalescing window (0 = decode each
+    #: session separately)
     worker_window_s: float = DEFAULT_WINDOW_S
-    worker_coalesce: bool = True
     restart_backoff_s: float = DEFAULT_RESTART_BACKOFF_S
     # -- replication --
     #: follower replicas per shard (0 = replication off; requires a
@@ -133,11 +128,6 @@ class ClusterConfig:
         import dataclasses
 
         return dataclasses.replace(self, **changes)
-
-
-#: The ClusterConfig field names — the shim in ``ClusterStore.__init__``
-#: accepts exactly these as legacy keywords.
-CONFIG_FIELDS = tuple(f.name for f in fields(ClusterConfig))
 
 
 def open_cluster(data_dir=None, config: ClusterConfig | None = None):

@@ -59,7 +59,6 @@ __all__ = [
     "JournalBackend",
     "JournalCorruptError",
     "Record",
-    "ShardStorage",
     "apply_mutation",
     "compact_if_due",
     "encode_create",
@@ -469,10 +468,6 @@ class JournalBackend(StorageBackend):
 # ``from repro.cluster.journal import apply_mutation`` call sites keep
 # working.
 
-#: Pre-PR-6 name of :class:`JournalBackend` (plain alias here;
-#: ``repro.cluster.ShardStorage`` additionally warns).
-ShardStorage = JournalBackend
-
 
 # -- offline helpers (rebalance / tooling) -------------------------------------
 
@@ -485,7 +480,7 @@ def write_snapshot(
     The file itself is always fsync'd before the rename (a half-written
     snapshot must never become current); ``dir_fsync`` additionally
     fsyncs the directory entry, which the offline rebalance wants and a
-    crash-only compaction may skip.  Shared by :meth:`ShardStorage.compact`
+    crash-only compaction may skip.  Shared by :meth:`JournalBackend.compact`
     and the rebalance staging pass.
     """
     directory = Path(directory)

@@ -21,10 +21,10 @@ the new topology by atomically replacing this file
 commit point of a rebalance: written to a temp file, fsync'd, then
 ``os.replace``'d, so it is always either the old layout or the new one.
 
-Pre-manifest data directories (PR 3) are adopted in place: if the
-``shard-NN`` directories on disk match the requested shard count, a
-fresh epoch-0 manifest is written; if they do not, startup refuses just
-as it would on a manifest mismatch.
+A directory holding ``shard-NN`` directories but no manifest is
+refused with :class:`ManifestError`: its layout cannot be known, and a
+fresh manifest written over existing shard files could commit the
+wrong one.
 """
 
 from __future__ import annotations
@@ -230,9 +230,19 @@ def manifest_path(data_dir: str | Path) -> Path:
 
 
 def load_manifest(data_dir: str | Path) -> ClusterManifest | None:
-    """The committed manifest, or ``None`` for a pre-manifest directory."""
+    """The committed manifest, or ``None`` for a directory without shards.
+
+    Shard directories without a manifest raise :class:`ManifestError`
+    and leave the directory untouched.
+    """
     path = manifest_path(data_dir)
     if not path.exists():
+        if discover_shard_dirs(data_dir):
+            raise ManifestError(
+                f"{data_dir} holds shard directories but no "
+                f"{MANIFEST_NAME}, so its layout is unknown; refusing to "
+                f"commit a fresh layout over existing shard files"
+            )
         return None
     try:
         data = json.loads(path.read_text())
@@ -281,27 +291,7 @@ def discover_shard_dirs(data_dir: str | Path) -> list[int]:
     return sorted(ids)
 
 
-def infer_legacy_manifest(
-    data_dir: str | Path, vnodes: int
-) -> ClusterManifest | None:
-    """A synthetic epoch-0 manifest for a pre-manifest (PR 3) directory.
-
-    The shard count is whatever ``shard-NN`` directories exist; the vnode
-    count cannot be recovered from disk, so the caller's is trusted (PR 3
-    deployments used the default).  ``None`` for an empty directory.
-    """
-    ids = discover_shard_dirs(data_dir)
-    if not ids:
-        return None
-    if ids != list(range(len(ids))):
-        raise ManifestError(
-            f"{data_dir}: non-contiguous shard directories {ids} — "
-            f"cannot infer the legacy topology"
-        )
-    return ClusterManifest(shards=len(ids), vnodes=vnodes, epoch=0)
-
-
-def load_or_adopt(
+def load_or_init(
     data_dir: str | Path, shards: int, vnodes: int,
     storage: str = "journal",
 ) -> ClusterManifest:
@@ -311,21 +301,13 @@ def load_or_adopt(
     * manifest present and differing (topology *or* storage backend) —
       :class:`TopologyMismatchError` / :class:`StorageMismatchError`
       (run ``repro rebalance`` first, never silently remap);
-    * no manifest, pre-manifest shard directories matching ``shards`` —
-      adopt: write and return a fresh epoch-0 journal manifest (legacy
-      directories are journal-format by definition; a sqlite ask then
-      refuses with the mismatch error);
-    * no manifest, shard directories differing — refuse like a mismatch;
-    * empty directory — initialize it with a fresh epoch-0 manifest
-      committed to ``storage``.
+    * no manifest but shard directories — :class:`ManifestError`
+      (see :func:`load_manifest`);
+    * no shard directories — initialize the directory with a fresh
+      epoch-0 manifest committed to ``storage``.
     """
     data_dir = Path(data_dir)
     manifest = load_manifest(data_dir)
-    if manifest is None:
-        adopted = infer_legacy_manifest(data_dir, vnodes=vnodes)
-        if adopted is not None and adopted.shards == shards:
-            write_manifest(data_dir, adopted)
-        manifest = adopted
     if manifest is None:
         manifest = ClusterManifest(
             shards=shards, vnodes=vnodes, epoch=0, storage=storage

@@ -163,10 +163,9 @@ class WorkerConfig:
     compact_min_bytes: int | None = None
     compact_factor: int | None = None
     cache_sets: int | None = None   #: sqlite backend's LRU cap
-    #: worker-local decode-coalescer window (the service default)
+    #: worker-local decode-coalescer window (0 = decode each session
+    #: separately)
     window_s: float = DEFAULT_WINDOW_S
-    coalesce: bool = True      #: False = decode each session separately
-    batch: bool = True         #: forwarded to decode_many
     #: distinguishes replica children ("follower-01") from primaries
     #: ("") in process names and trace roles
     role: str = ""
@@ -247,9 +246,7 @@ class _Worker:
         self.storage = storage
         self.reader = reader
         self.writer = writer
-        self.coalescer = DecodeCoalescer(
-            window_s=cfg.window_s, enabled=cfg.coalesce, batch=cfg.batch
-        )
+        self.coalescer = DecodeCoalescer(window_s=cfg.window_s)
         self.compact_error = ""
         self._codecs: dict[tuple[int, int], BCHCodec] = {}
         self._mutations: asyncio.Queue = asyncio.Queue()
@@ -580,8 +577,6 @@ class WorkerSupervisor:
         compact_min_bytes: int | None = None,
         compact_factor: int | None = None,
         window_s: float = DEFAULT_WINDOW_S,
-        coalesce: bool = True,
-        batch: bool = True,
         storage: str = "journal",
         cache_sets: int | None = None,
     ) -> None:
@@ -591,8 +586,6 @@ class WorkerSupervisor:
         self.compact_factor = compact_factor
         self.cache_sets = cache_sets
         self.window_s = window_s
-        self.coalesce = coalesce
-        self.batch = batch
         self.token = secrets.token_bytes(32)
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -693,8 +686,6 @@ class WorkerSupervisor:
             compact_factor=self.compact_factor,
             cache_sets=self.cache_sets,
             window_s=self.window_s,
-            coalesce=self.coalesce,
-            batch=self.batch,
             role=role,
             log_level=log_level,
             log_json=log_json,

@@ -54,7 +54,6 @@ from pathlib import Path
 from repro.cluster.manifest import (
     ClusterManifest,
     discover_shard_dirs,
-    infer_legacy_manifest,
     load_manifest,
     replica_dir,
     shard_dirname,
@@ -237,15 +236,6 @@ def rebalance(
         )
     manifest = load_manifest(data_dir)
     if manifest is None:
-        manifest = infer_legacy_manifest(data_dir, vnodes=vnodes)
-        if manifest is not None:
-            # commit the inferred legacy topology to disk *before* any
-            # staging: staging creates new shard-NN directories, and a
-            # crash would otherwise leave them to inflate the next run's
-            # inference into a bogus wider epoch-0 layout whose new
-            # shards recover empty — the exact loss this module fixes
-            write_manifest(data_dir, manifest, fsync=fsync)
-    if manifest is None:
         # a fresh directory: nothing to migrate, just commit the layout
         new_storage = storage or "journal"
         manifest = ClusterManifest(
@@ -266,7 +256,7 @@ def rebalance(
         # already there — but a crashed earlier attempt may have left
         # staged files behind; sweep them so they cannot outlive epochs
         removed = _sweep_stale(data_dir, manifest)
-        write_manifest(data_dir, manifest, fsync=fsync)  # adopt legacy dirs
+        write_manifest(data_dir, manifest, fsync=fsync)  # current format
         return RebalanceResult(
             data_dir=str(data_dir), changed=False,
             old_shards=manifest.shards, new_shards=shards,

@@ -1,10 +1,10 @@
 """The sharded store: N shard workers behind one async facade.
 
-:class:`ClusterStore` is what ``repro serve --shards N --data-dir DIR``
-hands the reconciliation server instead of a bare
-:class:`~repro.service.store.SetStore`.  A consistent-hash ring
-(:mod:`repro.cluster.ring`) maps every named set to one of N *shard
-workers*; each worker owns its own ``SetStore`` and its own
+:class:`ClusterStore` is the store every reconciliation server serves
+from; plain ``repro serve`` runs a 1-shard memory cluster, and
+``repro serve --shards N --data-dir DIR`` a sharded, durable one.  A
+consistent-hash ring (:mod:`repro.cluster.ring`) maps every named set to
+one of N *shard workers*; each worker owns its own ``SetStore`` and its own
 :class:`~repro.cluster.storage.StorageBackend` (the append-only journal
 or the WAL-mode SQLite store, chosen by ``ClusterConfig.storage``), and
 applies mutations strictly in arrival order.  Two executors decide what
@@ -47,14 +47,13 @@ worker coalesces its own shard's sessions instead (see
 from __future__ import annotations
 
 import asyncio
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cluster.config import CONFIG_FIELDS, EXECUTORS, ClusterConfig
+from repro.cluster.config import EXECUTORS, ClusterConfig
 from repro.cluster.manifest import (
     ClusterManifest,
-    load_or_adopt,
+    load_or_init,
     replica_dir,
     write_manifest,
 )
@@ -127,92 +126,42 @@ class _Shard:
 
 
 class ClusterStore:
-    """Sharded, journaled set store with ``SetStore``-compatible semantics.
+    """Sharded, journaled set store: what every server serves from.
 
     Mutations (:meth:`apply_diff`, :meth:`create`, and the create-missing
     path of :meth:`snapshot`) are coroutines — they resolve after the
     owning shard worker has applied *and journaled* the change.  Reads
     are plain synchronous methods, like ``SetStore``'s.
 
-    ``executor`` picks where the shard workers run — ``"inline"``
+    ``config.executor`` picks where the shard workers run — ``"inline"``
     (asyncio tasks; default) or ``"subprocess"`` (one child process per
-    shard: decode CPU scales across cores, workers are respawned on
-    death, and :meth:`decode_remote` / :meth:`shard_available` become
-    live).  Both executors expose identical semantics and identical
-    on-disk formats; a data dir written by one recovers under the other.
+    shard: decode CPU scales across cores through :meth:`decode_remote`,
+    and workers are respawned on death).  Both executors expose
+    identical semantics and identical on-disk formats; a data dir
+    written by one recovers under the other.  ``data_dir=None`` keeps
+    every shard in memory.
 
     >>> # inside a coroutine:
-    >>> # store = ClusterStore(shards=4, data_dir="data",
-    >>> #                      executor="subprocess")
+    >>> # store = ClusterStore("data", ClusterConfig(
+    >>> #     shards=4, executor="subprocess"))
     >>> # await store.start()
     >>> # await store.apply_diff("inv", add=[1, 2, 3])
     """
 
     def __init__(
         self,
-        shards: int | None = None,
         data_dir: str | Path | None = None,
-        vnodes: int | None = None,
-        fsync: bool | None = None,
-        compact_min_bytes: int | None = None,
-        compact_factor: int | None = None,
-        executor: str | None = None,
-        worker_window_s: float | None = None,
-        worker_coalesce: bool | None = None,
-        restart_backoff_s: float | None = None,
-        *,
-        storage: str | None = None,
-        cache_sets: int | None = None,
         config: ClusterConfig | None = None,
     ) -> None:
-        """Prefer ``ClusterStore(data_dir, config=ClusterConfig(...))``
-        (or the :func:`repro.cluster.open_cluster` factory).  The
-        pre-PR-6 keyword spelling — every knob as its own argument —
-        still works but emits :class:`DeprecationWarning`; ``data_dir``
-        itself is not deprecated (it names *which* durable state, not
-        *how* the cluster behaves, so it never joined the config).
-        """
-        legacy = {
-            key: value
-            for key, value in (
-                ("shards", shards),
-                ("vnodes", vnodes),
-                ("storage", storage),
-                ("fsync", fsync),
-                ("compact_min_bytes", compact_min_bytes),
-                ("compact_factor", compact_factor),
-                ("cache_sets", cache_sets),
-                ("executor", executor),
-                ("worker_window_s", worker_window_s),
-                ("worker_coalesce", worker_coalesce),
-                ("restart_backoff_s", restart_backoff_s),
-            )
-            if value is not None
-        }
-        assert set(CONFIG_FIELDS) >= set(legacy)
-        if config is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either config= or individual cluster keywords, "
-                    f"not both (got {sorted(legacy)} alongside config)"
-                )
-        else:
-            if legacy:
-                warnings.warn(
-                    "constructing ClusterStore from individual keyword "
-                    "arguments is deprecated; build a "
-                    "repro.cluster.ClusterConfig and call "
-                    "open_cluster(data_dir, config) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = ClusterConfig(**legacy)
+        """``data_dir`` names *which* durable state the cluster owns;
+        ``config`` says *how* it behaves (default: ``ClusterConfig()``).
+        :func:`repro.cluster.open_cluster` is the same call."""
+        config = config if config is not None else ClusterConfig()
         self.config = config
         self.ring = HashRing(range(config.shards), vnodes=config.vnodes)
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.executor = config.executor
         self.worker_window_s = config.worker_window_s
-        self.worker_coalesce = config.worker_coalesce
         self.restart_backoff_s = config.restart_backoff_s
         #: RETRY hint the server sends for sessions hitting a shard whose
         #: worker is down (a restart is usually one backoff away)
@@ -230,11 +179,6 @@ class ClusterStore:
         self._resize_gate: asyncio.Event | None = None
         self._supervisor: WorkerSupervisor | None = None
         self._restart_tasks: set[asyncio.Task] = set()
-        if config.executor != "subprocess":
-            # shadow the method: consumers feature-test with
-            # getattr(store, "decode_remote", None) and the inline
-            # executor has no remote decode surface
-            self.decode_remote = None
         # -- resize counters (cluster_stats / metrics) --
         self.resizes = 0
         self.sets_moved = 0
@@ -247,8 +191,10 @@ class ClusterStore:
         shard/vnode count differing from the committed layout raises
         :class:`~repro.cluster.manifest.TopologyMismatchError` instead of
         silently remapping set names to shards that never journaled them
-        (run ``repro rebalance`` — or :meth:`resize` — to migrate).
-        Shard storage opens at each shard's committed layout epoch.
+        (run ``repro rebalance`` — or :meth:`resize` — to migrate), and
+        shard directories without a manifest raise
+        :class:`~repro.cluster.manifest.ManifestError`.  Shard storage
+        opens at each shard's committed layout epoch.
         """
         if self._started:
             return
@@ -259,7 +205,7 @@ class ClusterStore:
                 "cluster has none"
             )
         if self.data_dir is not None:
-            self.manifest = load_or_adopt(
+            self.manifest = load_or_init(
                 self.data_dir, len(self._shards), self.ring.vnodes,
                 storage=self.config.storage,
             )
@@ -590,7 +536,6 @@ class ClusterStore:
         """Spawn one worker child per shard and seed the read mirrors."""
         supervisor = WorkerSupervisor(
             window_s=self.worker_window_s,
-            coalesce=self.worker_coalesce,
             storage=self.config.storage,
             **self._storage_kwargs,
         )
@@ -651,7 +596,7 @@ class ClusterStore:
                 stats = await shard.worker.close()
                 if stats:
                     # the post-close journal counters stay readable,
-                    # like the inline executor's closed ShardStorage
+                    # like the inline executor's closed storage backend
                     shard.last_storage_stats = dict(stats)
         # after the primaries: their final acks have shipped by now, so
         # a graceful follower drain catches everything

@@ -60,7 +60,6 @@ class PBSProtocol:
         bidirectional: bool = False,
         split_ways: int = 3,
         membership_check: bool = True,
-        batch: bool = True,
     ) -> None:
         self.params = params
         self.seed = seed
@@ -76,9 +75,6 @@ class PBSProtocol:
         self.bidirectional = bidirectional
         self.split_ways = split_ways
         self.membership_check = membership_check
-        #: route encode/decode through the batched multi-group BCH engine
-        #: (the scalar per-group path stays available for cross-checking)
-        self.batch = batch
 
     # -- parameter acquisition ------------------------------------------------
     def _estimate_d(self, set_a, set_b, channel: Channel) -> int:
@@ -156,11 +152,9 @@ class PBSProtocol:
             session_seed,
             split_ways=self.split_ways,
             membership_check=self.membership_check,
-            batch=self.batch,
         )
         bob = BobSession(
             set_b, params, session_seed, split_ways=self.split_ways,
-            batch=self.batch,
         )
 
         budget = self.max_rounds if self.max_rounds is not None else self.r

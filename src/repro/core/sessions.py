@@ -98,7 +98,7 @@ def _partition_by_group(arr: np.ndarray, salt: int, g: int) -> list[np.ndarray]:
 
 
 def _round_sketches(
-    params: PBSParams, values: np.ndarray, sizes: _Sizes, salt: int, batch: bool
+    params: PBSParams, values: np.ndarray, sizes: _Sizes, salt: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One round's encode for all pending units: ``(keys, sketches)``.
 
@@ -110,7 +110,7 @@ def _round_sketches(
     """
     keys = unit_bin_keys(values, sizes, salt, params.n)
     rows = parity_rows(keys, len(sizes), params.n)
-    return keys, params.codec.sketch_rows(rows, batch=batch)
+    return keys, params.codec.sketch_rows(rows)
 
 
 def _working_checksum(original: np.ndarray, toggles: np.ndarray, log_u: int) -> int:
@@ -174,8 +174,7 @@ class AliceSession:
 
     ``split_ways`` and ``membership_check`` exist for the ablation studies
     (§3.2's three-way-vs-two-way argument and Procedure 3's fake-element
-    defense); production use keeps the defaults.  ``batch=False`` selects
-    the codec's scalar BCH engine, for cross-checking.
+    defense); production use keeps the defaults.
     """
 
     def __init__(
@@ -185,13 +184,11 @@ class AliceSession:
         seed: int,
         split_ways: int = SPLIT_WAYS,
         membership_check: bool = True,
-        batch: bool = True,
     ) -> None:
         self.params = params
         self.seed = seed
         self.split_ways = split_ways
         self.membership_check = membership_check
-        self.batch = batch
         self.encode_s = 0.0
         self.decode_s = 0.0
         #: elements of verified units per round (checksum-certified)
@@ -234,7 +231,7 @@ class AliceSession:
         self._round_salt = derive_seed(self.seed, "bin", round_no)
         values, sizes = self._round_elements()
         self._round_keys, sketches = _round_sketches(
-            self.params, values, sizes, self._round_salt, self.batch
+            self.params, values, sizes, self._round_salt
         )
         self._round_values = values
         message = SketchMessage(
@@ -452,12 +449,10 @@ class BobSession:
         params: PBSParams,
         seed: int,
         split_ways: int = SPLIT_WAYS,
-        batch: bool = True,
     ) -> None:
         self.params = params
         self.seed = seed
         self.split_ways = split_ways
-        self.batch = batch
         self.encode_s = 0.0
         self.decode_s = 0.0
         arr = _as_element_array(values, params.log_u)
@@ -482,12 +477,11 @@ class BobSession:
         """Step 2: advance the pending list, decode every sketch.
 
         All pending units are sketched and BCH-decoded in one batched
-        pass (stacked syndrome matrices); ``batch=False`` selects the
-        codec's scalar engine as the cross-checking reference.
+        pass (stacked syndrome matrices).
         """
         work = self.begin_reply(message)
         decode_start = time.perf_counter()
-        decoded = self.params.codec.decode_many(work.deltas, batch=self.batch)
+        decoded = self.params.codec.decode_many(work.deltas)
         self.decode_s += time.perf_counter() - decode_start
         return self.finish_reply(work, decoded)
 
@@ -517,7 +511,7 @@ class BobSession:
         encode_start = time.perf_counter()
         values, sizes = self._round_elements()
         keys, sketches = _round_sketches(
-            params, values, sizes, round_salt, self.batch
+            params, values, sizes, round_salt
         )
         self.encode_s += time.perf_counter() - encode_start
 

@@ -124,54 +124,6 @@ class ExperimentTable:
         return path
 
 
-def batch_mode_rows(
-    make_protocol,
-    pairs: list[SetPair],
-    true_d: int | None = None,
-    estimates: list[int] | None = None,
-) -> list[dict]:
-    """Scalar-vs-batch comparison rows for one protocol on one workload.
-
-    ``make_protocol(batch)`` must return a protocol object with a
-    ``run(a, b, true_d=..., estimated_d=...)`` method (PBS, PinSketch and
-    PinSketch/WP all qualify).  Both modes see the identical instances;
-    the returned rows carry the aggregate metrics per mode plus the
-    decode/encode speedup on the batch row — the measured counterpart of
-    the batch-engine claim (identical outputs are asserted, so the
-    comparison cannot silently diverge).
-    """
-    aggregates: dict[str, dict] = {}
-    differences: dict[str, list] = {}
-    for mode, batch in (("scalar", False), ("batch", True)):
-        results = []
-        for i, pair in enumerate(pairs):
-            estimated = estimates[i] if estimates is not None else None
-            results.append(
-                make_protocol(batch).run(
-                    pair.a, pair.b, true_d=true_d, estimated_d=estimated
-                )
-            )
-        aggregates[mode] = aggregate_runs(results)
-        differences[mode] = [r.difference for r in results]
-    if differences["scalar"] != differences["batch"]:
-        raise AssertionError(
-            "scalar and batch decode paths disagree on the recovered "
-            "difference — the batch engine is broken"
-        )
-    rows = []
-    for mode in ("scalar", "batch"):
-        row = {"mode": mode, **aggregates[mode]}
-        if mode == "batch":
-            row["decode_speedup"] = aggregates["scalar"]["decode_s"] / max(
-                aggregates["batch"]["decode_s"], 1e-12
-            )
-            row["encode_speedup"] = aggregates["scalar"]["encode_s"] / max(
-                aggregates["batch"]["encode_s"], 1e-12
-            )
-        rows.append(row)
-    return rows
-
-
 def aggregate_runs(results: list) -> dict:
     """Mean metrics over a list of ReconciliationResults.
 

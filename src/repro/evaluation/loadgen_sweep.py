@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.cluster import open_cluster
 from repro.cluster.admission import AdmissionController
 from repro.evaluation.harness import ExperimentTable, scaled
 from repro.loadgen.driver import CONVERGENCE, LoadgenConfig, LoadGenerator
 from repro.loadgen.report import validate_report
 from repro.obs.metrics import SESSION_DURATION
 from repro.service.server import ReconciliationServer
-from repro.service.store import SetStore
 
 COLUMNS = [
     "rate", "duration_s", "scheduled", "ok", "shed", "failed",
@@ -42,11 +42,12 @@ SLO_P99_MS = 250.0
 async def _run_one(rate: float, duration_s: float, sets: int,
                    seed: int) -> dict:
     """One open-loop run against a fresh admission-capped server."""
-    store = SetStore()
     admission = AdmissionController(
         shards=1, max_sessions=MAX_SESSIONS, retry_after_s=0.02
     )
-    async with ReconciliationServer(store, admission=admission) as server:
+    async with open_cluster() as store, ReconciliationServer(
+        store, admission=admission
+    ) as server:
         config = LoadgenConfig(
             host="127.0.0.1",
             port=server.port,

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.cluster import open_cluster
 from repro.evaluation.harness import ExperimentTable, scaled
 from repro.obs.histogram import LatencyHistogram
 from repro.service.scheduler import DecodeCoalescer
 from repro.service.server import ReconciliationServer
-from repro.service.store import SetStore
 from repro.service.client import sync_with_server
 from repro.workloads.generator import SetPairGenerator
 
@@ -52,11 +52,12 @@ async def _run_fleet(
     pairs, coalesce: bool, seed: int, hist: LatencyHistogram
 ) -> tuple[float, dict, int]:
     """One server + len(pairs) concurrent clients; returns (wall, stats, ok)."""
-    store = SetStore()
-    for i, pair in enumerate(pairs):
-        store.create(f"s{i}", pair.b)
-    coalescer = DecodeCoalescer(window_s=WINDOW_S, enabled=coalesce)
-    async with ReconciliationServer(store, coalescer=coalescer) as server:
+    coalescer = DecodeCoalescer(window_s=WINDOW_S if coalesce else 0.0)
+    async with open_cluster() as store, ReconciliationServer(
+        store, coalescer=coalescer
+    ) as server:
+        for i, pair in enumerate(pairs):
+            await store.create(f"s{i}", pair.b)
         loop = asyncio.get_running_loop()
         start = loop.time()
         results = await asyncio.gather(

@@ -6,14 +6,16 @@ Layers (bottom up):
   messages, with payload-vs-framing byte accounting
   (:class:`FramedChannel`);
 * :mod:`repro.service.store` — named set registry with
-  snapshot-on-reconcile / apply-diff-on-completion semantics;
+  snapshot-on-reconcile / apply-diff-on-completion semantics, the
+  per-shard store inside :class:`~repro.cluster.router.ClusterStore`;
 * :mod:`repro.service.scheduler` — the cross-session BCH decode
   coalescer that feeds :meth:`BCHCodec.decode_many` batches spanning
   sessions;
 * :mod:`repro.service.metrics` — per-session and aggregate counters;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  asyncio server (one BobSession per connection) and client (one
-  AliceSession), also reachable as ``repro serve`` / ``repro sync``.
+  asyncio server (one BobSession per connection, serving from a
+  ``ClusterStore``) and client (one AliceSession), also reachable as
+  ``repro serve`` / ``repro sync``.
 """
 
 from repro.service.client import ClientConnection, sync_once, sync_with_server

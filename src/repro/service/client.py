@@ -92,7 +92,6 @@ class ClientConnection:
         family: str = "fast",
         log_u: int = 32,
         bidirectional: bool = True,
-        batch: bool = True,
         connect_timeout: float | None = None,
     ) -> None:
         self.host = host
@@ -103,7 +102,6 @@ class ClientConnection:
         self.family = family
         self.log_u = log_u
         self.bidirectional = bidirectional
-        self.batch = batch
         #: dial + HELLO/WELCOME deadline in seconds (None = no deadline);
         #: open-loop drivers set this so a stalled server surfaces as a
         #: counted TimeoutError instead of a silently parked session
@@ -238,7 +236,6 @@ class ClientConnection:
             arr,
             params,
             derive_seed(self.seed, "session", pass_no),
-            batch=self.batch,
         )
         budget = max_rounds if max_rounds is not None else params.r
         if budget < 1:
@@ -325,7 +322,6 @@ async def sync_with_server(
     family: str = "fast",
     log_u: int = 32,
     bidirectional: bool = True,
-    batch: bool = True,
     retries: int = 0,
     retry_base_s: float = 0.05,
 ) -> ReconciliationResult:
@@ -352,7 +348,6 @@ async def sync_with_server(
             family=family,
             log_u=log_u,
             bidirectional=bidirectional,
-            batch=batch,
         )
         try:
             await conn.connect()

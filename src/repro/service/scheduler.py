@@ -80,21 +80,14 @@ class DecodeCoalescer:
     When the window fires, all collected rows go through *one*
     ``decode_many`` call and the results are scattered back.  A window
     that caught a single session degenerates to exactly the per-session
-    call (the fallback path, also used when ``enabled=False`` for
-    apples-to-apples benchmarking, and without any window for a ``lone``
-    submission that finds none open).
+    call (the fallback path, also used throughout when ``window_s`` is
+    0, and without any window for a ``lone`` submission that finds none
+    open).
     """
 
-    def __init__(
-        self,
-        window_s: float = DEFAULT_WINDOW_S,
-        enabled: bool = True,
-        batch: bool = True,
-    ) -> None:
+    def __init__(self, window_s: float = DEFAULT_WINDOW_S) -> None:
         self.window_s = window_s
-        self.enabled = enabled and window_s > 0
-        #: forwarded to decode_many (False forces the scalar engine)
-        self.batch = batch
+        self.enabled = window_s > 0
         self.stats = CoalescerStats()
         self._pending: dict[tuple, list[_Submission]] = {}
         # flush tasks need a strong reference until they run (asyncio only
@@ -142,7 +135,7 @@ class DecodeCoalescer:
     ) -> tuple[list[list[int] | None], float]:
         ts = time.time()
         start = time.perf_counter()
-        decoded = codec.decode_many(deltas, batch=self.batch)
+        decoded = codec.decode_many(deltas)
         elapsed = time.perf_counter() - start
         self.stats.batches += 1
         self.stats.groups += len(deltas)
@@ -188,7 +181,7 @@ class DecodeCoalescer:
         try:
             ts = time.time()
             start = time.perf_counter()
-            decoded = subs[0].codec.decode_many(combined, batch=self.batch)
+            decoded = subs[0].codec.decode_many(combined)
             elapsed = time.perf_counter() - start
         except Exception as exc:  # scatter the failure to every waiter
             for sub in subs:

@@ -28,10 +28,10 @@ ESTIMATE to reconcile again on the same connection — ``repro sync
 --repeat`` uses this to re-sync periodically without paying a new
 handshake, reusing the per-connection Tug-of-War estimator on both ends.
 
-The store may be a plain :class:`SetStore` or a sharded, journaled
-:class:`~repro.cluster.router.ClusterStore` (whose mutating methods are
-coroutines — the server awaits them, so a RESULT frame implies the diff
-is journaled).  With an
+The store is a :class:`~repro.cluster.router.ClusterStore` — a 1-shard
+memory cluster for plain ``repro serve`` — whose mutating methods are
+coroutines: the server awaits them, so a RESULT frame implies the diff
+is journaled.  With an
 :class:`~repro.cluster.admission.AdmissionController` attached, sessions
 beyond a shard's cap are shed at HELLO time with a RETRY frame instead
 of being accepted into an unbounded backlog.
@@ -40,7 +40,7 @@ of being accepted into an unbounded backlog.
 from __future__ import annotations
 
 import asyncio
-import inspect
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.obs.logs import get_logger
 from repro.obs.trace import TraceContext, tracer
 from repro.service.metrics import ServiceMetrics, SessionMetrics
 from repro.service.scheduler import DecodeCoalescer
-from repro.service.store import SetStore, Snapshot
+from repro.service.store import Snapshot
 from repro.service.wire import (
     Error,
     FramedStream,
@@ -67,6 +67,9 @@ from repro.service.wire import (
     _unpack_from,
 )
 from repro.utils.seeds import derive_seed
+
+if TYPE_CHECKING:
+    from repro.cluster.router import ClusterStore
 
 log = get_logger("server")
 
@@ -84,16 +87,18 @@ MAX_ESTIMATOR_SKETCHES = 1024
 
 
 class ReconciliationServer:
-    """Serve reconciliation sessions against a shared :class:`SetStore`.
+    """Serve reconciliation sessions against a started ``ClusterStore``.
 
     >>> # inside a coroutine:
-    >>> # async with ReconciliationServer(store) as server:
-    >>> #     result = await sync_with_server("127.0.0.1", server.port, my_set)
+    >>> # async with open_cluster() as store:
+    >>> #     async with ReconciliationServer(store) as server:
+    >>> #         result = await sync_with_server(
+    >>> #             "127.0.0.1", server.port, my_set)
     """
 
     def __init__(
         self,
-        store: SetStore | None = None,
+        store: ClusterStore,
         host: str = "127.0.0.1",
         port: int = 0,
         coalescer: DecodeCoalescer | None = None,
@@ -101,14 +106,10 @@ class ReconciliationServer:
         delta: int = DEFAULT_DELTA,
         r: int = 3,
         p0: float = 0.99,
-        batch: bool = True,
         create_missing: bool = True,
         admission=None,
     ) -> None:
-        #: a SetStore, or any object with the same surface whose
-        #: ``snapshot``/``apply_diff``/``create`` may be coroutines
-        #: (ClusterStore) — the server awaits whatever they return
-        self.store = store if store is not None else SetStore()
+        self.store = store
         #: optional :class:`~repro.cluster.admission.AdmissionController`
         self.admission = admission
         self.host = host
@@ -121,7 +122,6 @@ class ReconciliationServer:
         self.delta = delta
         self.r = r
         self.p0 = p0
-        self.batch = batch
         self.create_missing = create_missing
         self._server: asyncio.AbstractServer | None = None
 
@@ -154,7 +154,7 @@ class ReconciliationServer:
         await self.close()
 
     async def resize_store(self, shards: int) -> dict:
-        """Live-resize a cluster store behind this server.
+        """Live-resize the cluster store behind this server.
 
         Delegates to :meth:`~repro.cluster.router.ClusterStore.resize`
         (drain, journaled move plan, ring swap) and hands it the
@@ -164,13 +164,7 @@ class ReconciliationServer:
         tolerate ids from the old topology.  Recorded in the metrics
         snapshot (``resizes``).
         """
-        resize = getattr(self.store, "resize", None)
-        if resize is None:
-            raise ReproError(
-                "store does not support resize() — serve with --shards/"
-                "--data-dir to get a ClusterStore"
-            )
-        summary = await resize(shards, admission=self.admission)
+        summary = await self.store.resize(shards, admission=self.admission)
         self.metrics.record_resize(summary)
         return summary
 
@@ -202,27 +196,6 @@ class ReconciliationServer:
             self.metrics.close_session(session)
             await stream.close()
 
-    # -- store access (SetStore methods are plain, ClusterStore's await) -------
-    @staticmethod
-    async def _maybe_await(value):
-        return await value if inspect.isawaitable(value) else value
-
-    def _shard_of(self, name: str) -> int:
-        shard_for = getattr(self.store, "shard_for", None)
-        return shard_for(name) if shard_for is not None else 0
-
-    def _shard_ready(self, shard: int) -> bool:
-        """False while the shard's worker process is dead/restarting
-        (subprocess executor); new sessions are shed with RETRY instead
-        of being accepted against a worker that cannot answer."""
-        available = getattr(self.store, "shard_available", None)
-        return available is None or available(shard)
-
-    def _unavailable_retry_s(self) -> float:
-        return float(
-            getattr(self.store, "unavailable_retry_after_s", 0.25)
-        )
-
     async def _send_retry(
         self, stream: FramedStream, shard: int, retry_after: float,
         reason: str = "at capacity",
@@ -237,8 +210,8 @@ class ReconciliationServer:
 
     async def _decode(self, shard: int, codec, deltas, trace=None):
         """Decode one round's deltas — in-process (coalesced across all
-        sessions) by default, or on the owning shard's worker process
-        when the store runs the subprocess executor (each worker then
+        sessions) under the inline executor, or on the owning shard's
+        worker process under the subprocess executor (each worker then
         coalesces its own shard's sessions).  The server's only open
         connection skips the coalescing window in either path: no peer
         could join it, since every session a worker serves is one of this
@@ -246,11 +219,12 @@ class ReconciliationServer:
         identically in both paths.  ``trace`` (the pass's
         :class:`TraceContext`, if any) parents the decode-batch span —
         locally for the coalescer, across the RPC for a worker."""
-        remote = getattr(self.store, "decode_remote", None)
         lone = self.metrics.active_sessions == 1
         decode = (
-            (lambda: remote(shard, codec, deltas, trace=trace, lone=lone))
-            if remote is not None
+            (lambda: self.store.decode_remote(
+                shard, codec, deltas, trace=trace, lone=lone,
+            ))
+            if self.store.executor == "subprocess"
             else (lambda: self.coalescer.decode(
                 codec, deltas, trace=trace, lone=lone,
             ))
@@ -278,7 +252,7 @@ class ReconciliationServer:
                 f"n_sketches={hello.n_sketches} outside "
                 f"[1, {MAX_ESTIMATOR_SKETCHES}]"
             )
-        shard = self._shard_of(hello.set_name)
+        shard = self.store.shard_for(hello.set_name)
         session.shard = shard
         # join the client's trace when its HELLO carries one; an
         # untraced client's session gets a server-rooted span tree
@@ -303,12 +277,12 @@ class ReconciliationServer:
         shard: int,
         session_ctx,
     ) -> None:
-        if not self._shard_ready(shard):
+        if not self.store.shard_available(shard):
             # the shard's worker process is down (crash + restart in
             # progress): shed before consuming an admission slot
             session.shed = True
             await self._send_retry(
-                stream, shard, self._unavailable_retry_s(),
+                stream, shard, self.store.unavailable_retry_after_s,
                 reason="worker restarting",
             )
             return
@@ -344,10 +318,8 @@ class ReconciliationServer:
         session_ctx=None,
     ) -> None:
         existed = hello.set_name in self.store
-        snapshot: Snapshot = await self._maybe_await(
-            self.store.snapshot(
-                hello.set_name, create_missing=self.create_missing
-            )
+        snapshot: Snapshot = await self.store.snapshot(
+            hello.set_name, create_missing=self.create_missing
         )
         await stream.send(
             FrameType.WELCOME,
@@ -390,9 +362,9 @@ class ReconciliationServer:
                     if not exc.partial:
                         return   # clean end-of-connection between passes
                     raise
-                if not self._shard_ready(shard):
+                if not self.store.shard_available(shard):
                     await self._send_retry(
-                        stream, shard, self._unavailable_retry_s(),
+                        stream, shard, self.store.unavailable_retry_after_s,
                         reason="worker restarting",
                     )
                     return
@@ -406,10 +378,8 @@ class ReconciliationServer:
                         return
                     holding[0] = True
                     holding[1] = self.admission.incarnation(shard)
-                snapshot = await self._maybe_await(
-                    self.store.snapshot(
-                        hello.set_name, create_missing=self.create_missing
-                    )
+                snapshot = await self.store.snapshot(
+                    hello.set_name, create_missing=self.create_missing
                 )
             else:
                 _, payload = await stream.recv(expect=FrameType.ESTIMATE)
@@ -456,7 +426,6 @@ class ReconciliationServer:
             snapshot.values,
             params,
             derive_seed(hello.seed, "session", pass_no),
-            batch=self.batch,
         )
         # session.rounds accumulates over passes; clients restart their
         # round numbering every pass
@@ -506,11 +475,8 @@ class ReconciliationServer:
                                 f"push contains {int(bad.sum())} elements "
                                 f"outside [1, 2^{params.log_u})"
                             )
-                        applied = await self._maybe_await(
-                            self.store.apply_diff(
-                                hello.set_name, add=elements,
-                                trace=pass_ctx,
-                            )
+                        applied = await self.store.apply_diff(
+                            hello.set_name, add=elements, trace=pass_ctx,
                         )
                     session.applied += applied
                     session.store_version = self.store.version(hello.set_name)

@@ -1,4 +1,4 @@
-"""The server-side set store: many named logical sets.
+"""The per-shard set store: many named logical sets.
 
 Each reconciliation session runs against an immutable *snapshot* of one
 named set — PBS requires Bob's set to hold still for the whole multi-round
@@ -16,10 +16,12 @@ when it has — so an applied diff costs O(d log n) and no snapshot ever
 copies the set into Python objects.  Arrays are never written in
 place, which is what keeps an older snapshot frozen.
 
-The store is designed for a single-threaded asyncio server: methods are
-plain synchronous functions (no awaits inside), which on one event loop is
-already atomic.  A per-set monotonically increasing ``version`` lets
-clients detect that a second sync pass is needed for full convergence.
+Every :class:`~repro.cluster.router.ClusterStore` shard holds one; the
+server reaches it only through the cluster.  The store is designed for a
+single-threaded asyncio server: methods are plain synchronous functions
+(no awaits inside), which on one event loop is already atomic.  A
+per-set monotonically increasing ``version`` lets clients detect that a
+second sync pass is needed for full convergence.
 """
 
 from __future__ import annotations

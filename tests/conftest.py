@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 from pathlib import Path
@@ -64,6 +65,55 @@ def make_cluster(storage_backend):
 
     factory.storage = storage_backend
     return factory
+
+
+@contextlib.contextmanager
+def _bch_engine(batch: bool):
+    from repro.bch.codec import BCHCodec
+
+    with pytest.MonkeyPatch.context() as patch:
+        if not batch:
+            decode_many = BCHCodec.decode_many
+            sketch_rows = BCHCodec.sketch_rows
+            patch.setattr(
+                BCHCodec, "decode_many",
+                lambda self, sketches, **kw: decode_many(
+                    self, sketches, **{**kw, "batch": False}
+                ),
+            )
+            patch.setattr(
+                BCHCodec, "sketch_rows",
+                lambda self, rows, batch=True: sketch_rows(
+                    self, rows, batch=False
+                ),
+            )
+        yield
+
+
+@pytest.fixture()
+def bch_engine():
+    """``with bch_engine(batch):`` runs its body on the batched BCH
+    engine, or with ``batch=False`` on the codec's scalar per-group
+    engine — the reference the batched one must match bit for bit."""
+    return _bch_engine
+
+
+@contextlib.asynccontextmanager
+async def _memory_cluster(sets=None):
+    from repro.cluster import open_cluster
+
+    async with open_cluster() as store:
+        for name, values in (sets or {}).items():
+            await store.create(name, values)
+        yield store
+
+
+@pytest.fixture()
+def memory_cluster():
+    """The store plain ``repro serve`` runs: ``async with
+    memory_cluster({name: values}) as store`` yields a started 1-shard
+    in-memory ClusterStore holding those sets, closed on exit."""
+    return _memory_cluster
 
 
 # -- deterministic fault injection ---------------------------------------------

@@ -185,10 +185,10 @@ class TestEngineAgainstScalar:
 
 
 class TestProtocolLevelEquivalence:
-    """batch=True and batch=False must be observationally identical."""
+    """The batched and scalar BCH engines must be observationally
+    identical (PBS switches engines through ``bch_engine``)."""
 
     def test_batch_is_default(self):
-        assert PBSProtocol().batch is True
         assert PinSketchProtocol().batch is True
         assert PinSketchWPProtocol().batch is True
 
@@ -201,16 +201,16 @@ class TestProtocolLevelEquivalence:
             (200, {"split_ways": 2}),
         ],
     )
-    def test_pbs_identical(self, d, kwargs):
+    def test_pbs_identical(self, d, kwargs, bch_engine):
         pair = SetPairGenerator(universe_bits=32, seed=2).generate(
             size_a=4000, d=d, seed=d
         )
-        runs = {
-            batch: PBSProtocol(seed=9, batch=batch, **kwargs).run(
-                pair.a, pair.b, true_d=d
-            )
-            for batch in (False, True)
-        }
+        runs = {}
+        for batch in (False, True):
+            with bch_engine(batch):
+                runs[batch] = PBSProtocol(seed=9, **kwargs).run(
+                    pair.a, pair.b, true_d=d
+                )
         assert runs[True].difference == runs[False].difference
         assert runs[True].success == runs[False].success
         assert runs[True].rounds == runs[False].rounds
@@ -218,17 +218,17 @@ class TestProtocolLevelEquivalence:
             runs[True].channel.total_bytes == runs[False].channel.total_bytes
         )
 
-    def test_pbs_identical_under_splits(self):
+    def test_pbs_identical_under_splits(self, bch_engine):
         """Underprovisioned capacity forces decode failures + splits."""
         pair = SetPairGenerator(universe_bits=32, seed=4).generate(
             size_a=4000, d=400, seed=1
         )
-        runs = {
-            batch: PBSProtocol(seed=13, batch=batch).run(
-                pair.a, pair.b, estimated_d=120
-            )
-            for batch in (False, True)
-        }
+        runs = {}
+        for batch in (False, True):
+            with bch_engine(batch):
+                runs[batch] = PBSProtocol(seed=13).run(
+                    pair.a, pair.b, estimated_d=120
+                )
         assert runs[True].difference == runs[False].difference
         assert runs[True].rounds == runs[False].rounds
 

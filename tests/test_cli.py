@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -101,27 +104,23 @@ class TestServeAndSync:
     """`repro sync` against an in-process server (real sockets)."""
 
     @pytest.fixture()
-    def server(self):
-        from repro.service import ReconciliationServer, SetStore
+    def server(self, memory_cluster):
+        from repro.service import ReconciliationServer
 
-        store = SetStore()
-        store.create("inv", {2, 255, 99, 1000})
-        srv = ReconciliationServer(store)
-        loop = asyncio.new_event_loop()
+        stack = contextlib.AsyncExitStack()
 
         async def _run():
-            await srv.start()
-            started.set()
+            store = await stack.enter_async_context(
+                memory_cluster({"inv": {2, 255, 99, 1000}})
+            )
+            srv = await stack.enter_async_context(ReconciliationServer(store))
+            return srv, store
 
-        started = threading.Event()
-        thread = threading.Thread(
-            target=lambda: (loop.run_until_complete(_run()),
-                            loop.run_forever()),
-            daemon=True,
-        )
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
-        assert started.wait(timeout=10)
-        yield srv, store
+        yield asyncio.run_coroutine_threadsafe(_run(), loop).result(10)
+        asyncio.run_coroutine_threadsafe(stack.aclose(), loop).result(10)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
 
@@ -155,16 +154,76 @@ class TestServeAndSync:
         assert code == 2
         assert "cannot sync" in capsys.readouterr().err
 
+    def test_plain_serve_is_a_one_shard_inline_cluster(self, sig_files):
+        """`repro serve` without cluster flags reports a 1-shard inline
+        cluster on /varz, and a sync against a set it does not have yet
+        creates the set through the shard queue and pushes a diff."""
+        from repro.service.client import sync_once
+
+        _, b = sig_files
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--admin-port", "0", "--log-json", "--set", f"inv={b}"],
+            stderr=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            port = admin_port = None
+            for line in proc.stderr:
+                if line.startswith("# serving on"):
+                    port = int(line.split()[3].rpartition(":")[2])
+                elif '"admin endpoint up"' in line:
+                    admin_port = json.loads(line)["port"]
+                    break
+            assert port and admin_port, "server never came up"
+
+            def varz() -> dict:
+                url = f"http://127.0.0.1:{admin_port}/varz"
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    return json.load(response)
+
+            cluster = varz()["cluster"]
+            assert (cluster["shards"], cluster["executor"]) == (1, "inline")
+            assert cluster["per_shard"][0]["creates"] == 1   # --set inv
+            result = sync_once(
+                "127.0.0.1", port, {7, 8, 9}, set_name="fresh", seed=3
+            )
+            assert result.success
+            assert result.difference == frozenset({7, 8, 9})
+            after = varz()
+            shard = after["cluster"]["per_shard"][0]
+            assert (shard["creates"], shard["applies"]) == (2, 1)
+            assert after["sets"]["fresh"]["size"] == 3
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=60)
+            assert proc.returncode == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=60)
+
 
 class TestServeValidation:
     def test_negative_caps_are_usage_errors(self, capsys):
         assert main(["serve", "--max-sessions", "-1"]) == 2
         assert "max-sessions" in capsys.readouterr().err
         assert main(["serve", "--max-decode-queue", "-2"]) == 2
+        assert main(["serve", "--window-ms", "-1"]) == 2
 
     def test_fsync_without_data_dir_is_a_usage_error(self, capsys):
         assert main(["serve", "--fsync"]) == 2
         assert "--data-dir" in capsys.readouterr().err
+
+    def test_no_coalesce_flag_is_gone(self, capsys):
+        """``--window-ms 0`` is the only way to turn coalescing off."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--no-coalesce"])
+        assert exc.value.code == 2
+        assert "--no-coalesce" in capsys.readouterr().err
 
 
 def test_service_import_path_loads_no_scipy():

@@ -11,7 +11,6 @@ from repro.cluster import AdmissionController, retry_delay
 from repro.service import (
     ReconciliationServer,
     ServerBusy,
-    SetStore,
     sync_with_server,
 )
 from repro.workloads import SetPairGenerator
@@ -95,18 +94,17 @@ class TestServerSheds:
         )
         return set(pair.a), set(pair.b), pair.difference
 
-    def test_over_cap_session_gets_retry_frame(self):
+    def test_over_cap_session_gets_retry_frame(self, memory_cluster):
         set_a, set_b, _ = self._pair(seed=41)
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", set_b)
             admission = AdmissionController(
                 shards=1, max_sessions=1, retry_after_s=0.02
             )
-            async with ReconciliationServer(
-                store, admission=admission
-            ) as server:
+            async with (
+                memory_cluster({"inv": set_b}) as store,
+                ReconciliationServer(store, admission=admission) as server,
+            ):
                 # occupy the only slot with a slow half-open session
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
@@ -137,19 +135,18 @@ class TestServerSheds:
         assert server.metrics.sessions_failed == 1   # the hung-up holder
         assert server.metrics.sessions_completed == 0
 
-    def test_client_retries_through_overload(self):
+    def test_client_retries_through_overload(self, memory_cluster):
         pairs = [self._pair(seed=50 + i) for i in range(4)]
 
         async def scenario():
-            store = SetStore()
-            for i, (_, set_b, _) in enumerate(pairs):
-                store.create(f"s{i}", set_b)
+            sets = {f"s{i}": set_b for i, (_, set_b, _) in enumerate(pairs)}
             admission = AdmissionController(
                 shards=1, max_sessions=1, retry_after_s=0.01
             )
-            async with ReconciliationServer(
-                store, admission=admission
-            ) as server:
+            async with (
+                memory_cluster(sets) as store,
+                ReconciliationServer(store, admission=admission) as server,
+            ):
                 results = await asyncio.gather(
                     *[
                         sync_with_server(
@@ -171,12 +168,14 @@ class TestServerSheds:
         # happened — the fleet converged *through* RETRY, not around it
         assert admission.total_shed >= 1
 
-    def test_shed_session_reported_in_metrics_snapshot(self):
+    def test_shed_session_reported_in_metrics_snapshot(self, memory_cluster):
         async def scenario():
             admission = AdmissionController(shards=1, max_sessions=0)
-            server = ReconciliationServer(admission=admission)
             # cap of 0 means unlimited: nothing sheds
-            async with server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store, admission=admission) as server,
+            ):
                 await sync_with_server(
                     "127.0.0.1", server.port, {1, 2, 3}, set_name="s"
                 )
@@ -190,21 +189,21 @@ class TestServerSheds:
 
 
 class TestIdleConnectionsDoNotPinCapacity:
-    def test_slot_released_between_passes_and_reacquired(self):
+    def test_slot_released_between_passes_and_reacquired(
+        self, memory_cluster
+    ):
         from repro.service import ClientConnection
 
         base = set(range(1, 600))
 
         async def scenario():
-            store = SetStore()
-            store.create("a", base)
-            store.create("b", base)
             admission = AdmissionController(
                 shards=1, max_sessions=1, retry_after_s=0.01
             )
-            async with ReconciliationServer(
-                store, admission=admission
-            ) as server:
+            async with (
+                memory_cluster({"a": base, "b": base}) as store,
+                ReconciliationServer(store, admission=admission) as server,
+            ):
                 async with ClientConnection(
                     "127.0.0.1", server.port, set_name="a", seed=1
                 ) as conn:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.journal import (
+    JournalBackend,
     JournalCorruptError,
-    ShardStorage,
     encode_create,
     encode_diff,
     read_records,
@@ -62,13 +62,13 @@ class TestRecordCodec:
 
 class TestShardStorage:
     def _roundtrip(self, tmp_path, mutate):
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         mutate(store, storage)
         storage.close()
         recovered = SetStore()
-        storage2 = ShardStorage(tmp_path / "shard")
+        storage2 = JournalBackend(tmp_path / "shard")
         storage2.recover(recovered)
         storage2.close()
         return store, recovered
@@ -100,7 +100,7 @@ class TestShardStorage:
         assert recovered.version("s") == 5
 
     def test_torn_tail_truncated_on_recovery(self, tmp_path):
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         storage.append(encode_create("s", {1, 2}))
@@ -113,7 +113,7 @@ class TestShardStorage:
         journal.write_bytes(data + tail[: len(tail) // 2])
 
         recovered = SetStore()
-        storage2 = ShardStorage(tmp_path / "shard")
+        storage2 = JournalBackend(tmp_path / "shard")
         storage2.recover(recovered)
         assert recovered.get("s") == {1, 2, 3}   # last complete record wins
         assert storage2.tail_error != ""
@@ -122,14 +122,14 @@ class TestShardStorage:
         storage2.append(encode_diff("s", add=[9]))
         storage2.close()
         final = SetStore()
-        storage3 = ShardStorage(tmp_path / "shard")
+        storage3 = JournalBackend(tmp_path / "shard")
         storage3.recover(final)
         storage3.close()
         assert final.get("s") == {1, 2, 3, 9}
         assert storage3.tail_error == ""
 
     def test_compaction_preserves_state_and_resets_journal(self, tmp_path):
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         store.create("a", set(range(1, 100)))
@@ -144,7 +144,7 @@ class TestShardStorage:
         storage.close()
 
         recovered = SetStore()
-        storage2 = ShardStorage(tmp_path / "shard")
+        storage2 = JournalBackend(tmp_path / "shard")
         storage2.recover(recovered)
         storage2.close()
         assert recovered.get("a") == store.get("a")
@@ -153,7 +153,7 @@ class TestShardStorage:
         assert storage2.recovered_records == 1    # the post-compact diff
 
     def test_should_compact_threshold(self, tmp_path):
-        storage = ShardStorage(
+        storage = JournalBackend(
             tmp_path / "shard", compact_min_bytes=64, compact_factor=2
         )
         store = SetStore()
@@ -171,7 +171,7 @@ class TestShardStorage:
         """An operator may delete a journal (e.g. to drop a bad tail);
         recovery must fall back to the snapshot, not raise or start
         empty."""
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         store.create("inv", {1, 2, 3})
@@ -181,7 +181,7 @@ class TestShardStorage:
         (tmp_path / "shard" / "journal.log").unlink()
 
         recovered = SetStore()
-        storage2 = ShardStorage(tmp_path / "shard")
+        storage2 = JournalBackend(tmp_path / "shard")
         storage2.recover(recovered)
         assert recovered.get("inv") == {1, 2, 3}
         assert storage2.recovered_sets == 1
@@ -190,13 +190,13 @@ class TestShardStorage:
         storage2.append(encode_diff("inv", add=[9]))
         storage2.close()
         final = SetStore()
-        storage3 = ShardStorage(tmp_path / "shard")
+        storage3 = JournalBackend(tmp_path / "shard")
         storage3.recover(final)
         storage3.close()
         assert final.get("inv") == {1, 2, 3, 9}
 
     def test_snapshot_with_zero_length_journal_recovers(self, tmp_path):
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         store.create("s", {5, 6})
@@ -206,7 +206,7 @@ class TestShardStorage:
         (tmp_path / "shard" / "journal.log").write_bytes(b"")
 
         recovered = SetStore()
-        storage2 = ShardStorage(tmp_path / "shard")
+        storage2 = JournalBackend(tmp_path / "shard")
         storage2.recover(recovered)
         storage2.close()
         assert recovered.get("s") == {5, 6}
@@ -214,7 +214,7 @@ class TestShardStorage:
         assert storage2.truncated_bytes == 0
 
     def test_truncated_bytes_counted_in_stats(self, tmp_path):
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         storage.append(encode_create("s", {1}))
@@ -223,7 +223,7 @@ class TestShardStorage:
         journal = tmp_path / "shard" / "journal.log"
         journal.write_bytes(journal.read_bytes() + torn[:7])
 
-        storage2 = ShardStorage(tmp_path / "shard")
+        storage2 = JournalBackend(tmp_path / "shard")
         storage2.recover(SetStore())
         storage2.close()
         assert storage2.stats()["truncated_bytes"] == 7
@@ -234,7 +234,7 @@ class TestShardStorage:
 
         assert snapshot_filename(0) == "snapshot.bin"
         assert journal_filename(0) == "journal.log"
-        storage = ShardStorage(tmp_path / "shard", epoch=3)
+        storage = JournalBackend(tmp_path / "shard", epoch=3)
         store = SetStore()
         storage.recover(store)
         store.create("s", {1})
@@ -246,7 +246,7 @@ class TestShardStorage:
         assert not (tmp_path / "shard" / "snapshot.bin").exists()
         # epochs are isolated: epoch 0 sees none of epoch 3's state
         blank = SetStore()
-        other = ShardStorage(tmp_path / "shard", epoch=0)
+        other = JournalBackend(tmp_path / "shard", epoch=0)
         other.recover(blank)
         other.close()
         assert "s" not in blank
@@ -254,7 +254,7 @@ class TestShardStorage:
     def test_replay_shard_is_read_only(self, tmp_path):
         from repro.cluster.journal import replay_shard
 
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         storage.append(encode_create("s", {1, 2}))
@@ -272,7 +272,7 @@ class TestShardStorage:
         assert journal.read_bytes() == damaged
 
     def test_corrupt_snapshot_is_fatal(self, tmp_path):
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         store.create("s", {1})
@@ -281,7 +281,7 @@ class TestShardStorage:
         snapshot = tmp_path / "shard" / "snapshot.bin"
         snapshot.write_bytes(snapshot.read_bytes()[:-3])   # torn snapshot
         with pytest.raises(JournalCorruptError):
-            ShardStorage(tmp_path / "shard").recover(SetStore())
+            JournalBackend(tmp_path / "shard").recover(SetStore())
 
     def test_large_element_values_survive(self, tmp_path):
         values = np.array([1, 2**31, 2**32 - 1], dtype=np.uint64)
@@ -307,7 +307,7 @@ class TestChecksumStrength:
         assert records == [] and "checksum" in error
 
     def test_diff_without_create_is_skipped_not_fatal(self, tmp_path):
-        storage = ShardStorage(tmp_path / "shard")
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         storage.append(encode_create("a", {1}))
@@ -315,7 +315,7 @@ class TestChecksumStrength:
         storage.append(encode_diff("a", add=[2]))
         storage.close()
         recovered = SetStore()
-        storage2 = ShardStorage(tmp_path / "shard")
+        storage2 = JournalBackend(tmp_path / "shard")
         storage2.recover(recovered)
         storage2.close()
         assert recovered.get("a") == {1, 2}

@@ -36,7 +36,7 @@ from repro.cluster import (
 )
 from repro.cluster.manifest import (
     ClusterManifest,
-    load_or_adopt,
+    load_or_init,
     manifest_path,
     shard_dirname,
     write_manifest,
@@ -107,22 +107,45 @@ class TestManifest:
 
         asyncio.run(inner())
 
-    def test_legacy_dir_with_matching_count_is_adopted(self, tmp_path):
-        expected, _ = _populate(tmp_path, 3, {"a": {1}, "b": {2}})
-        manifest_path(tmp_path).unlink()          # pre-manifest layout
-        values, _ = _recovered(tmp_path, 3)       # adopts in place
-        assert values == expected
-        assert load_manifest(tmp_path).shards == 3
+    @pytest.mark.parametrize("requested", [3, 2])
+    @pytest.mark.parametrize("entry", ["start", "rebalance"])
+    def test_shard_dirs_without_manifest_refuse(
+        self, tmp_path, entry, requested
+    ):
+        """Shard directories but no manifest: start and rebalance each
+        refuse, whether or not the shard count matches, through the API
+        and the CLI, and write nothing — never a fresh manifest over
+        existing shard files."""
+        from repro.cli import main
 
-    def test_legacy_dir_with_differing_count_refuses(self, tmp_path):
-        _populate(tmp_path, 3, {"a": {1}})
+        _populate(tmp_path, 3, {"a": {1}, "b": {2}})
         manifest_path(tmp_path).unlink()
 
-        async def inner():
-            with pytest.raises(TopologyMismatchError):
-                await _cluster(2, tmp_path).start()
+        def files():
+            return {
+                path.relative_to(tmp_path): path.read_bytes()
+                for path in sorted(tmp_path.rglob("*")) if path.is_file()
+            }
 
-        asyncio.run(inner())
+        before = files()
+        if entry == "start":
+            async def start():
+                with pytest.raises(ManifestError, match="no manifest.json"):
+                    await _cluster(requested, tmp_path).start()
+
+            asyncio.run(start())
+            command = "serve"
+        else:
+            with pytest.raises(ManifestError, match="no manifest.json"):
+                rebalance(tmp_path, requested)
+            command = "rebalance"
+        assert not manifest_path(tmp_path).exists()
+        assert files() == before
+        assert main([
+            command, "--data-dir", str(tmp_path), "--shards", str(requested),
+        ]) == 2
+        assert not manifest_path(tmp_path).exists()
+        assert files() == before
 
     def test_corrupt_manifest_is_a_clear_error(self, tmp_path):
         _populate(tmp_path, 2, {"a": {1}})
@@ -145,7 +168,7 @@ class TestManifest:
             ClusterManifest(shards=3, vnodes=8, epoch=1, shard_epochs=[1])
 
     def test_empty_dir_initializes(self, tmp_path):
-        manifest = load_or_adopt(tmp_path / "new", 4, 32)
+        manifest = load_or_init(tmp_path / "new", 4, 32)
         assert manifest.shards == 4
         assert load_manifest(tmp_path / "new").vnodes == 32
 
@@ -305,28 +328,6 @@ class TestCrashMidRebalance:
                 assert not (directory / "snapshot.bin").exists()
                 assert not (directory / "journal.log").exists()
                 assert not (directory / "store.sqlite").exists()
-
-    def test_crash_on_legacy_dir_commits_inference_before_staging(
-        self, tmp_path
-    ):
-        """A pre-manifest (PR-3) dir: the inferred legacy topology must
-        be committed *before* staging, or the staged shard dirs would
-        inflate the next run's inference into a bogus wider layout whose
-        new shards recover empty — resurrecting the original bug."""
-        sets = _random_sets(seed=55)
-        expected, versions = _populate(tmp_path, 2, sets)
-        manifest_path(tmp_path).unlink()          # back to pre-manifest
-        with pytest.raises(RebalanceAborted):
-            rebalance(tmp_path, 4, crash_at="after-stage")
-        # the old topology was committed, not guessed from dir count
-        assert load_manifest(tmp_path).shards == 2
-        recovered, recovered_versions = _recovered(tmp_path, 2)
-        assert recovered == expected and recovered_versions == versions
-        # the advertised idempotent rerun now really migrates
-        result = rebalance(tmp_path, 4)
-        assert result.changed and result.old_shards == 2
-        recovered, recovered_versions = _recovered(tmp_path, 4)
-        assert recovered == expected and recovered_versions == versions
 
     def test_sigkilled_rebalance_subprocess_old_epoch_recovers(self, tmp_path):
         """A literal kill -9 mid-rebalance (not just an exception)."""

@@ -30,7 +30,7 @@ from repro.loadgen import (
 )
 from repro.loadgen.driver import CONVERGENCE
 from repro.obs.metrics import SESSION_DURATION
-from repro.service import ReconciliationServer, SetStore
+from repro.service import ReconciliationServer
 from repro.service.wire import ServerBusy
 
 
@@ -298,10 +298,12 @@ class TestReport:
 # -- end to end ----------------------------------------------------------------
 
 class TestEndToEnd:
-    def test_open_loop_run_against_a_real_server(self):
+    def test_open_loop_run_against_a_real_server(self, memory_cluster):
         async def scenario():
-            store = SetStore()
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store) as server,
+            ):
                 config = LoadgenConfig(
                     host="127.0.0.1",
                     port=server.port,

@@ -207,7 +207,7 @@ class TestWireTracePropagation:
         assert (back.trace_id, back.span_id) == (0xABCD1234, 0x42)
         assert back.set_name == "inv"
 
-    def test_v3_hello_gets_error_frame(self):
+    def test_v3_hello_gets_error_frame(self, memory_cluster):
         """A v3 peer sketches with the pre-bit-sliced ToW family, so its
         estimates would silently disagree: the server answers its HELLO
         with an ERROR frame naming the version, and serves nothing."""
@@ -217,7 +217,10 @@ class TestWireTracePropagation:
         )
 
         async def run():
-            async with ReconciliationServer(port=0) as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store, port=0) as server,
+            ):
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port)
                 v3 = Hello(set_name="inv", seed=7, version=3).serialize()
@@ -242,7 +245,9 @@ class TestWireTracePropagation:
             with pytest.raises(SerializationError, match="wire version"):
                 Hello.deserialize(bytes(frame))
 
-    def test_inline_session_joins_client_trace(self, tmp_path, no_tracing):
+    def test_inline_session_joins_client_trace(
+        self, tmp_path, no_tracing, memory_cluster
+    ):
         """Client and server spans of one session share the client's
         trace id, with the server session parented on the client span."""
         from repro.service import ClientConnection, ReconciliationServer
@@ -250,9 +255,10 @@ class TestWireTracePropagation:
         configure_tracing(tmp_path, role="test")
 
         async def run():
-            server = ReconciliationServer(port=0)
-            await server.start()
-            try:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store, port=0) as server,
+            ):
                 conn = ClientConnection(
                     "127.0.0.1", server.port, set_name="traced")
                 await conn.connect()
@@ -261,8 +267,6 @@ class TestWireTracePropagation:
                 again = await conn.sync(set(range(1, 200)))
                 await conn.close()
                 assert result.success and again.success
-            finally:
-                await server.close()
 
         asyncio.run(run())
         configure_tracing(None)
@@ -293,7 +297,7 @@ class TestWireTracePropagation:
         assert len(merged["traceEvents"]) == len(events)
 
     def test_untraced_client_gets_server_rooted_spans(
-        self, tmp_path, no_tracing, monkeypatch
+        self, tmp_path, no_tracing, monkeypatch, memory_cluster
     ):
         """A peer that sends no trace id (v2, or v3 with tracing off)
         still yields server-side spans — rooted fresh, parentless."""
@@ -307,18 +311,19 @@ class TestWireTracePropagation:
             client_mod, "tracer", lambda: Tracer(None, "off"))
 
         async def run():
-            server = ReconciliationServer(port=0)
-            await server.start()
-            configure_tracing(tmp_path, role="server-only")
-            try:
-                result = await sync_with_server(
-                    "127.0.0.1", server.port, set(range(1, 100)),
-                    set_name="untraced",
-                )
-                assert result.success
-            finally:
-                configure_tracing(None)
-                await server.close()
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store, port=0) as server,
+            ):
+                configure_tracing(tmp_path, role="server-only")
+                try:
+                    result = await sync_with_server(
+                        "127.0.0.1", server.port, set(range(1, 100)),
+                        set_name="untraced",
+                    )
+                    assert result.success
+                finally:
+                    configure_tracing(None)
 
         asyncio.run(run())
         events = load_events(tmp_path)
@@ -757,7 +762,7 @@ class TestLogs:
         before = slow_op_threshold_s()
         set_slow_op_threshold(0.0)      # everything is slow now
         try:
-            coalescer = DecodeCoalescer(enabled=False)
+            coalescer = DecodeCoalescer(window_s=0)
             coalescer._observe(
                 0.0, 0.5, groups=3, sessions=2,
                 trace=TraceContext(0xFEED, 1),

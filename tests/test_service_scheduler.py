@@ -77,7 +77,7 @@ class TestCoalescedDecode:
 
     def test_disabled_coalescer_decodes_inline(self, codec):
         async def scenario():
-            coalescer = DecodeCoalescer(enabled=False)
+            coalescer = DecodeCoalescer(window_s=0)
             decoded, seconds = await coalescer.decode(
                 codec, _deltas(codec, [[42]])
             )
@@ -87,6 +87,26 @@ class TestCoalescedDecode:
         decoded, seconds = asyncio.run(scenario())
         assert decoded == [[42]]
         assert seconds > 0.0
+
+    def test_zero_window_never_merges_concurrent_sessions(self, codec):
+        """``window_s=0`` is the coalescing off-switch: concurrent
+        submissions each decode in a batch of their own."""
+        async def scenario():
+            coalescer = DecodeCoalescer(window_s=0)
+            jobs = [
+                coalescer.decode(codec, _deltas(codec, [els, OVERFLOW]))
+                for els in ELEMENT_SETS
+            ]
+            return coalescer, await asyncio.gather(*jobs)
+
+        coalescer, results = asyncio.run(scenario())
+        assert not coalescer.enabled
+        assert DecodeCoalescer().enabled
+        for els, (decoded, _) in zip(ELEMENT_SETS, results):
+            assert decoded == [sorted(els), None]
+        assert coalescer.stats.batches == len(ELEMENT_SETS)
+        assert coalescer.stats.coalesced_batches == 0
+        assert coalescer.stats.max_sessions_per_batch == 1
 
     def test_empty_submission_short_circuits(self, codec):
         async def scenario():

@@ -16,7 +16,6 @@ from repro.service import (
     ClientConnection,
     DecodeCoalescer,
     ReconciliationServer,
-    SetStore,
     sync_with_server,
 )
 from repro.workloads import SetPairGenerator
@@ -56,13 +55,16 @@ async def _until(condition, timeout: float = 5.0) -> None:
 
 
 class TestSingleSession:
-    def test_client_learns_difference_and_server_applies_push(self):
+    def test_client_learns_difference_and_server_applies_push(
+        self, memory_cluster
+    ):
         set_a, set_b, expected = _pair(seed=11)
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", set_b)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": set_b}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 result = await sync_with_server(
                     "127.0.0.1", server.port, set_a, set_name="inv", seed=5
                 )
@@ -87,13 +89,14 @@ class TestSingleSession:
         assert snapshot["decode_s"] > 0
         json.dumps(snapshot)  # must be a plain-JSON document
 
-    def test_one_way_sync_leaves_store_untouched(self):
+    def test_one_way_sync_leaves_store_untouched(self, memory_cluster):
         set_a, set_b, expected = _pair(seed=21)
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", set_b)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": set_b}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 result = await sync_with_server(
                     "127.0.0.1", server.port, set_a, set_name="inv",
                     seed=5, bidirectional=False,
@@ -109,9 +112,12 @@ class TestSingleSession:
         assert server.metrics.sessions_completed == 1
         assert server.metrics.sessions_failed == 0
 
-    def test_port_probe_is_not_a_session(self):
+    def test_port_probe_is_not_a_session(self, memory_cluster):
         async def scenario():
-            async with ReconciliationServer() as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store) as server,
+            ):
                 # a health check: connect, close, send nothing
                 _, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
@@ -126,7 +132,9 @@ class TestSingleSession:
         assert server.metrics.sessions_failed == 0
         assert server.metrics.active_sessions == 0
 
-    def test_poisonous_push_is_rejected_and_store_survives(self):
+    def test_poisonous_push_is_rejected_and_store_survives(
+        self, memory_cluster
+    ):
         import numpy as np
 
         from repro.service.wire import (
@@ -134,9 +142,10 @@ class TestSingleSession:
         )
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", {1, 2, 3})
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": {1, 2, 3}}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 # hand-roll a session that pushes out-of-universe elements
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
@@ -182,9 +191,12 @@ class TestSingleSession:
 
         asyncio.run(scenario())
 
-    def test_oversized_estimator_request_is_rejected(self):
+    def test_oversized_estimator_request_is_rejected(self, memory_cluster):
         async def scenario():
-            async with ReconciliationServer() as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store) as server,
+            ):
                 with pytest.raises(
                     (SerializationError, asyncio.IncompleteReadError,
                      ConnectionError)
@@ -198,13 +210,16 @@ class TestSingleSession:
         server = asyncio.run(scenario())
         assert server.metrics.sessions_failed == 1
 
-    def test_truncated_estimate_fails_session_cleanly(self):
+    def test_truncated_estimate_fails_session_cleanly(self, memory_cluster):
         from repro.service.wire import (
             FrameType, Hello, encode_frame, read_frame,
         )
 
         async def scenario():
-            async with ReconciliationServer() as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store) as server,
+            ):
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -227,7 +242,9 @@ class TestSingleSession:
         assert server.metrics.sessions_failed == 1
         assert server.metrics.sessions_completed == 0
 
-    def test_hostile_estimate_gets_error_frame_and_counts_failed(self):
+    def test_hostile_estimate_gets_error_frame_and_counts_failed(
+        self, memory_cluster
+    ):
         """An ESTIMATE declaring |A| = 2^32 - 1 with every sketch value at
         +|A| puts d_hat near 10^19 against a 3-element set.  The design d
         is clamped to |A| + |B|; the optimizer then rejects it with a
@@ -246,9 +263,10 @@ class TestSingleSession:
         size_a = 2**32 - 1
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", {1, 2, 3})
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": {1, 2, 3}}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -286,15 +304,18 @@ class TestSingleSession:
         assert result.success
         assert server.metrics.sessions_completed == 1
 
-    def test_server_sketches_b_before_the_estimate(self, server_sketches):
+    def test_server_sketches_b_before_the_estimate(
+        self, memory_cluster, server_sketches
+    ):
         """Bob's ToW sketch runs once WELCOME is out, while the client is
         still to send its ESTIMATE, and the ESTIMATE reuses it."""
         set_a, set_b, expected = _pair(seed=13)
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", set_b)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": set_b}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 # HELLO sent and WELCOME read; no ESTIMATE yet
                 async with ClientConnection(
                     "127.0.0.1", server.port, set_name="inv", seed=4
@@ -308,7 +329,7 @@ class TestSingleSession:
         assert server_sketches == [len(set_b)]
 
     def test_hello_then_eof_fails_and_releases_the_slot(
-        self, server_sketches
+        self, memory_cluster, server_sketches
     ):
         """A client that hangs up after WELCOME costs one sketch, counts
         as failed and gives its admission slot back."""
@@ -318,12 +339,11 @@ class TestSingleSession:
         )
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", {1, 2, 3})
             admission = AdmissionController(shards=1, max_sessions=1)
-            async with ReconciliationServer(
-                store, admission=admission
-            ) as server:
+            async with (
+                memory_cluster({"inv": {1, 2, 3}}) as store,
+                ReconciliationServer(store, admission=admission) as server,
+            ):
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -351,11 +371,14 @@ class TestSingleSession:
         assert admission.stats()["per_shard"][0]["active"] == 0
         assert server_sketches == [3, 3]
 
-    def test_garbage_hello_fails_session_cleanly(self):
+    def test_garbage_hello_fails_session_cleanly(self, memory_cluster):
         from repro.service.wire import FrameType, encode_frame, read_frame
 
         async def scenario():
-            async with ReconciliationServer() as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store) as server,
+            ):
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -379,9 +402,14 @@ class TestSingleSession:
         assert server.metrics.sessions_failed == 1
         assert server.metrics.sessions_completed == 1
 
-    def test_unknown_set_rejected_when_create_missing_off(self):
+    def test_unknown_set_rejected_when_create_missing_off(
+        self, memory_cluster
+    ):
         async def scenario():
-            async with ReconciliationServer(create_missing=False) as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store, create_missing=False) as server,
+            ):
                 with pytest.raises(
                     (SerializationError, asyncio.IncompleteReadError,
                      ConnectionError)
@@ -394,10 +422,12 @@ class TestSingleSession:
         server = asyncio.run(scenario())
         assert server.metrics.sessions_failed == 1
 
-    def test_sync_against_empty_autocreated_set(self):
+    def test_sync_against_empty_autocreated_set(self, memory_cluster):
         async def scenario():
-            store = SetStore()
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster() as store,
+                ReconciliationServer(store) as server,
+            ):
                 result = await sync_with_server(
                     "127.0.0.1", server.port, {5, 6, 7}, set_name="new",
                     seed=1,
@@ -413,14 +443,15 @@ class TestSingleSession:
 class TestConcurrentSessions:
     N = 6
 
-    def test_many_clients_distinct_sets(self):
+    def test_many_clients_distinct_sets(self, memory_cluster):
         pairs = [_pair(seed=100 + i, d=10) for i in range(self.N)]
 
         async def scenario():
-            store = SetStore()
-            for i, (_, set_b, _) in enumerate(pairs):
-                store.create(f"s{i}", set_b)
-            async with ReconciliationServer(store) as server:
+            sets = {f"s{i}": set_b for i, (_, set_b, _) in enumerate(pairs)}
+            async with (
+                memory_cluster(sets) as store,
+                ReconciliationServer(store) as server,
+            ):
                 results = await asyncio.gather(
                     *[
                         sync_with_server(
@@ -445,15 +476,16 @@ class TestConcurrentSessions:
         assert stats.max_sessions_per_batch >= 2
         assert server.metrics.sessions_completed == self.N
 
-    def test_lone_session_skips_the_decode_window(self):
+    def test_lone_session_skips_the_decode_window(self, memory_cluster):
         set_a, set_b, expected = _pair(seed=17)
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", set_b)
-            async with ReconciliationServer(
-                store, coalescer=DecodeCoalescer(window_s=30.0)
-            ) as server:
+            async with (
+                memory_cluster({"inv": set_b}) as store,
+                ReconciliationServer(
+                    store, coalescer=DecodeCoalescer(window_s=30.0)
+                ) as server,
+            ):
                 result = await asyncio.wait_for(
                     sync_with_server(
                         "127.0.0.1", server.port, set_a, set_name="inv",
@@ -468,18 +500,18 @@ class TestConcurrentSessions:
         assert server.coalescer.stats.batches >= 1
         assert server.coalescer.stats.coalesced_batches == 0
 
-    def test_two_concurrent_sessions_share_a_batch(self):
+    def test_two_concurrent_sessions_share_a_batch(self, memory_cluster):
         """Neither of two open connections is lone: identical pairs (same
         codec shape) synced at once meet in one window."""
         set_a, set_b, expected = _pair(seed=19, d=10)
 
         async def scenario():
-            store = SetStore()
-            store.create("s0", set_b)
-            store.create("s1", set_b)
-            async with ReconciliationServer(
-                store, coalescer=DecodeCoalescer(window_s=0.2)
-            ) as server:
+            async with (
+                memory_cluster({"s0": set_b, "s1": set_b}) as store,
+                ReconciliationServer(
+                    store, coalescer=DecodeCoalescer(window_s=0.2)
+                ) as server,
+            ):
                 results = await asyncio.gather(*[
                     sync_with_server(
                         "127.0.0.1", server.port, set_a, set_name=name,
@@ -494,15 +526,18 @@ class TestConcurrentSessions:
             assert result.success and result.difference == expected
         assert server.coalescer.stats.coalesced_batches >= 1
 
-    def test_two_clients_same_set_converge_after_second_pass(self):
+    def test_two_clients_same_set_converge_after_second_pass(
+        self, memory_cluster
+    ):
         base = set(range(1, 1500))
         a1 = base | {100_001, 100_002}
         a2 = base | {200_001}
 
         async def scenario():
-            store = SetStore()
-            store.create("shared", base)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"shared": base}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 # pass 1: both snapshot the same base concurrently
                 await asyncio.gather(
                     sync_with_server("127.0.0.1", server.port, a1,
@@ -524,7 +559,7 @@ class TestConcurrentSessions:
 
         asyncio.run(scenario())
 
-    def test_version_exposes_concurrent_races(self):
+    def test_version_exposes_concurrent_races(self, memory_cluster):
         """The convergence signal: each racer sees the other's apply in
         the final store version, and a quiet second pass leaves it put."""
         base = set(range(1, 1200))
@@ -532,9 +567,10 @@ class TestConcurrentSessions:
         a2 = base | {800_001}
 
         async def scenario():
-            store = SetStore()
-            store.create("shared", base)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"shared": base}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 r1, r2 = await asyncio.gather(
                     sync_with_server("127.0.0.1", server.port, a1,
                                      set_name="shared", seed=1),
@@ -559,15 +595,16 @@ class TestConcurrentSessions:
 
         asyncio.run(scenario())
 
-    def test_per_session_fallback_still_converges(self):
+    def test_per_session_fallback_still_converges(self, memory_cluster):
         set_a, set_b, expected = _pair(seed=31)
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", set_b)
-            async with ReconciliationServer(
-                store, coalescer=DecodeCoalescer(enabled=False)
-            ) as server:
+            async with (
+                memory_cluster({"inv": set_b}) as store,
+                ReconciliationServer(
+                    store, coalescer=DecodeCoalescer(window_s=0)
+                ) as server,
+            ):
                 result = await sync_with_server(
                     "127.0.0.1", server.port, set_a, set_name="inv", seed=9
                 )
@@ -581,13 +618,14 @@ class TestConcurrentSessions:
 class TestRepeatSync:
     """Long-lived connections: many reconciliation passes, one handshake."""
 
-    def test_three_passes_reuse_one_connection(self):
+    def test_three_passes_reuse_one_connection(self, memory_cluster):
         base = set(range(1, 1000))
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", base)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": base}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 async with ClientConnection(
                     "127.0.0.1", server.port, set_name="inv", seed=9
                 ) as conn:
@@ -627,20 +665,23 @@ class TestRepeatSync:
         store = asyncio.run(scenario())
         assert store.get("inv") == base | {500_001, 500_002, 600_001}
 
-    def test_repeat_pass_resketches_only_a_moved_set(self, server_sketches):
+    def test_repeat_pass_resketches_only_a_moved_set(
+        self, memory_cluster, server_sketches
+    ):
         base = set(range(1, 1000))
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", base)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": base}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 async with ClientConnection(
                     "127.0.0.1", server.port, set_name="inv", seed=5
                 ) as conn:
                     r1 = await conn.sync(base)
                     r2 = await conn.sync(base)
                     assert server_sketches == [len(base)]
-                    store.apply_diff("inv", add=[5_000_001])
+                    await store.apply_diff("inv", add=[5_000_001])
                     r3 = await conn.sync(base)
                     assert server_sketches == [len(base), len(base) + 1]
             return r1, r2, r3
@@ -650,13 +691,14 @@ class TestRepeatSync:
         assert r1.difference == r2.difference == frozenset()
         assert r3.difference == frozenset({5_000_001})
 
-    def test_per_pass_byte_accounting_is_fresh(self):
+    def test_per_pass_byte_accounting_is_fresh(self, memory_cluster):
         base = set(range(1, 800))
 
         async def scenario():
-            store = SetStore()
-            store.create("inv", base)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"inv": base}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 async with ClientConnection(
                     "127.0.0.1", server.port, set_name="inv", seed=3
                 ) as conn:
@@ -671,16 +713,17 @@ class TestRepeatSync:
 
         asyncio.run(scenario())
 
-    def test_two_repeat_clients_converge_same_set(self):
+    def test_two_repeat_clients_converge_same_set(self, memory_cluster):
         """The ISSUE's convergence drill, on persistent connections."""
         base = set(range(1, 1500))
         a1 = base | {100_001, 100_002}
         a2 = base | {200_001}
 
         async def scenario():
-            store = SetStore()
-            store.create("shared", base)
-            async with ReconciliationServer(store) as server:
+            async with (
+                memory_cluster({"shared": base}) as store,
+                ReconciliationServer(store) as server,
+            ):
                 async with ClientConnection(
                     "127.0.0.1", server.port, set_name="shared", seed=1
                 ) as c1, ClientConnection(

@@ -257,10 +257,11 @@ class TestWireDigest:
     |A|/10, |A|} (half of d on each side) run through
     :meth:`PBSProtocol.run` with ``max_rounds=8`` under every combination
     of ``membership_check`` in {True, False}, ``split_ways`` in {2, 3},
-    ``batch`` in {True, False} and a design d of the true d or d/6 (which
-    forces splits).  One SHA-256 hashes, in order, every SKETCH and
-    REPLY payload and each run's success, rounds, sorted difference,
-    ``resolved_by_round`` and ``recovered_by_round``.
+    the batched or the scalar BCH engine (``bch_engine``) and a design d
+    of the true d or d/6 (which forces splits).  One SHA-256 hashes, in
+    order, every SKETCH and REPLY payload and each run's success,
+    rounds, sorted difference, ``resolved_by_round`` and
+    ``recovered_by_round``.
 
     The pinned digests were generated by this grid at commit 9637ffd,
     whose sessions still encoded, recovered and verified unit by unit;
@@ -268,7 +269,7 @@ class TestWireDigest:
     """
 
     @pytest.mark.parametrize("size", sorted(_WIRE_DIGESTS))
-    def test_grid_digest_is_pinned(self, size):
+    def test_grid_digest_is_pinned(self, size, bch_engine):
         seeds, expected = _WIRE_DIGESTS[size]
         digest = hashlib.sha256()
         for seed in seeds:
@@ -280,15 +281,15 @@ class TestWireDigest:
                     for check in (True, False):
                         for ways in (2, 3):
                             for batch in (True, False):
-                                result = PBSProtocol(
-                                    seed=seed, membership_check=check,
-                                    split_ways=ways, batch=batch,
-                                    max_rounds=8,
-                                ).run(
-                                    pair.a, pair.b,
-                                    channel=_HashingChannel(digest),
-                                    true_d=design_d,
-                                )
+                                with bch_engine(batch):
+                                    result = PBSProtocol(
+                                        seed=seed, membership_check=check,
+                                        split_ways=ways, max_rounds=8,
+                                    ).run(
+                                        pair.a, pair.b,
+                                        channel=_HashingChannel(digest),
+                                        true_d=design_d,
+                                    )
                                 digest.update(repr((
                                     result.success,
                                     result.rounds,

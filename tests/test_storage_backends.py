@@ -28,7 +28,6 @@ from repro.cluster import (
     BACKEND_NAMES,
     ClusterConfig,
     ClusterStore,
-    JournalBackend,
     SqliteBackend,
     StorageCorruptError,
     StorageMismatchError,
@@ -542,9 +541,12 @@ class TestClusterConfigApi:
         with pytest.raises(ValueError):
             config.replace(storage="wibble")
 
-    def test_legacy_kwargs_warn_but_work(self, tmp_path):
-        with pytest.deprecated_call(match="ClusterConfig"):
-            store = ClusterStore(shards=2, data_dir=tmp_path, fsync=True)
+    def test_config_is_the_only_way_to_set_knobs(self, tmp_path):
+        """``ClusterStore(data_dir, config)``: a knob passed as a keyword
+        of its own is a TypeError; the config's knobs reach the store."""
+        with pytest.raises(TypeError):
+            ClusterStore(shards=2)
+        store = ClusterStore(tmp_path, ClusterConfig(shards=2, fsync=True))
         assert store.config.shards == 2
         assert store.config.fsync is True
 
@@ -554,21 +556,7 @@ class TestClusterConfigApi:
                 assert store.get("s") == {1}
 
         asyncio.run(inner())
-
-    def test_config_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(ValueError, match="config"):
-            ClusterStore(config=ClusterConfig(), shards=2)
-
-    def test_unknown_legacy_kwarg_is_an_error(self):
-        with pytest.raises(TypeError):
-            ClusterStore(shardz=2)
-
-    def test_shard_storage_alias_warns_and_aliases(self):
-        import repro.cluster as cluster
-
-        with pytest.deprecated_call(match="JournalBackend"):
-            alias = cluster.ShardStorage
-        assert alias is JournalBackend
+        assert load_manifest(tmp_path).shards == 2
 
     def test_open_store_wires_persistence(self, tmp_path, storage_backend):
         backend = open_backend(storage_backend, tmp_path)
