@@ -5,7 +5,8 @@ search → verification) is the dominant hot path of every PBS round: one
 small decode per group, hundreds of groups per round.  Running it group
 by group costs a Python-level loop per group *inside* each stage; this
 module instead runs every stage across **all groups at once** on 2-D
-numpy arrays:
+numpy arrays, so a call costs a few array operations per
+Berlekamp–Massey step whatever the number of groups:
 
 * :meth:`BatchBCHDecoder.sketch_many` — stack the per-group element
   arrays into one zero-padded ``(g, L)`` matrix and compute all ``g * t``
@@ -13,19 +14,21 @@ numpy arrays:
   XOR-neutral and absorbs under multiplication, so the padding is free).
 * :meth:`BatchBCHDecoder.bm_many` — Berlekamp–Massey in lockstep: all
   groups share the iteration counter while the data-dependent branches
-  (zero discrepancy, length change) become boolean masks.  The per-group
-  state (locator row, shadow row, length, gap, last discrepancy) lives in
-  matrices, so one BM step is a handful of ``(g, w)`` numpy ops.
-* root search — either a batched Chien search via
-  :meth:`~repro.gf.table_field.TableField.eval_poly_all_batch` (table
+  (zero discrepancy, length change) become masks.  Each step's
+  discrepancy is one ``(g, L)`` block product and an XOR-reduce, and
+  only the t odd-syndrome steps run: the even ones have zero
+  discrepancy for binary BCH syndromes (``s_2k = s_k^2``).
+* root search — either a batched Chien search from lookup tables via
+  :meth:`~repro.gf.table_field.TableField.eval_at_inverses` (table
   fields: PBS's m = 6..11 parity bitmaps), or a batched Horner
   evaluation over a caller-supplied candidate array per group (large
   fields: partitioned PinSketch over GF(2^32)).
-* verification — re-sketch all recovered element lists with
-  :meth:`sketch_many` and compare matrices.
+* verification — re-sketch all recovered element rows with
+  :meth:`sketch_matrix` and compare matrices.
 
-The engine is bit-for-bit equivalent to the scalar
-:class:`~repro.bch.codec.BCHCodec` path — including which groups raise
+Results come back packed as a :class:`Decoded`.  The engine is
+bit-for-bit equivalent to the scalar :class:`~repro.bch.codec.BCHCodec`
+path — including which groups raise
 :class:`~repro.errors.DecodeFailure` — which the property tests in
 ``tests/test_bch_batch.py`` assert on randomized inputs.
 """
@@ -33,6 +36,7 @@ The engine is bit-for-bit equivalent to the scalar
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +62,61 @@ def stack_groups(groups: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+class Decoded(NamedTuple):
+    """Packed decode results of g groups of capacity t.
+
+    A group decodes to at most t elements, so every result fits a
+    ``(g, t)`` matrix and a batch slices like its rows.
+    """
+
+    #: ``(g, t)`` recovered elements, each row ascending, then zeros
+    elements: np.ndarray
+    #: ``(g,)`` number of recovered elements per row (0 where failed)
+    counts: np.ndarray
+    #: ``(g,)`` True where the scalar decode raises ``DecodeFailure``
+    failed: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[list[int] | None], t: int) -> Decoded:
+        """Pack per-group results (``None`` for a failure)."""
+        elements = np.zeros((len(rows), t), dtype=np.int64)
+        counts = np.zeros(len(rows), dtype=np.int64)
+        for i, row in enumerate(rows):
+            if row:
+                elements[i, : len(row)] = row
+                counts[i] = len(row)
+        failed = np.fromiter(
+            (row is None for row in rows), dtype=bool, count=len(rows)
+        )
+        return cls(elements, counts, failed)
+
+    def slice(self, start: int, stop: int) -> Decoded:
+        """The results of groups ``start`` to ``stop``."""
+        return Decoded(
+            self.elements[start:stop],
+            self.counts[start:stop],
+            self.failed[start:stop],
+        )
+
+    def tolist(self) -> list[list[int] | None]:
+        """Per-group element lists, ``None`` for a failed group."""
+        return [
+            None if failed else row[:count]
+            for row, count, failed in zip(
+                self.elements.tolist(),
+                self.counts.tolist(),
+                self.failed.tolist(),
+            )
+        ]
+
+
 class BatchBCHDecoder:
     """Vectorized multi-group counterpart of :class:`~repro.bch.codec.BCHCodec`.
 
     >>> from repro.gf import field_for
     >>> eng = BatchBCHDecoder(field_for(7), t=4)
     >>> sk = eng.sketch_many([[3, 17, 44], [], [5, 99]])
-    >>> eng.decode_many(sk)
+    >>> eng.decode_many(sk).tolist()
     [[3, 17, 44], [], [5, 99]]
     """
 
@@ -121,51 +173,64 @@ class BatchBCHDecoder:
 
         Returns ``(locators, lengths)``: a ``(g, 2t + 1)`` matrix of
         ascending-degree locator coefficients (column 0 is always 1) and
-        the per-group LFSR lengths.  Matches the scalar
-        :func:`~repro.bch.berlekamp_massey.berlekamp_massey` step for
-        step; the branches act through masks.
+        the per-group LFSR lengths, equal to the scalar
+        :func:`~repro.bch.berlekamp_massey.berlekamp_massey` row by row.
+
+        Only the steps at the odd syndromes ``s_1, s_3, ...`` (0-based
+        even i) run.  When ``s_2k = s_k^2`` for every k, as
+        :meth:`expand_many` makes it, the discrepancy at each even
+        syndrome is zero (Berlekamp's simplification for binary BCH
+        codes), and a zero-discrepancy step only advances the gap.
+
+        The state per group is the locator C, ``shifted = x^gap * B``
+        (B is C before its last length change), the length L and the
+        discrepancy at that change.  It is stored coefficient-major, one
+        row per coefficient, so every slice a step takes is contiguous.
+        deg C <= L, so the discrepancy ``sum_(j <= L) C_j s_(i-j)``
+        needs no per-group length mask.
         """
         field = self.field
         g, n_syn = full.shape
         width = n_syn + 1
-        loc = np.zeros((g, width), dtype=np.int64)
-        loc[:, 0] = 1
-        prev = loc.copy()  # B(x) per group
+        # row k of `rev` is s_(n_syn - k): a step's window s_i .. s_(i-L)
+        # is a run of consecutive rows
+        rev = np.ascontiguousarray(full[:, ::-1].T)
+        loc = np.zeros((width, g), dtype=np.int64)
+        loc[0] = 1
+        # `shifted` is a window of `buf` that slides up two rows a step,
+        # multiplying by x^2 for the step and the skipped one after it;
+        # rows above the window were never written, so it slides in zeros
+        buf = np.zeros((n_syn + width, g), dtype=np.int64)
+        top = n_syn
+        buf[top + 1] = 1  # x^1 * 1
         length = np.zeros(g, dtype=np.int64)
-        gap = np.ones(g, dtype=np.int64)
         prev_disc = np.ones(g, dtype=np.int64)
-        cols = np.arange(width, dtype=np.int64)
-        rows = np.arange(g, dtype=np.int64)[:, None]
-        max_len = 0  # running max of `length`, bounds the discrepancy sum
-        for i in range(n_syn):
-            # discrepancy d = s_i + sum_{j=1..L} C_j * s_{i-j}
-            disc = full[:, i].copy()
-            for j in range(1, min(i, max_len, width - 1) + 1):
-                term = field.mul_vec(loc[:, j], full[:, i - j])
-                disc ^= np.where(j <= length, term, 0)
-            active = disc != 0
-            if not active.any():
-                gap += 1
-                continue
-            # coef = disc / prev_disc (prev_disc is never 0 by construction)
-            coef = field.mul_vec(disc, field.inv_vec(prev_disc))
-            # adjust = coef * x^gap * prev, via a per-row variable shift
-            shifted = cols[None, :] - gap[:, None]
-            prev_shifted = np.where(
-                shifted >= 0, prev[rows, np.maximum(shifted, 0)], 0
+        max_len = 0  # running max of `length`: L <= i before step i
+        for i in range(0, n_syn, 2):
+            first = n_syn - 1 - i
+            terms = field.mul_vec(
+                loc[: max_len + 1], rev[first : first + max_len + 1]
             )
-            adjust = field.mul_vec(coef[:, None], prev_shifted)
-            candidate = loc ^ adjust
-            change = active & (2 * length <= i)
-            keep_mask = change[:, None]
-            prev = np.where(keep_mask, loc, prev)
-            prev_disc = np.where(change, disc, prev_disc)
-            length = np.where(change, i + 1 - length, length)
-            gap = np.where(change, 1, gap + 1)
-            loc = np.where(active[:, None], candidate, loc)
-            if change.any():
-                max_len = int(length.max())
-        return loc, length
+            disc = np.bitwise_xor.reduce(terms, axis=0)
+            shifted = buf[top : top + width]
+            top -= 2
+            if not disc.any():
+                continue
+            # Only coefficients 0 .. i+1 can change: the new C and, for a
+            # group with a nonzero discrepancy, x^gap * B have degree at
+            # most the new L <= i + 1 (a zero discrepancy gives coef 0).
+            hi = i + 2
+            coef = field.mul_vec(disc, field.inv_vec(prev_disc))
+            adjust = field.mul_vec(coef, shifted[:hi])
+            change = np.logical_and(disc, length <= i // 2)
+            # B = C where L changes; in place, it is the next window's
+            # x^2 * B
+            np.copyto(shifted[:hi], loc[:hi], where=change)
+            loc[:hi] ^= adjust
+            np.copyto(prev_disc, disc, where=change)
+            np.subtract(i + 1, length, out=length, where=change)
+            max_len = int(length.max())
+        return np.ascontiguousarray(loc.T), length
 
     @staticmethod
     def degrees(loc: np.ndarray) -> np.ndarray:
@@ -174,26 +239,19 @@ class BatchBCHDecoder:
         return width - 1 - np.argmax(loc[:, ::-1] != 0, axis=1)
 
     # -- root search -------------------------------------------------------
-    @staticmethod
     def _pack_hits(
-        g: int, hit_rows: np.ndarray, hit_elems: np.ndarray
+        self, g: int, hit_rows: np.ndarray, hit_elems: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pack flat (row, element) hits into a zero-padded ``(g, w)`` matrix.
+        """Pack flat (row, element) hits into a zero-padded ``(g, t)`` matrix.
 
-        ``hit_rows`` must be non-decreasing; each output row holds that
-        group's recovered elements sorted ascending, then zero padding.
+        The hits must be sorted by row, then by element, with at most t
+        per row; each output row holds that group's elements in order.
         """
         counts = np.bincount(hit_rows, minlength=g)
-        width = int(counts.max()) if len(hit_rows) else 0
-        mat = np.zeros((g, max(width, 1)), dtype=np.int64)
+        mat = np.zeros((g, self.t), dtype=np.int64)
         if len(hit_rows):
-            # sort within each row by element value (rows already grouped)
-            order = np.lexsort((hit_elems, hit_rows))
-            sorted_elems = hit_elems[order]
-            starts = np.zeros(g + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            offsets = np.arange(len(hit_rows)) - starts[hit_rows]
-            mat[hit_rows, offsets] = sorted_elems
+            starts = np.cumsum(counts) - counts
+            mat[hit_rows, np.arange(len(hit_rows)) - starts[hit_rows]] = hit_elems
         return mat, counts
 
     def _chien_elements(
@@ -201,18 +259,18 @@ class BatchBCHDecoder:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched Chien search (table fields): recovered elements per group.
 
-        Returns ``(elements, counts)``: a zero-padded ``(g, w)`` matrix of
+        Returns ``(elements, counts)``: a zero-padded ``(g, t)`` matrix of
         the *inverses* of the locator roots (BM's locator is
-        ``prod (1 - e_i x)``), each row sorted ascending, plus per-group
-        root counts.
+        ``prod (1 - e_i x)``), each row ascending, plus per-group root
+        counts.  Constant locators have no roots and are skipped.
         """
         field = self.field
-        order = field.order
-        vals = field.eval_poly_all_batch(loc[:, : max_deg + 1])
-        hit_rows, hit_cols = np.nonzero(vals == 0)
-        # root alpha^i  ->  element alpha^(-i)
-        elems = field.exp_table[(order - hit_cols) % order]
-        return self._pack_hits(loc.shape[0], hit_rows, elems)
+        live = np.flatnonzero(loc[:, 1 : max_deg + 1].any(axis=1))
+        vals = field.eval_at_inverses(loc[live, : max_deg + 1])
+        hits = np.flatnonzero(vals == 0)
+        rows = hits // field.order
+        elements = hits - rows * field.order + 1
+        return self._pack_hits(loc.shape[0], live[rows], elements)
 
     def _candidate_elements(
         self, loc: np.ndarray, max_deg: int, candidates: Sequence[np.ndarray]
@@ -228,7 +286,7 @@ class BatchBCHDecoder:
         g = loc.shape[0]
         sizes = np.fromiter((len(c) for c in candidates), dtype=np.int64, count=g)
         if sizes.sum() == 0:
-            return np.zeros((g, 1), dtype=np.int64), np.zeros(g, dtype=np.int64)
+            return np.zeros((g, self.t), dtype=np.int64), np.zeros(g, dtype=np.int64)
         flat = np.concatenate(
             [np.asarray(c, dtype=np.int64) for c in candidates]
         )
@@ -242,8 +300,9 @@ class BatchBCHDecoder:
         root_mask = acc == 0
         hit_gid = gid[root_mask]
         hit_elems = flat[root_mask]
-        # drop duplicate (group, element) pairs, mirroring the scalar
-        # np.unique (callers pass unique candidate sets, but stay safe)
+        # sort, and drop duplicate (group, element) pairs, mirroring the
+        # scalar np.unique (callers pass unique candidate sets, but stay
+        # safe)
         order = np.lexsort((hit_elems, hit_gid))
         hit_gid, hit_elems = hit_gid[order], hit_elems[order]
         if len(hit_gid):
@@ -260,9 +319,10 @@ class BatchBCHDecoder:
         sketches: np.ndarray,
         candidates: Sequence[np.ndarray] | None = None,
         verify: bool = True,
-    ) -> list[list[int] | None]:
-        """Decode a ``(g, t)`` sketch matrix; ``None`` marks a group whose
-        scalar decode would raise :class:`~repro.errors.DecodeFailure`.
+    ) -> Decoded:
+        """Decode a ``(g, t)`` sketch matrix; ``failed`` marks the groups
+        whose scalar decode would raise
+        :class:`~repro.errors.DecodeFailure`.
 
         Root-search precedence matches the scalar
         :meth:`~repro.bch.codec.BCHCodec.decode`: table fields always use
@@ -281,19 +341,18 @@ class BatchBCHDecoder:
             )
         g = sk.shape[0]
         if g == 0:
-            return []
+            return Decoded.from_rows([], self.t)
         full = self.expand_many(sk)
         loc, length = self.bm_many(full)
         deg = self.degrees(loc)
         failed = (length > self.t) | (deg != length)
         # Replace failed rows' locators with the constant 1 (no roots):
-        # their garbage polynomials could otherwise have many roots and
-        # widen the packed result matrix for every group.
+        # their garbage polynomials could otherwise have more than t roots.
         if failed.any():
             loc = np.where(failed[:, None], 0, loc)
             loc[:, 0] = 1
             deg = np.where(failed, 0, deg)
-        max_deg = int(min(deg.max(), self.t)) if len(deg) else 0
+        max_deg = int(deg.max())
         if isinstance(self.field, TableField):
             elements, counts = self._chien_elements(loc, max_deg)
         else:
@@ -307,7 +366,7 @@ class BatchBCHDecoder:
             # Re-sketching the already-failed rows' (possibly garbage)
             # elements is harmless: `failed` only ever accumulates.
             failed |= (self.sketch_matrix(elements) != sk).any(axis=1)
-        return [
-            None if failed[i] else elements[i, : counts[i]].tolist()
-            for i in range(g)
-        ]
+        if failed.any():
+            elements[failed] = 0
+            counts[failed] = 0
+        return Decoded(elements, counts, failed)

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.bch.batch import BatchBCHDecoder
+from repro.bch.batch import BatchBCHDecoder, Decoded
 from repro.bch.berlekamp_massey import berlekamp_massey
 from repro.bch.roots import candidate_roots, chien_roots, trace_roots
 from repro.bch.syndromes import expand_syndromes, syndromes_of
@@ -144,44 +144,58 @@ class BCHCodec:
 
     def decode_many(
         self,
-        sketches: Sequence[Sequence[int]],
+        sketches: Sequence[Sequence[int]] | np.ndarray,
         candidates: Sequence[np.ndarray] | None = None,
         batch: bool = True,
         verify: bool = True,
         seed: int = 0,
-    ) -> list[list[int] | None]:
-        """Decode many sketches at once; ``None`` marks a failed group.
+    ):
+        """Decode many sketches at once.
 
+        A ``(g, t)`` array of sketches comes back packed, as a
+        :class:`~repro.bch.batch.Decoded`; any other sequence of sketches
+        as a list of element lists, ``None`` marking a failed group.
         The batch path runs syndromes, Berlekamp–Massey and root search
         across all groups on 2-D arrays (``batch=False`` falls back to a
         per-group :meth:`decode` loop, kept for cross-checking).  It
         requires a table field (Chien search) or per-group ``candidates``.
         """
-        groups = list(sketches)
-        # Below a handful of groups the lockstep machinery costs more than
-        # it saves; the scalar loop produces identical results.
-        engine = self.batch_engine if batch and len(groups) >= 4 else None
-        if engine is not None and (
-            candidates is not None or isinstance(self.field, TableField)
-        ):
-            if any(len(sk) != self.t for sk in groups):
+        packed = isinstance(sketches, np.ndarray)
+        if packed:
+            matrix = sketches
+            if matrix.ndim != 2 or matrix.shape[1] != self.t:
+                raise ParameterError(
+                    f"sketch matrix shape {matrix.shape} does not match "
+                    f"capacity {self.t}"
+                )
+        else:
+            if any(len(sk) != self.t for sk in sketches):
                 raise ParameterError(
                     f"sketch rows do not all have {self.t} syndromes"
                 )
-            matrix = np.asarray(groups, dtype=np.int64).reshape(-1, self.t)
-            return engine.decode_many(matrix, candidates=candidates, verify=verify)
-        out: list[list[int] | None] = []
-        for i, sk in enumerate(groups):
+            matrix = np.asarray(sketches, dtype=np.int64).reshape(-1, self.t)
+        # Below a handful of groups the lockstep machinery costs more than
+        # it saves; the scalar loop produces identical results.
+        engine = self.batch_engine if batch and len(matrix) >= 4 else None
+        if engine is not None and (
+            candidates is not None or isinstance(self.field, TableField)
+        ):
+            result = engine.decode_many(
+                matrix, candidates=candidates, verify=verify
+            )
+            return result if packed else result.tolist()
+        rows: list[list[int] | None] = []
+        for i, sk in enumerate(matrix.tolist()):
             cand = candidates[i] if candidates is not None else None
             try:
-                out.append(
+                rows.append(
                     self.decode(
                         sk, candidates=cand, verify=verify, seed=seed, batch=batch
                     )
                 )
             except DecodeFailure:
-                out.append(None)
-        return out
+                rows.append(None)
+        return Decoded.from_rows(rows, self.t) if packed else rows
 
     def _find_roots(
         self,

@@ -44,12 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.storage import (
-    StorageBackend,
-    StorageCorruptError,
-    apply_mutation,
-    compact_if_due,
-)
+from repro.cluster.storage import StorageBackend, StorageCorruptError
 from repro.core.checksum import set_checksum
 from repro.core.elements import element_array
 from repro.errors import ReproError
@@ -59,8 +54,6 @@ __all__ = [
     "JournalBackend",
     "JournalCorruptError",
     "Record",
-    "apply_mutation",
-    "compact_if_due",
     "encode_create",
     "encode_diff",
     "journal_filename",
@@ -460,13 +453,6 @@ class JournalBackend(StorageBackend):
             "truncated_bytes": self.truncated_bytes,
             "tail_error": self.tail_error,
         }
-
-
-# The shared durable-first mutation protocol (``apply_mutation`` /
-# ``compact_if_due``) lives in :mod:`repro.cluster.storage` now that it
-# serves every backend; both names are re-imported above so historical
-# ``from repro.cluster.journal import apply_mutation`` call sites keep
-# working.
 
 
 # -- offline helpers (rebalance / tooling) -------------------------------------

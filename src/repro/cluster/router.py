@@ -1048,8 +1048,8 @@ class ClusterStore:
         core; the worker's own :class:`DecodeCoalescer` still merges
         submissions from concurrent sessions of that shard into shared
         ``decode_many`` batches.  ``lone`` is forwarded to that
-        coalescer: the caller's session is the server's only open one,
-        so no batch could form.  Returns the same ``(decoded, seconds)``
+        coalescer: the caller's session is the only open one on this
+        shard, so no batch could form.  Returns the same ``(decoded, seconds)``
         contract as :meth:`DecodeCoalescer.decode`.  Raises
         :class:`~repro.cluster.proc.WorkerUnavailableError` while the
         worker is dead or the shard id predates a shrink — the session

@@ -42,6 +42,7 @@ from typing import Union
 
 import numpy as np
 
+from repro.bch.batch import Decoded
 from repro.core.checksum import checksum_update, segment_checksums, set_checksum
 from repro.core.elements import contains, element_array
 from repro.core.messages import ReplyMessage, SketchMessage, UnitReply
@@ -164,7 +165,7 @@ class BobRoundWork:
     """
 
     round_no: int
-    deltas: list[list[int]]          #: per-unit XOR of Alice's and Bob's sketches
+    deltas: np.ndarray               #: ``(units, t)`` XOR of both sides' sketches
     values: np.ndarray = field(repr=False)   #: the round's elements, unit by unit
     keys: np.ndarray = field(repr=False)     #: their ``unit * n + bin`` keys
 
@@ -519,42 +520,43 @@ class BobSession:
         sketches ^= np.array(message.sketches, dtype=np.int64).reshape(k, params.t)
         self.decode_s += time.perf_counter() - decode_start
         return BobRoundWork(
-            round_no=message.round_no, deltas=sketches.tolist(),
-            values=values, keys=keys,
+            round_no=message.round_no, deltas=sketches, values=values, keys=keys,
         )
 
     def finish_reply(
         self,
         work: BobRoundWork,
-        decoded: list[list[int] | None],
+        decoded: Decoded,
         decode_seconds: float = 0.0,
     ) -> ReplyMessage:
         """Build the round's reply from externally decoded deltas.
 
-        ``decoded`` must align with ``work.deltas`` (``None`` marks a
-        decode failure, triggering the unit's three-way split next round);
+        ``decoded`` must align with ``work.deltas`` (a failed row
+        triggers the unit's three-way split next round);
         ``decode_seconds`` attributes this session's share of a coalesced
         decode batch to :attr:`decode_s`.
         """
         n = self.params.n
         self.decode_s += decode_seconds
         start = time.perf_counter()
-        wanted: list[int] = []
-        for i, positions in enumerate(decoded):
-            if positions:
-                base = i * n - 1
-                wanted.extend([base + p for p in positions])
+        counts = decoded.counts
+        found = np.arange(decoded.elements.shape[1]) < counts[:, None]
+        units = np.nonzero(found)[0]
+        positions = decoded.elements[found]
         xors = (
             bin_xors(
-                work.values, work.keys, np.array(wanted, dtype=np.int64),
+                work.values, work.keys, units * n + positions - 1,
                 len(self.pending) * n,
             ).tolist()
-            if wanted else []
+            if len(positions) else []
         )
+        positions = positions.tolist()
         replies: list[UnitReply] = []
-        offset = 0
-        for unit, positions in zip(self.pending, decoded):
-            if positions is None:
+        end = 0
+        for unit, failed, count in zip(
+            self.pending, decoded.failed.tolist(), counts.tolist()
+        ):
+            if failed:
                 unit.last_failed = True
                 unit.split_salt = derive_seed(
                     self.seed, "split", unit.uid.group, unit.uid.path,
@@ -567,16 +569,16 @@ class BobSession:
                     )
                 )
                 continue
+            end += count
             replies.append(
                 UnitReply(
                     decode_failed=False,
-                    positions=positions,
-                    xor_sums=xors[offset : offset + len(positions)],
+                    positions=positions[end - count : end],
+                    xor_sums=xors[end - count : end],
                     checksum=unit.checksum if unit.fresh else None,
                 )
             )
             unit.fresh = False
-            offset += len(positions)
         self.decode_s += time.perf_counter() - start
         return ReplyMessage(round_no=work.round_no, replies=replies)
 

@@ -7,8 +7,8 @@ primitive the orbit of alpha would repeat before covering all 2^m - 1
 nonzero elements, which we detect and reject.
 
 The tables are numpy arrays, which enables the vectorized bulk operations
-(:meth:`TableField.mul_vec`, :meth:`TableField.eval_poly_all`) that make
-syndrome computation and Chien search fast enough for pure Python.
+(:meth:`TableField.mul_vec`, :meth:`TableField.eval_at_inverses`) that
+make syndrome computation and Chien search fast enough for pure Python.
 """
 
 from __future__ import annotations
@@ -17,6 +17,17 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.gf.base import GF2mField, PRIMITIVE_POLYS
+
+#: Chien lookup tables split each coefficient into chunks of this many
+#: bits, one table row per chunk value: 16 rows a chunk keeps a locator
+#: column's tables at ceil(m/4) * 16 rows of 2^m entries for every m.
+CHIEN_CHUNK_BITS = 4
+#: Largest m whose Chien search reads lookup tables (about 400 KB per
+#: locator column at m = 12, doubling with every further bit).
+CHIEN_TABLE_MAX_M = 12
+#: Upper bound on the gathered (terms, rows, words) block of a table
+#: evaluation.
+CHIEN_BLOCK_BYTES = 1 << 22
 
 
 class TableField(GF2mField):
@@ -66,14 +77,20 @@ class TableField(GF2mField):
         self.exp_table = exp
         #: log table, log_table[a] = discrete log of a (log_table[0] = -1)
         self.log_table = log
-        self._exp32: np.ndarray | None = None
-
-    @property
-    def exp_table32(self) -> np.ndarray:
-        """int32 view of the antilog table for bandwidth-bound bulk loops."""
-        if self._exp32 is None:
-            self._exp32 = self.exp_table.astype(np.int32)
-        return self._exp32
+        # Zero-absorbing twins for mul_vec: the log of 0 is a sentinel
+        # above any sum of two true logs (those stop at 2*order - 2), and
+        # the antilog table is zero from the sentinel on, so a product
+        # with a zero factor gathers a 0 without a mask.
+        sentinel = 2 * order - 1
+        self._log0 = np.where(log < 0, sentinel, log)
+        self._expz = np.zeros(2 * sentinel + 1, dtype=np.int64)
+        self._expz[:sentinel] = exp[:sentinel]
+        # Chien lookup tables of the locator columns built so far (see
+        # _chien_tables), as rows of 64-bit words: a gather and an XOR
+        # then move 8 entries (m <= 8) or 4 entries at a time.
+        self._chien_dtype = np.dtype(np.uint8 if m <= 8 else np.uint16)
+        words = max(self.size * self._chien_dtype.itemsize // 8, 1)
+        self._chien = np.zeros((0, words), dtype=np.uint64)
 
     # -- scalar ops --------------------------------------------------------
     def mul(self, a: int, b: int) -> int:
@@ -100,14 +117,10 @@ class TableField(GF2mField):
 
     # -- vectorized ops ----------------------------------------------------
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self.exp_table[self.log_table[a] + self.log_table[b]]
-        zero = (a == 0) | (b == 0)
-        if zero.any():
-            out = np.where(zero, 0, out)
-        return out
+        """Elementwise int64 product of two (broadcastable) arrays of
+        field elements: one antilog gather of the summed logs, with zero
+        factors absorbed by the tables rather than masked."""
+        return self._expz[self._log0[a] + self._log0[b]]
 
     def pow_vec(self, a: np.ndarray, k: int) -> np.ndarray:
         """Elementwise ``a ** k`` for an array of field elements."""
@@ -155,51 +168,82 @@ class TableField(GF2mField):
             acc ^= self.exp_table[(log_c + j * idx) % order]
         return acc
 
-    def eval_poly_all_batch(self, coeffs: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`eval_poly_all` over a matrix of polynomials.
+    def eval_at_inverses(self, coeffs: np.ndarray) -> np.ndarray:
+        """Evaluate each row of a ``(g, k)`` ascending-degree coefficient
+        matrix at the inverse of every nonzero element.
 
-        ``coeffs`` has shape ``(g, k)`` — one ascending-degree coefficient
-        row per polynomial.  Returns ``vals`` of shape ``(g, order)`` with
-        ``vals[r, i] = poly_r(alpha^i)``: the batched Chien-search
-        primitive, one numpy pass per coefficient column instead of one
-        Python-level loop per polynomial.
+        Returns ``vals`` of shape ``(g, order)`` with
+        ``vals[r, e - 1] = poly_r(1 / e)``, as uint8 for m <= 8 and
+        uint16 above.  This is the batched Chien search: the ``e`` with
+        ``vals[r, e - 1] == 0`` are the inverses of row r's roots, in
+        ascending order.
+
+        Coefficient j > 0 contributes the row ``(c_j * e^-j)_e``.
+        Multiplying by a fixed ``e^-j`` is GF(2)-linear in ``c_j``, so
+        that row is the XOR of one lookup-table row per 4-bit chunk of
+        ``c_j``, and the evaluation is one gather and one XOR-reduce per
+        block of rows.  Past ``CHIEN_TABLE_MAX_M`` a column's tables would
+        take megabytes, so there each column is one direct product.
         """
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.ndim != 2:
-            raise ParameterError("eval_poly_all_batch expects a (g, k) matrix")
-        order = self.order
-        exp32 = self.exp_table32
+            raise ParameterError("eval_at_inverses expects a (g, k) matrix")
         g, k = coeffs.shape
-        # -1 marks zero coefficients; int32 is safe for every m <= 16
-        # (largest index below is 2*order - 2 < 2^17).
-        log_c = self.log_table[coeffs].astype(np.int32)
-        # Sort rows by descending degree so that column j only touches the
-        # leading slice of rows whose degree reaches j — the total work is
-        # then sum(deg_r + 1) instead of g * max_deg table gathers.
-        nz = coeffs != 0
-        deg = np.where(nz.any(axis=1), k - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-        perm = np.argsort(-deg, kind="stable")
-        log_s = log_c[perm]
-        neg_deg_sorted = -deg[perm]
-        idx = np.arange(order, dtype=np.int32)
-        # j_idx holds (j * i) mod order for the current column j, kept
-        # reduced incrementally so the inner expression needs no modulo:
-        # col + j_idx < 2*order indexes the doubled antilog table directly.
-        j_idx = np.zeros(order, dtype=np.int32)
-        acc = np.zeros((g, order), dtype=np.int32)
-        for j in range(k):
-            rows = int(np.searchsorted(neg_deg_sorted, -j, side="right"))
-            if rows == 0:
-                break
-            col = log_s[:rows, j]
-            nonzero = col >= 0
-            if nonzero.all():
-                acc[:rows] ^= exp32[col[:, None] + j_idx[None, :]]
-            elif nonzero.any():
-                term = exp32[np.where(nonzero, col, 0)[:, None] + j_idx[None, :]]
-                acc[:rows] ^= np.where(nonzero[:, None], term, 0)
-            j_idx += idx
-            j_idx[j_idx >= order] -= order
-        out = np.empty((g, order), dtype=np.int64)
-        out[perm] = acc  # unsort (and widen) in one pass
-        return out
+        if self.m > CHIEN_TABLE_MAX_M:
+            inv_logs = -self.log_table[1:] % self.order   # log of 1/e
+            acc = np.zeros((g, self.order), dtype=np.int64)
+            for j in range(k):
+                powers = self.exp_table[j * inv_logs % self.order]
+                acc ^= self.mul_vec(coeffs[:, j, None], powers)
+            return acc.astype(self._chien_dtype)
+        chunks = -(-self.m // CHIEN_CHUNK_BITS)
+        tables = self._chien_tables(k, chunks)
+        # table row of chunk q of coefficient j: ((j-1)*chunks + q)*16 + v;
+        # terms run along the first axis, so the XOR-reduce is over
+        # whole contiguous (g, words) slabs
+        shifts = CHIEN_CHUNK_BITS * np.arange(chunks)
+        base = np.arange((k - 1) * chunks) << CHIEN_CHUNK_BITS
+        rows = (
+            (coeffs.T[1:, None, :] >> shifts[:, None])
+            & ((1 << CHIEN_CHUNK_BITS) - 1)
+        ).reshape((k - 1) * chunks, g) + base[:, None]
+        words = np.empty((g, tables.shape[1]), dtype=np.uint64)
+        # bound each gathered (terms, rows, words) block to a few MB
+        block = max(1, CHIEN_BLOCK_BYTES // max(1, tables[:1].nbytes * len(rows)))
+        for lo in range(0, g, block):
+            np.bitwise_xor.reduce(
+                tables.take(rows[:, lo : lo + block], axis=0),
+                axis=0, out=words[lo : lo + block],
+            )
+        vals = words.view(self._chien_dtype)[:, 1 : self.size]
+        vals ^= coeffs[:, :1].astype(vals.dtype)
+        return vals
+
+    def _chien_tables(self, k: int, chunks: int) -> np.ndarray:
+        """Lookup rows ``((v << 4q) * e^-j)_e`` for coefficient columns
+        j = 1 .. k-1, chunks q and 4-bit values v, laid out by (j, q, v).
+
+        Entry e of a row belongs to element e; entry 0 and any entries
+        past the field are padding.  Columns are built on first use and
+        cached on the field: 8 KB each at m = 8, 200 KB at m = 11.  A
+        chunk value past the top of the field gets a zero row; it is
+        never read, since coefficients are field elements.
+        """
+        tables = self._chien
+        per_column = chunks << CHIEN_CHUNK_BITS
+        if len(tables) >= (k - 1) * per_column:
+            return tables
+        consts = (
+            np.arange(1 << CHIEN_CHUNK_BITS)
+            << (CHIEN_CHUNK_BITS * np.arange(chunks))[:, None]
+        ).ravel()
+        log_consts = self._log0[np.where(consts > self.order, 0, consts)]
+        per_row = tables.shape[1] * 8 // self._chien_dtype.itemsize
+        new = [tables]
+        for j in range(len(tables) // per_column + 1, k):
+            rows = np.zeros((per_column, per_row), dtype=self._chien_dtype)
+            powers = -j * self.log_table[1:] % self.order
+            rows[:, 1 : self.size] = self._expz[log_consts[:, None] + powers]
+            new.append(rows.view(np.uint64))
+        self._chien = tables = np.concatenate(new)
+        return tables

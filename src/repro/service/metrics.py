@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import REGISTRY, SESSION_DURATION
@@ -131,6 +131,8 @@ class ServiceMetrics:
         self.sessions_failed = 0
         self.sessions_shed = 0
         self.active_sessions = 0
+        #: open sessions per routed shard
+        self.active_by_shard: Counter[int] = Counter()
         self.syncs_total = 0
         self.by_shard: dict[int, dict] = {}
         self.rounds_total = 0
@@ -173,8 +175,15 @@ class ServiceMetrics:
         self.active_sessions += 1
         return SessionMetrics(session_id=self._next_id, peer=peer)
 
+    def route_session(self, session: SessionMetrics, shard: int) -> None:
+        """Record that ``session`` serves a set on ``shard``."""
+        session.shard = shard
+        self.active_by_shard[shard] += 1
+
     def close_session(self, session: SessionMetrics) -> None:
         self.active_sessions -= 1
+        if session.shard >= 0:
+            self.active_by_shard[session.shard] -= 1
         if session.probe:
             # a connect-then-close before HELLO (port probe / health
             # check) is not a session outcome; drop it from the counts

@@ -1,13 +1,16 @@
 """Cross-session decode coalescing.
 
-PR 1's :class:`~repro.bch.batch.BatchBCHDecoder` gets its ~8x speedup from
-amortizing Berlekamp–Massey and the Chien search across *many* groups per
-call — but one small session brings only a handful of groups per round
-(and below 4 groups :meth:`BCHCodec.decode_many` falls back to the scalar
-loop outright).  Under concurrency the server can do better: decode work
-from sessions that arrive within a small window is concatenated into one
-``decode_many`` call over the *union* of their groups, which reaches batch
-scale even when every individual session is tiny.
+The batched :class:`~repro.bch.batch.BatchBCHDecoder` costs a few array
+operations per Berlekamp–Massey step whatever the number of groups, so it
+gains the most on *many* groups per call — but one small session brings
+only a handful of groups per round (and below 4 groups
+:meth:`BCHCodec.decode_many` falls back to the scalar loop outright).
+Under concurrency the server can do better: the ``(groups, t)`` delta
+arrays of sessions that arrive within a small window are concatenated
+into one ``decode_many`` call over the *union* of their groups, which
+reaches batch scale even when every individual session is tiny; each
+session gets back its own rows of the packed
+:class:`~repro.bch.batch.Decoded` result.
 
 Submissions are grouped by codec shape ``(field, m, t)`` — any two PBS
 sessions designed for the same difference scale share a shape, and rows
@@ -27,6 +30,9 @@ import asyncio
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.bch.batch import Decoded
 from repro.bch.codec import BCHCodec
 from repro.obs.logs import get_logger, slow_op_threshold_s
 from repro.obs.metrics import DECODE_BATCH, REGISTRY
@@ -39,10 +45,16 @@ log = get_logger("decode")
 DEFAULT_WINDOW_S = 0.002
 
 
+def _as_submitted(decoded: Decoded, deltas: np.ndarray | list) -> Decoded | list:
+    """``decoded`` in the form ``BCHCodec.decode_many`` returns for
+    ``deltas``: packed for an array, element lists for a list."""
+    return decoded if isinstance(deltas, np.ndarray) else decoded.tolist()
+
+
 @dataclass
 class _Submission:
     codec: BCHCodec
-    deltas: list[list[int]]
+    deltas: np.ndarray | list  #: ``(groups, t)`` sketch deltas
     future: asyncio.Future
     trace: object = None      #: submitting pass's TraceContext, if any
 
@@ -99,25 +111,29 @@ class DecodeCoalescer:
         return (type(codec.field).__name__, codec.field.m, codec.t)
 
     async def decode(
-        self, codec: BCHCodec, deltas: list[list[int]], trace=None,
+        self, codec: BCHCodec, deltas: np.ndarray | list, trace=None,
         lone: bool = False,
-    ) -> tuple[list[list[int] | None], float]:
-        """Decode one session's sketch deltas, possibly in a shared batch.
+    ) -> tuple[Decoded | list, float]:
+        """Decode one session's ``(groups, t)`` sketch deltas, possibly in
+        a shared batch.
 
         Returns ``(decoded, seconds)`` where ``decoded`` aligns with
-        ``deltas`` (``None`` rows failed) and ``seconds`` is this
-        session's proportional share of the engine time of whatever batch
-        served it — suitable for ``BobSession.finish_reply``.  ``trace``
+        ``deltas`` row by row (in the form ``BCHCodec.decode_many``
+        returns: packed for an array, lists for a list of sketches) and
+        ``seconds`` is this session's proportional share of the engine
+        time of whatever batch served it — suitable for
+        ``BobSession.finish_reply``.  ``trace``
         (the submitting pass's span context, if any) parents the
         decode-batch span; a merged batch is parented on its *first*
         submission's trace, with the session count in the span args.
         ``lone`` says no other session can submit before the window
-        would close (the server's only open connection): unless a window
-        of this shape is already open, the rows decode at once.
+        would close (the server's only open connection, or in a shard
+        worker the only open session on its shard): unless a window of
+        this shape is already open, the rows decode at once.
         """
         self.stats.submissions += 1
-        if not deltas:
-            return [], 0.0
+        if not len(deltas):
+            return _as_submitted(Decoded.from_rows([], codec.t), deltas), 0.0
         key = self._shape(codec)
         if not self.enabled or (lone and key not in self._pending):
             return self._direct(codec, deltas, trace)
@@ -131,8 +147,8 @@ class DecodeCoalescer:
         return await future
 
     def _direct(
-        self, codec: BCHCodec, deltas: list[list[int]], trace=None
-    ) -> tuple[list[list[int] | None], float]:
+        self, codec: BCHCodec, deltas: np.ndarray | list, trace=None
+    ) -> tuple[Decoded | list, float]:
         ts = time.time()
         start = time.perf_counter()
         decoded = codec.decode_many(deltas)
@@ -175,9 +191,7 @@ class DecodeCoalescer:
         subs = self._pending.pop(key, [])
         if not subs:
             return
-        combined: list[list[int]] = []
-        for sub in subs:
-            combined.extend(sub.deltas)
+        combined = np.concatenate([sub.deltas for sub in subs])
         try:
             ts = time.time()
             start = time.perf_counter()
@@ -201,7 +215,9 @@ class DecodeCoalescer:
         offset = 0
         for sub in subs:
             share = elapsed * len(sub.deltas) / len(combined)
-            chunk = decoded[offset : offset + len(sub.deltas)]
+            chunk = _as_submitted(
+                decoded.slice(offset, offset + len(sub.deltas)), sub.deltas
+            )
             offset += len(sub.deltas)
             if not sub.future.done():
                 sub.future.set_result((chunk, share))

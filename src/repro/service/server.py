@@ -212,19 +212,25 @@ class ReconciliationServer:
         """Decode one round's deltas — in-process (coalesced across all
         sessions) under the inline executor, or on the owning shard's
         worker process under the subprocess executor (each worker then
-        coalesces its own shard's sessions).  The server's only open
-        connection skips the coalescing window in either path: no peer
-        could join it, since every session a worker serves is one of this
-        server's connections.  Admission decode-queue caps apply
-        identically in both paths.  ``trace`` (the pass's
-        :class:`TraceContext`, if any) parents the decode-batch span —
-        locally for the coalescer, across the RPC for a worker."""
-        lone = self.metrics.active_sessions == 1
+        coalesces its own shard's sessions).  A session that no other
+        could join skips the coalescing window (``lone``): under the
+        inline executor, the server's only open connection; under the
+        subprocess executor, the only open session on its shard, since
+        a worker's coalescer only sees that shard's sessions.  Admission
+        decode-queue caps apply identically in both paths.  ``trace``
+        (the pass's :class:`TraceContext`, if any) parents the
+        decode-batch span — locally for the coalescer, across the RPC for
+        a worker."""
+        proc = self.store.executor == "subprocess"
+        lone = (
+            self.metrics.active_by_shard[shard] if proc
+            else self.metrics.active_sessions
+        ) == 1
         decode = (
             (lambda: self.store.decode_remote(
                 shard, codec, deltas, trace=trace, lone=lone,
             ))
-            if self.store.executor == "subprocess"
+            if proc
             else (lambda: self.coalescer.decode(
                 codec, deltas, trace=trace, lone=lone,
             ))
@@ -253,7 +259,7 @@ class ReconciliationServer:
                 f"[1, {MAX_ESTIMATOR_SKETCHES}]"
             )
         shard = self.store.shard_for(hello.set_name)
-        session.shard = shard
+        self.metrics.route_session(session, shard)
         # join the client's trace when its HELLO carries one; an
         # untraced client's session gets a server-rooted span tree
         session.trace = (

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 from repro.baselines.pinsketch import PinSketchProtocol
 from repro.baselines.pinsketch_wp import PinSketchWPProtocol
 from repro.bch.batch import BatchBCHDecoder, stack_groups
+from repro.bch.berlekamp_massey import berlekamp_massey
 from repro.bch.codec import BCHCodec
+from repro.bch.syndromes import expand_syndromes
 from repro.core.protocol import PBSProtocol
 from repro.errors import DecodeFailure, ParameterError
-from repro.gf import field_for
+from repro.gf import TableField, field_for
 from repro.workloads.generator import SetPairGenerator
 
 
@@ -182,6 +184,120 @@ class TestEngineAgainstScalar:
         engine = BatchBCHDecoder(gf32, 3)
         with pytest.raises(ParameterError):
             engine.decode_many(np.zeros((5, 3), dtype=np.int64))
+
+
+def syndrome_matrix(rng, codec: BCHCodec, g: int) -> np.ndarray:
+    """``(g, t)`` odd syndromes of three kinds: uniform values in
+    [0, 2^m) with ~30% zeros (mostly undecodable), all-zero rows, and
+    sketches of real sets of up to t + 2 elements."""
+    field, t = codec.field, codec.t
+    out = rng.integers(0, field.order + 1, size=(g, t), dtype=np.int64)
+    out[rng.random((g, t)) < 0.3] = 0
+    kind = rng.integers(0, 3, size=g)
+    out[kind == 1] = 0
+    for i in np.flatnonzero(kind == 2):
+        size = int(rng.integers(1, t + 3))
+        values = rng.integers(1, field.order + 1, size=size, dtype=np.int64)
+        out[i] = codec.sketch(np.unique(values))
+    return out
+
+
+def scalar_bm_rows(codec: BCHCodec, odd: np.ndarray):
+    """Scalar Berlekamp–Massey per row: zero-padded locators, lengths."""
+    width = 2 * codec.t + 1
+    locs = np.zeros((len(odd), width), dtype=np.int64)
+    lengths = np.zeros(len(odd), dtype=np.int64)
+    for i, row in enumerate(odd.tolist()):
+        locator, lengths[i] = berlekamp_massey(
+            expand_syndromes(row, codec.field), codec.field
+        )
+        locs[i, : len(locator)] = locator
+    return locs, lengths
+
+
+class TestKernelsAgainstScalar:
+    """The lockstep kernels on arbitrary syndrome matrices, hostile ones
+    included, against the scalar reference row by row."""
+
+    @given(
+        m=st.integers(6, 11), t=st.integers(1, 12), g=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bm_and_decode_match_scalar(self, m, t, g, seed):
+        codec = BCHCodec(field_for(m), t)
+        odd = syndrome_matrix(np.random.default_rng(seed), codec, g)
+        engine = BatchBCHDecoder(codec.field, t)
+        loc, length = engine.bm_many(engine.expand_many(odd))
+        want_loc, want_length = scalar_bm_rows(codec, odd)
+        assert np.array_equal(loc, want_loc)
+        assert np.array_equal(length, want_length)
+        got = engine.decode_many(odd)
+        assert got.tolist() == scalar_decode_all(codec, odd.tolist())
+        # the packing contract: rows ascending then zeros, failed rows empty
+        filled = np.arange(t) < got.counts[:, None]
+        assert not got.elements[~filled].any()
+        assert not got.counts[got.failed].any()
+
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 8))
+    @settings(max_examples=15, deadline=None)
+    def test_tower_field_bm_and_candidates(self, seed, t):
+        rng = np.random.default_rng(seed)
+        codec = BCHCodec(field_for(32), t)
+        g = 6
+        odd = rng.integers(0, 1 << 32, size=(g, t), dtype=np.int64)
+        odd[rng.random((g, t)) < 0.3] = 0
+        odd[0] = 0
+        candidates = []
+        for i in range(g):
+            universe = np.unique(rng.integers(1, 1 << 32, size=40, dtype=np.int64))
+            if i % 2:
+                odd[i] = codec.sketch(universe[: int(rng.integers(1, t + 3))])
+            candidates.append(universe)
+        engine = BatchBCHDecoder(codec.field, t)
+        loc, length = engine.bm_many(engine.expand_many(odd))
+        want_loc, want_length = scalar_bm_rows(codec, odd)
+        assert np.array_equal(loc, want_loc)
+        assert np.array_equal(length, want_length)
+        got = engine.decode_many(odd, candidates=candidates)
+        assert got.tolist() == scalar_decode_all(
+            codec, odd.tolist(), candidates
+        )
+
+    @pytest.mark.parametrize("m", [6, 7, 8, 11])
+    def test_chien_tables_match_eval_poly_all(self, m):
+        """``eval_at_inverses`` (lookup tables) equals the scalar
+        ``eval_poly_all`` row by row, at the inverse points."""
+        field = TableField(m)
+        rng = np.random.default_rng(m)
+        coeffs = rng.integers(0, field.order + 1, size=(9, 13), dtype=np.int64)
+        coeffs[1] = 0
+        coeffs[2, 4:] = 0
+        coeffs[3, 0] = 0
+        at_inverse = (field.order - field.log_table[1:]) % field.order
+        vals = field.eval_at_inverses(coeffs)
+        assert vals.shape == (9, field.order)
+        for row, poly in zip(vals, coeffs):
+            want = field.eval_poly_all(poly.tolist())[at_inverse]
+            assert np.array_equal(row, want)
+        # tables built for 13 columns still serve a narrower matrix
+        narrow = field.eval_at_inverses(coeffs[:, :3])
+        for row, poly in zip(narrow, coeffs[:, :3]):
+            want = field.eval_poly_all(poly.tolist())[at_inverse]
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_table_memory_bound(self, m):
+        """Every lookup table of a field with m <= 8 fits in 1 MB, even
+        after decoding at capacity 32 (PBS designs use t <= 12) and
+        evaluating a full-width (2t + 1 column) locator."""
+        field = TableField(m)
+        codec = BCHCodec(field, 32)
+        rng = np.random.default_rng(m)
+        codec.batch_engine.decode_many(syndrome_matrix(rng, codec, 16))
+        field.eval_at_inverses(np.ones((2, 2 * codec.t + 1), dtype=np.int64))
+        tables = [a for a in vars(field).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in tables) <= 1 << 20
 
 
 class TestProtocolLevelEquivalence:

@@ -23,6 +23,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -192,6 +193,80 @@ class TestWorkerDecodeWindow:
         for result in results:
             assert result.success and result.difference == a ^ b
         assert shard["coalescer"]["coalesced_batches"] >= 1
+
+
+    def test_lone_is_per_shard(self):
+        """Two open sessions on different shards are each their shard's
+        only one, so neither waits out its worker's window (30 s here:
+        a wait would time the syncs out)."""
+        a, b = set(range(1, 2000)), set(range(40, 2040))
+
+        async def inner():
+            async with _cluster(
+                2, executor="subprocess", worker_window_s=30.0
+            ) as store:
+                names = {}
+                for i in range(64):
+                    names.setdefault(store.shard_for(f"s{i}"), f"s{i}")
+                assert len(names) == 2
+                for name in names.values():
+                    await store.create(name, b)
+                async with ReconciliationServer(store) as server:
+                    results = await asyncio.wait_for(
+                        asyncio.gather(*[
+                            sync_with_server(
+                                "127.0.0.1", server.port, a, set_name=name,
+                                seed=1,
+                            )
+                            for name in names.values()
+                        ]),
+                        timeout=10.0,
+                    )
+                return results, store.cluster_stats()["per_shard"]
+
+        results, shards = asyncio.run(inner())
+        for result in results:
+            assert result.success and result.difference == a ^ b
+        for shard in shards:
+            assert shard["coalescer"]["batches"] >= 1
+            assert shard["coalescer"]["coalesced_batches"] == 0
+
+
+class TestRemoteDecode:
+    def test_decode_remote_matches_in_process_decode(self):
+        """An array of deltas decoded on a shard worker comes back as
+        the same packed result an in-process decode gives."""
+        from repro.bch.codec import BCHCodec
+        from repro.gf import field_for
+
+        codec = BCHCodec(field_for(7), 5)
+        rng = np.random.default_rng(7)
+        groups = [
+            rng.choice(np.arange(1, 128), size=k, replace=False)
+            for k in (0, 2, 5, 9, 1, 3, 12)
+        ]
+        deltas = np.array([codec.sketch(v) for v in groups], dtype=np.int64)
+
+        async def inner():
+            async with _cluster(
+                1, executor="subprocess", worker_window_s=0.0
+            ) as store:
+                return [
+                    await store.decode_remote(0, codec, rows)
+                    for rows in (deltas, deltas[:2], deltas[:0])
+                ]
+
+        for (got, share), rows in zip(
+            asyncio.run(inner()), (deltas, deltas[:2], deltas[:0])
+        ):
+            want = codec.decode_many(rows)
+            assert share >= 0.0
+            for field_got, field_want in zip(got, want):
+                assert np.array_equal(field_got, field_want)
+        assert want.tolist() == []
+        assert codec.decode_many(deltas).failed.tolist() == [
+            False, False, False, True, False, False, True,
+        ]
 
 
 class TestResizeRollback:

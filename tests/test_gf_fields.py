@@ -285,24 +285,28 @@ class TestM16Boundary:
             gf16.mul(int(x), int(x)) for x in a
         ]
 
-    def test_eval_poly_all_batch_matches_rowwise(self, gf16):
+    def test_eval_at_inverses_matches_rowwise(self, gf16):
+        """Past the table cutoff (m = 16) the direct products agree with
+        the scalar evaluation, permuted to the inverse points."""
         rng = np.random.default_rng(16)
         coeffs = rng.integers(0, gf16.order + 1, size=(5, 4), dtype=np.int64)
         coeffs[1] = 0  # zero polynomial row
         coeffs[2, 3] = 0  # interior degree drop
-        batch = gf16.eval_poly_all_batch(coeffs)
+        batch = gf16.eval_at_inverses(coeffs)
+        at_inverse = (gf16.order - gf16.log_table[1:]) % gf16.order
         for row, poly in zip(batch, coeffs):
-            assert np.array_equal(row, gf16.eval_poly_all(poly.tolist()))
+            want = gf16.eval_poly_all(poly.tolist())[at_inverse]
+            assert np.array_equal(row, want)
 
-    def test_eval_poly_all_batch_small_field_roots(self, gf8):
+    def test_eval_at_inverses_small_field_roots(self, gf8):
         # (x - 3)(x - 5) via locator-style coefficients: roots recovered
-        # at the right alpha exponents in every row
+        # at the right points in every row
         c0 = gf8.mul(3, 5)
         c1 = 3 ^ 5
         coeffs = np.array([[c0, c1, 1], [c0, c1, 1]], dtype=np.int64)
-        vals = gf8.eval_poly_all_batch(coeffs)
+        vals = gf8.eval_at_inverses(coeffs)
         for row in vals:
-            roots = {int(gf8.exp_table[i]) for i in np.nonzero(row == 0)[0]}
+            roots = {gf8.inv(int(e) + 1) for e in np.nonzero(row == 0)[0]}
             assert roots == {3, 5}
 
     def test_tower_inv_vec_matches_scalar(self, gf32, rng):
