@@ -525,7 +525,7 @@ def cmd_serve(argv: list[str]) -> int:
     )
     from repro.obs.metrics import SloTracker, WindowedMetrics
     from repro.obs.trace import configure_tracing
-    from repro.service import DecodeCoalescer, ReconciliationServer
+    from repro.service import ReconciliationServer
     from repro.service.metrics import merged_histograms
 
     args = build_serve_parser().parse_args(argv)
@@ -647,7 +647,6 @@ def cmd_serve(argv: list[str]) -> int:
         store,
         host=args.host,
         port=args.port,
-        coalescer=DecodeCoalescer(window_s=args.window_ms / 1000.0),
         create_missing=not args.no_create,
         admission=admission,
     )

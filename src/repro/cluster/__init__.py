@@ -7,8 +7,12 @@ Pieces (bottom up):
   plan between two layouts);
 * :mod:`repro.cluster.storage` — the :class:`StorageBackend` contract:
   what it means to persist one shard (durable-before-visible ordering,
-  iteration, staging, compaction), plus the shared mutation protocol
-  both executors route through;
+  iteration, staging, compaction), plus the durable-first mutation
+  protocol;
+* :mod:`repro.cluster.worker` — :class:`~repro.cluster.worker.
+  ShardWorker`, the one shard worker (store, storage, ordered mutation
+  loop, compaction) every primary and follower runs under both
+  executors;
 * :mod:`repro.cluster.journal` — :class:`JournalBackend`: per-shard
   append-only apply-diff journal with checksummed records and atomic
   snapshot compaction (epoch-qualified file names, offline replay
@@ -27,12 +31,11 @@ Pieces (bottom up):
 * :mod:`repro.cluster.config` — :class:`ClusterConfig`, every knob
   that shapes a cluster, and :func:`open_cluster`, which builds one;
 * :mod:`repro.cluster.router` — :class:`ClusterStore`, the store every
-  server serves from (one worker per shard, each owning a
-  :class:`~repro.service.store.SetStore` and its storage backend; a
-  1-shard memory cluster is what plain ``repro serve`` runs), with a
-  live drain-and-swap :meth:`~ClusterStore.resize`;
+  server serves from (one shard worker per shard; a 1-shard memory
+  cluster is what plain ``repro serve`` runs), with a live
+  drain-and-swap :meth:`~ClusterStore.resize`;
 * :mod:`repro.cluster.proc` — the ``subprocess`` shard executor: shard
-  workers as child processes speaking the service framing as an
+  workers in child processes speaking the service framing as an
   internal RPC, so BCH decode CPU scales across cores
   (``repro serve --workers proc``);
 * :mod:`repro.cluster.replication` — per-shard follower replicas fed by

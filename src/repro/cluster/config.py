@@ -24,8 +24,8 @@ from repro.cluster.proc import DEFAULT_RESTART_BACKOFF_S, DEFAULT_WINDOW_S
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.cluster.storage import BACKEND_NAMES
 
-#: Shard executor names: ``inline`` (one asyncio task per shard) or
-#: ``subprocess`` (one worker child per shard).
+#: Shard executor names — where each shard worker runs: ``inline`` (on
+#: the server's event loop) or ``subprocess`` (in a worker child).
 EXECUTORS = ("inline", "subprocess")
 
 #: Replication durability modes: ``async`` ships the log to followers

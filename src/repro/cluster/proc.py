@@ -1,47 +1,45 @@
-"""Subprocess shard executors: one OS process per shard worker.
+"""Subprocess shard executor: the shard worker in a child process.
 
-The inline executor (:mod:`repro.cluster.router`'s default) runs every
-shard worker as an asyncio task on the server's event loop — correct,
-simple, and bounded by **one core**: PR 1's batched BCH decode engine
-saturates a single CPU no matter how many shards are configured.  This
-module is the ``subprocess`` executor: each shard worker becomes a child
-process that owns the shard's :class:`~repro.service.store.SetStore` and
-:class:`~repro.cluster.storage.StorageBackend` (journal files or the
-SQLite store, per the cluster config) for
-its shard directory, and the router proxies mutations *and decode work*
-to it over a local socket speaking the service's own length-prefixed
-framing (:mod:`repro.service.wire`) as an internal RPC.  Decode CPU then
-scales across cores: every worker runs its own
-:class:`~repro.service.scheduler.DecodeCoalescer`, so sessions routed to
-the same shard still merge into shared BCH batches *within* that worker.
+Under the ``inline`` executor every :class:`~repro.cluster.worker.
+ShardWorker` runs on the server's event loop — correct, simple, and
+bounded by **one core**: the batched BCH decode engine saturates a
+single CPU no matter how many shards are configured.  This module is
+the ``subprocess`` executor: each worker (primary or follower) runs in a
+child process, and the router drives it over a local socket speaking
+the service's own length-prefixed framing (:mod:`repro.service.wire`)
+as an internal RPC — the same ``ShardWorker`` and mutation loop, plus
+*decode work*.  Decode CPU then scales across cores: every child runs
+its own :class:`~repro.service.scheduler.DecodeCoalescer`, so sessions
+routed to the same shard still merge into shared BCH batches *within*
+that worker.
 
 Topology of one proc-mode cluster::
 
-    parent (server process)                     children (one per shard)
+    parent (server process)                     children (one per worker)
     ┌────────────────────────────┐   loopback   ┌───────────────────────┐
     │ ClusterStore               │   socket     │ worker_main(shard 0)  │
-    │  ├─ mirror SetStore / shard│<───framing──>│  SetStore + journal   │
-    │  ├─ WorkerHandle / shard ──┼──────────────│  DecodeCoalescer      │
+    │  ├─ WorkerHandle / worker ─┼<───framing──>│  ShardWorker          │
+    │  │   └─ mirror SetStore    │              │  DecodeCoalescer      │
     │  └─ WorkerSupervisor       │<───framing──>│ worker_main(shard 1)  │
     └────────────────────────────┘              └───────────────────────┘
 
 Design decisions, in the order they matter:
 
 * **Durable before ack, still.**  A mutation RPC is answered only after
-  the child's journal append returned (the child runs the same
-  journal-first apply loop as the inline worker), so a RESULT frame to a
-  reconciliation client keeps implying the diff is on disk.
-* **Reads stay synchronous.**  The parent keeps a *mirror*
-  ``SetStore`` per shard, updated from each mutation's acknowledgement
+  the child's ``ShardWorker`` applied it durable-first, so a RESULT
+  frame to a reconciliation client keeps implying the diff is on disk.
+* **Reads stay synchronous.**  A primary's :class:`WorkerHandle` keeps a
+  *mirror* ``SetStore``, updated from each mutation's acknowledgement
   in ack order — so snapshots, sizes, and versions are served without
   an RPC round trip, and mirror versions are bit-for-bit the child's
   (both sides run the identical, deterministic ``SetStore`` arithmetic
-  in the identical order).  The mirror is rebuilt from the child's
-  recovery dump whenever a worker (re)starts.
+  in the identical order).  The mirror is built from the child's READY
+  state dump whenever a worker (re)starts; a follower's READY carries
+  none, since nothing reads a follower.
 * **Crash containment.**  A worker death fails only its own in-flight
   RPCs; the supervisor respawns it after a backoff, the child replays
-  snapshot-then-journal, and the parent rebuilds the mirror from the
-  replayed state.  While a shard is down, new sessions for it are shed
+  snapshot-then-journal, and the new handle's mirror is the replayed
+  state.  While a shard is down, new sessions for it are shed
   with RETRY (see ``ReconciliationServer``) and restarts are counted in
   ``cluster_stats``.  A mutation that was journaled but not yet acked
   when the worker died simply reappears after replay — the standard
@@ -64,6 +62,7 @@ from __future__ import annotations
 
 import asyncio
 import enum
+import functools
 import os
 import pickle
 import secrets
@@ -71,15 +70,10 @@ import signal
 import struct
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.bch.codec import BCHCodec
-from repro.cluster.storage import (
-    StorageBackend,
-    apply_mutation,
-    compact_if_due,
-    open_backend,
-)
+from repro.cluster.worker import ShardWorker
 from repro.errors import ReproError
 from repro.gf import field_for
 from repro.obs.logs import (
@@ -135,6 +129,16 @@ class RpcType(enum.IntEnum):
     ERR = 41        #: child -> parent: failure reply
 
 
+#: shard mutation op -> the RPC frame carrying it, and back
+_MUTATION_RPC = {
+    "apply": RpcType.APPLY,
+    "create": RpcType.CREATE,
+    "restore": RpcType.RESTORE,
+    "sync": RpcType.SYNC,
+}
+_MUTATION_OPS = {rpc: op for op, rpc in _MUTATION_RPC.items()}
+
+
 class WorkerUnavailableError(ReproError):
     """The shard's worker process is dead or restarting; retry shortly."""
 
@@ -159,10 +163,9 @@ class WorkerConfig:
     shard_dir: str | None      #: storage directory (None = in-memory shard)
     epoch: int = 0             #: layout epoch of the shard's files
     storage: str = "journal"   #: storage backend name (see cluster.storage)
-    fsync: bool = False
-    compact_min_bytes: int | None = None
-    compact_factor: int | None = None
-    cache_sets: int | None = None   #: sqlite backend's LRU cap
+    #: backend tuning (:meth:`~repro.cluster.config.ClusterConfig.
+    #: storage_kwargs`)
+    storage_kwargs: dict = field(default_factory=dict)
     #: worker-local decode-coalescer window (0 = decode each session
     #: separately)
     window_s: float = DEFAULT_WINDOW_S
@@ -208,28 +211,16 @@ def worker_main(config: WorkerConfig) -> None:
 
 
 async def _worker_async(cfg: WorkerConfig) -> None:
-    storage: StorageBackend | None = None
-    if cfg.shard_dir is not None:
-        kwargs = {"fsync": cfg.fsync}
-        if cfg.compact_min_bytes is not None:
-            kwargs["compact_min_bytes"] = cfg.compact_min_bytes
-        if cfg.compact_factor is not None:
-            kwargs["compact_factor"] = cfg.compact_factor
-        if cfg.cache_sets is not None:
-            kwargs["cache_sets"] = cfg.cache_sets
-        storage = open_backend(
-            cfg.storage, cfg.shard_dir, epoch=cfg.epoch, **kwargs
-        )
-        store = storage.open_store()
-    else:
-        store = SetStore()
+    worker = ShardWorker(
+        cfg.storage, cfg.shard_dir, cfg.epoch, cfg.storage_kwargs
+    )
     reader, writer = await asyncio.open_connection("127.0.0.1", cfg.port)
-    worker = _Worker(cfg, store, storage, reader, writer)
     try:
-        await worker.run()
+        await _RpcServer(cfg, worker, reader, writer).run()
     finally:
-        if storage is not None:
-            storage.close()
+        # also when the parent went away: queued mutations still apply
+        # and the storage closes cleanly
+        await worker.close()
         try:
             writer.close()
             await writer.wait_closed()
@@ -237,147 +228,100 @@ async def _worker_async(cfg: WorkerConfig) -> None:
             pass
 
 
-class _Worker:
-    """The child's event loop: ordered mutations, concurrent decodes."""
+class _RpcServer:
+    """The child's RPC endpoint: mutation frames feed the shard worker
+    in arrival order, decodes run concurrently through the worker-local
+    coalescer."""
 
-    def __init__(self, cfg, store, storage, reader, writer) -> None:
+    def __init__(self, cfg, worker: ShardWorker, reader, writer) -> None:
         self.cfg = cfg
-        self.store = store
-        self.storage = storage
+        self.worker = worker
         self.reader = reader
         self.writer = writer
         self.coalescer = DecodeCoalescer(window_s=cfg.window_s)
-        self.compact_error = ""
         self._codecs: dict[tuple[int, int], BCHCodec] = {}
-        self._mutations: asyncio.Queue = asyncio.Queue()
         self._decodes: set[asyncio.Task] = set()
-        self._write_lock = asyncio.Lock()
-        self._closing = False
 
     async def run(self) -> None:
+        # a follower's parent keeps no mirror, so its READY carries no
+        # state dump (a SQLite store would read every set to build one)
+        entries = None if self.cfg.role else self.worker.store.items()
         # the raw 32-byte token leads the READY payload so the parent
         # can authenticate on plain bytes *before* unpickling anything
         ready = self.cfg.token + _pack(
             0,
-            (self.cfg.shard_id, self.cfg.generation,
-             self.store.items(), self._stats()),
+            (self.cfg.shard_id, self.cfg.generation, entries,
+             self.worker.stats()),
         )
-        async with self._write_lock:
-            self.writer.write(
-                encode_frame(RpcType.READY, ready,
-                             max_bytes=RPC_MAX_FRAME_BYTES)
-            )
-            await self.writer.drain()
-        mutation_task = asyncio.create_task(self._mutation_loop())
-        try:
-            while not self._closing:
-                try:
-                    ftype, payload = await read_frame(
-                        self.reader, frame_enum=RpcType,
-                        max_bytes=RPC_MAX_FRAME_BYTES,
-                    )
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break   # parent went away: flush and exit
-                rid, body = _unpack(payload)
-                if ftype is RpcType.DECODE:
-                    task = asyncio.create_task(self._handle_decode(rid, body))
-                    self._decodes.add(task)
-                    task.add_done_callback(self._decodes.discard)
-                else:
-                    self._mutations.put_nowait((ftype, rid, body))
-                    if ftype is RpcType.CLOSE:
-                        self._closing = True
-        finally:
-            await self._mutations.put(None)
-            await mutation_task
-            if self._decodes:
-                await asyncio.gather(*self._decodes, return_exceptions=True)
+        self.writer.write(
+            encode_frame(RpcType.READY, ready, max_bytes=RPC_MAX_FRAME_BYTES)
+        )
+        await self.writer.drain()
+        while True:
+            try:
+                ftype, payload = await read_frame(
+                    self.reader, frame_enum=RpcType,
+                    max_bytes=RPC_MAX_FRAME_BYTES,
+                )
+            except (asyncio.IncompleteReadError, ConnectionError):
+                return   # parent went away: flush and exit
+            rid, body = _unpack(payload)
+            if ftype is RpcType.DECODE:
+                task = asyncio.create_task(self._handle_decode(rid, body))
+                self._decodes.add(task)
+                task.add_done_callback(self._decodes.discard)
+            elif ftype in _MUTATION_OPS:
+                # mutation bodies are (args, trace) pairs: the trace
+                # context crosses the process boundary so the child's
+                # storage-commit span joins the session's trace tree
+                args, trace_t = body
+                self.worker.submit(
+                    _MUTATION_OPS[ftype], args,
+                    TraceContext(*trace_t) if trace_t else None,
+                    functools.partial(self._ack, rid),
+                )
+            elif ftype is RpcType.CLOSE:
+                # queued mutations apply and in-flight decodes finish
+                # before the ack: a closing parent must never see either
+                # fail with EOF
+                await self.worker.close()
+                if self._decodes:
+                    await asyncio.gather(*self._decodes,
+                                         return_exceptions=True)
+                self._send(RpcType.OK, rid, self.worker.stats())
+                return
+            else:
+                self._reply_err(
+                    rid, ReproError(f"unexpected RPC frame {ftype.name}")
+                )
 
     # -- plumbing --------------------------------------------------------------
-    async def _send(self, ftype: RpcType, rid: int, body) -> None:
-        async with self._write_lock:
-            self.writer.write(
-                encode_frame(ftype, _pack(rid, body),
-                             max_bytes=RPC_MAX_FRAME_BYTES)
-            )
-            await self.writer.drain()
+    def _send(self, ftype: RpcType, rid: int, body) -> None:
+        # no drain: whole frames hit the socket buffer in call order,
+        # and the parent's reader task consumes them continuously
+        self.writer.write(
+            encode_frame(ftype, _pack(rid, body),
+                         max_bytes=RPC_MAX_FRAME_BYTES)
+        )
 
-    async def _reply_ok(self, rid: int, body) -> None:
-        await self._send(RpcType.OK, rid, body)
-
-    async def _reply_err(self, rid: int, exc: Exception) -> None:
+    def _reply_err(self, rid: int, exc: Exception) -> None:
         try:
-            body = pickle.dumps(exc)    # probe: is it picklable at all?
-            del body
-            await self._send(RpcType.ERR, rid, exc)
+            pickle.dumps(exc)    # probe: is it picklable at all?
         except Exception:
-            await self._send(
-                RpcType.ERR, rid, ReproError(f"{type(exc).__name__}: {exc}")
-            )
+            exc = ReproError(f"{type(exc).__name__}: {exc}")
+        self._send(RpcType.ERR, rid, exc)
 
-    def _stats(self) -> dict:
-        out = self.storage.stats() if self.storage is not None else {}
-        out["compact_error"] = self.compact_error
-        if hasattr(self.store, "cache_stats"):
-            # the SQLite backend's LazySetStore: LRU residency/hit-rate
-            out["set_cache"] = self.store.cache_stats()
-        return out
-
-    # -- mutations (strictly ordered, journal-first) ---------------------------
-
-    #: RPC frame type -> the shared-protocol op it carries
-    _MUTATION_OPS = {
-        RpcType.APPLY: "apply",
-        RpcType.CREATE: "create",
-        RpcType.RESTORE: "restore",
-        RpcType.SYNC: "sync",
-    }
-
-    async def _mutation_loop(self) -> None:
-        """Apply mutations in arrival order via the *shared*
-        durable-first protocol (:func:`repro.cluster.storage.
-        apply_mutation` — the same code the inline executor runs, so the
-        executors stay bit-for-bit interchangeable)."""
-        while True:
-            item = await self._mutations.get()
-            if item is None:
-                return
-            ftype, rid, body = item
-            try:
-                if ftype in self._MUTATION_OPS:
-                    # mutation bodies are (args, trace) pairs: the trace
-                    # context crosses the process boundary so the child's
-                    # storage-commit span joins the session's trace tree
-                    args, trace_t = body
-                    result = await apply_mutation(
-                        self.store, self.storage,
-                        self._MUTATION_OPS[ftype], args,
-                        trace=TraceContext(*trace_t) if trace_t else None,
-                    )
-                elif ftype is RpcType.CLOSE:
-                    # in-flight decodes finish before the ack: a closing
-                    # parent must never see a decode fail with EOF
-                    if self._decodes:
-                        await asyncio.gather(*self._decodes,
-                                             return_exceptions=True)
-                    if self.storage is not None:
-                        self.storage.close()
-                    await self._reply_ok(rid, self._stats())
-                    return
-                else:
-                    raise ReproError(f"unexpected RPC frame {ftype.name}")
-                compact_error = await compact_if_due(self.store, self.storage)
-                if compact_error is not None:
-                    self.compact_error = compact_error
-                # every ack ships the child's cumulative histogram dump;
-                # latest-wins on the parent, so merging stays exact
-                await self._reply_ok(
-                    rid, (result, self._stats(), REGISTRY.to_dict())
-                )
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return
-            except Exception as exc:
-                await self._reply_err(rid, exc)
+    def _ack(self, rid: int, result, error) -> None:
+        """The shard worker's ack for one mutation RPC."""
+        if error is not None:
+            self._reply_err(rid, error)
+            return
+        # every ack ships the child's cumulative histogram dump;
+        # latest-wins on the parent, so merging stays exact
+        self._send(
+            RpcType.OK, rid,
+            (result, self.worker.stats(), REGISTRY.to_dict()),
+        )
 
     # -- decode (concurrent; the worker-local coalescer batches) ---------------
     def _codec(self, m: int, t: int) -> BCHCodec:
@@ -394,23 +338,29 @@ class _Worker:
                 trace=TraceContext(*trace_t) if trace_t else None,
                 lone=lone,
             )
-            await self._reply_ok(
-                rid,
+            self._send(
+                RpcType.OK, rid,
                 (decoded, share, self.coalescer.stats.to_dict(),
                  REGISTRY.to_dict()),
             )
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
         except Exception as exc:
-            await self._reply_err(rid, exc)
+            self._reply_err(rid, exc)
 
 
 # -- the parent side -----------------------------------------------------------
 
 class WorkerHandle:
-    """Parent-side endpoint of one live worker: pending calls + liveness."""
+    """Parent-side endpoint of one live worker child: pending calls,
+    liveness, the read mirror and the child's latest stats riders.
 
-    def __init__(self, shard_id, process, reader, writer, on_death) -> None:
+    Offers the :class:`~repro.cluster.worker.LocalHandle` surface
+    (``store``, ``alive``, ``submit``, ``stats``, ``close``) over the
+    RPC.  ``store`` is the mirror a primary's READY dump seeds, or
+    ``None`` for a follower child (nothing reads a follower).
+    """
+
+    def __init__(self, shard_id, process, reader, writer, on_death,
+                 entries=None, stats=None) -> None:
         self.shard_id = shard_id
         self.process = process
         self.reader = reader
@@ -421,6 +371,18 @@ class WorkerHandle:
         #: child death, else the parent-side exception (surfaced in
         #: cluster_stats so a condemned worker is diagnosable)
         self.death_reason = ""
+        self.store: SetStore | None = None
+        if entries is not None:
+            self.store = SetStore()
+            for name, values, version in entries:
+                self.store.create(name, values, version=version)
+        #: the child's storage counters as of its latest ack
+        self.last_stats: dict = dict(stats or {})
+        self.coalescer_stats: dict = {}
+        #: the child's latest cumulative histogram dump (rides every
+        #: ack; latest-wins, merged by :func:`repro.service.metrics.
+        #: merged_histograms` into the server-wide latency view)
+        self.obs: dict = {}
         self._on_death = on_death
         self._expected_close = False
         self._closed = False
@@ -431,11 +393,13 @@ class WorkerHandle:
         )
 
     def call(self, ftype: RpcType, body, on_ok=None) -> asyncio.Future:
-        """Issue one RPC; the future resolves with the reply body.
+        """Issue one RPC; the future resolves with the reply body, or
+        with what ``on_ok(body)`` returns.
 
-        ``on_ok`` runs *inside the reader task* before the future
-        resolves — mirror updates go through it so they happen in
-        exactly the child's apply order, with no scheduling ambiguity.
+        ``on_ok`` runs *inside the reader task*, in reply order, even
+        if the future was cancelled meanwhile — mirror updates go
+        through it so they happen in exactly the child's apply order,
+        with no scheduling ambiguity.
         """
         if not self.alive:
             raise WorkerUnavailableError(
@@ -464,6 +428,64 @@ class WorkerHandle:
         # order, and the loopback buffer dwarfs any plausible backlog
         return future
 
+    def submit(self, op: str, args: tuple, trace=None,
+               on_ack=None) -> asyncio.Future:
+        """One mutation RPC; the future resolves with its result.
+
+        On the child's ack the mirror applies the mutation, then
+        ``on_ack`` runs — both in the reader task, in ack order.  The
+        span context rides to the child as a plain id tuple.
+        """
+
+        def on_ok(body):
+            result, self.last_stats, obs = body
+            self.obs = obs or self.obs
+            if self.store is not None:
+                self._mirror(op, args)
+            if on_ack is not None:
+                on_ack()
+            return result
+
+        trace_t = tuple(trace) if trace is not None else None
+        return self.call(_MUTATION_RPC[op], (args, trace_t), on_ok=on_ok)
+
+    def _mirror(self, op: str, args: tuple) -> None:
+        if op == "apply":
+            name, add, remove = args
+            self.store.apply_diff(name, add=add, remove=remove)
+        elif op in ("create", "restore"):
+            name, values, version = args
+            self.store.create(name, values, version=version)
+
+    def decode(self, m: int, t: int, deltas, trace_t, lone: bool):
+        """BCH-decode ``deltas`` on the child; resolves with
+        ``(decoded, seconds)``."""
+
+        def on_ok(body):
+            decoded, share, self.coalescer_stats, obs = body
+            self.obs = obs or self.obs
+            return decoded, share
+
+        return self.call(
+            RpcType.DECODE, (m, t, deltas, trace_t, lone), on_ok=on_ok
+        )
+
+    def stats(self) -> dict:
+        """The child's storage counters plus a ``worker`` block (pid,
+        liveness — how crash recovery surfaces in metrics) and, once
+        they have flowed, the ``coalescer`` and ``obs`` riders."""
+        out = dict(self.last_stats)
+        out["worker"] = {
+            "pid": self.pid,
+            "alive": self.alive,
+            "death_reason": self.death_reason,
+        }
+        if self.coalescer_stats:
+            out["coalescer"] = self.coalescer_stats
+        if self.obs:
+            out["obs"] = self.obs
+        return out
+
     async def _read_loop(self) -> None:
         try:
             while True:
@@ -476,21 +498,22 @@ class WorkerHandle:
                 if entry is None:
                     continue
                 future, on_ok = entry
-                if future.done():
-                    continue
                 if ftype is RpcType.ERR:
-                    future.set_exception(
-                        body if isinstance(body, BaseException)
-                        else ReproError(str(body))
-                    )
+                    if not future.done():
+                        future.set_exception(
+                            body if isinstance(body, BaseException)
+                            else ReproError(str(body))
+                        )
                     continue
                 try:
                     if on_ok is not None:
-                        on_ok(body)
+                        body = on_ok(body)
                 except Exception as exc:
-                    future.set_exception(exc)
+                    if not future.done():
+                        future.set_exception(exc)
                 else:
-                    future.set_result(body)
+                    if not future.done():
+                        future.set_result(body)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             self.death_reason = "eof"
         except asyncio.CancelledError:
@@ -513,20 +536,20 @@ class WorkerHandle:
             if not self._expected_close and self._on_death is not None:
                 self._on_death(self.shard_id)
 
-    async def close(self, graceful: bool = True) -> dict | None:
-        """Stop the worker: CLOSE RPC (drains + closes the journal),
-        then reap the process — escalating to terminate/kill if the
-        child does not exit in :data:`JOIN_TIMEOUT_S`.  Idempotent: a
-        second close returns immediately (the process object is already
+    async def close(self, graceful: bool = True) -> None:
+        """Stop the worker: CLOSE RPC (drains + closes the journal; the
+        child's final counters stay readable in :meth:`stats`), then
+        reap the process — escalating to terminate/kill if the child
+        does not exit in :data:`JOIN_TIMEOUT_S`.  Idempotent: a second
+        close returns immediately (the process object is already
         released and must not be joined again)."""
         if self._closed:
-            return None
+            return
         self._closed = True
         self._expected_close = True
-        stats: dict | None = None
         if graceful and self.alive:
             try:
-                stats = await asyncio.wait_for(
+                self.last_stats = await asyncio.wait_for(
                     self.call(RpcType.CLOSE, None), JOIN_TIMEOUT_S
                 )
             except (ReproError, asyncio.TimeoutError, ConnectionError,
@@ -544,7 +567,6 @@ class WorkerHandle:
         except (ConnectionError, OSError):
             pass
         await self._join_process()
-        return stats
 
     async def _join_process(self) -> None:
         loop = asyncio.get_running_loop()
@@ -573,18 +595,12 @@ class WorkerSupervisor:
 
     def __init__(
         self,
-        fsync: bool = False,
-        compact_min_bytes: int | None = None,
-        compact_factor: int | None = None,
         window_s: float = DEFAULT_WINDOW_S,
         storage: str = "journal",
-        cache_sets: int | None = None,
+        storage_kwargs: dict | None = None,
     ) -> None:
         self.storage = storage
-        self.fsync = fsync
-        self.compact_min_bytes = compact_min_bytes
-        self.compact_factor = compact_factor
-        self.cache_sets = cache_sets
+        self.storage_kwargs = dict(storage_kwargs or {})
         self.window_s = window_s
         self.token = secrets.token_bytes(32)
         self.port: int | None = None
@@ -650,12 +666,12 @@ class WorkerSupervisor:
     async def spawn(
         self, shard_id: int, shard_dir: str | None, epoch: int, on_death,
         *, role: str = "",
-    ) -> tuple[WorkerHandle, list, dict]:
+    ) -> WorkerHandle:
         """Start one worker and wait for its authenticated READY.
 
-        Returns ``(handle, entries, stats)`` where ``entries`` is the
-        child's post-recovery ``SetStore.items()`` dump (the parent
-        seeds its read mirror from it) and ``stats`` the recovery
+        The returned handle's ``store`` is the mirror seeded from the
+        child's post-recovery state dump (``None`` for a follower,
+        whose READY carries none) and its ``stats()`` the recovery
         counters.  ``role`` tags replica children (``"follower-01"``)
         so primaries and followers are distinguishable in ``ps`` output
         and per-process trace files.
@@ -681,10 +697,7 @@ class WorkerSupervisor:
             shard_dir=str(shard_dir) if shard_dir is not None else None,
             epoch=epoch,
             storage=self.storage,
-            fsync=self.fsync,
-            compact_min_bytes=self.compact_min_bytes,
-            compact_factor=self.compact_factor,
-            cache_sets=self.cache_sets,
+            storage_kwargs=self.storage_kwargs,
             window_s=self.window_s,
             role=role,
             log_level=log_level,
@@ -742,8 +755,9 @@ class WorkerSupervisor:
             self._waiting.pop(generation, None)
             if not waiter.done():
                 waiter.cancel()
-        handle = WorkerHandle(shard_id, process, reader, writer, on_death)
-        return handle, entries, stats
+        return WorkerHandle(
+            shard_id, process, reader, writer, on_death, entries, stats
+        )
 
 
 def fork_safe_cpu_count() -> int:

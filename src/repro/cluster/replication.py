@@ -62,11 +62,7 @@ import os
 from pathlib import Path
 
 from repro.cluster.manifest import replica_dir
-from repro.cluster.storage import (
-    apply_mutation,
-    backend_class,
-    open_backend,
-)
+from repro.cluster.storage import backend_class, open_backend
 from repro.errors import ReproError
 from repro.obs.logs import get_logger
 
@@ -203,39 +199,38 @@ def elect_replica(
     return best
 
 
-# -- follower appliers ---------------------------------------------------------
+# -- the follower applier ------------------------------------------------------
 
-class InlineApplier:
-    """A follower living in the primary's process: its own backend +
-    store in the replica directory, mutated through the one shared
-    durable-first protocol (:func:`apply_mutation`)."""
+class FollowerApplier:
+    """A follower replica's shard worker, opened through the cluster's
+    worker factory exactly like the shard's primary — in-process under
+    the inline executor, a worker child under the subprocess executor —
+    so followers apply shipped ops through the one durable-first loop
+    and compact like any shard.
+
+    The router sets ``open_worker``: a coroutine function returning
+    the handle of a worker on ``directory`` (whose death, if it is a
+    child, wakes the follower driver).
+    """
 
     def __init__(self, directory: Path, epoch: int, storage: str,
-                 storage_kwargs: dict) -> None:
+                 fsync: bool) -> None:
         self.directory = Path(directory)
         self.epoch = epoch
         self.storage_name = storage
-        self.storage_kwargs = dict(storage_kwargs)
-        self.storage = None
-        self.store = None
+        self.fsync = fsync
+        self.open_worker = None
+        self.handle = None
 
     async def restart(self, entries) -> None:
         """Wipe, stage ``entries`` as the new base state, reopen.
 
         The wipe and stage are pure file I/O and run off the loop; the
-        backend itself is opened — and every later apply and close runs
-        — on the event-loop thread, exactly like the router's inline
-        primaries (``sqlite3`` connections refuse cross-thread use)."""
-        self._close_sync()
+        worker opens its backend where every worker does."""
+        await self.close(graceful=False)
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._stage_sync, entries)
-        # repro: ignore[blocking-call-in-async] -- recovery of the
-        # just-staged snapshot; bounded, and bootstraps are rare
-        self.storage = open_backend(
-            self.storage_name, self.directory, epoch=self.epoch,
-            create=True, **self.storage_kwargs,
-        )
-        self.store = self.storage.open_store()
+        self.handle = await self.open_worker()
 
     def _stage_sync(self, entries) -> None:
         cls = backend_class(self.storage_name)
@@ -246,86 +241,16 @@ class InlineApplier:
         # bootstrapped" (-1), not as the stale cursor overstating the
         # now-empty directory
         (self.directory / CURSOR_NAME).unlink(missing_ok=True)
-        fsync = bool(self.storage_kwargs.get("fsync", False))
-        cls.stage(self.directory, entries, epoch=self.epoch, fsync=fsync)
+        cls.stage(self.directory, entries, epoch=self.epoch,
+                  fsync=self.fsync)
 
     async def apply(self, op: str, args: tuple) -> None:
-        await apply_mutation(self.store, self.storage, op, args)
+        await self.handle.submit(op, args)
 
     async def close(self, graceful: bool = True) -> None:
-        # on the loop thread: the connection was opened here
-        self._close_sync()
-
-    def _close_sync(self) -> None:
-        if self.storage is not None:
-            try:
-                self.storage.close()
-            except Exception:
-                pass
-            self.storage = None
-            self.store = None
-
-
-class ProcApplier:
-    """A follower as a worker subprocess owning the replica directory,
-    driven over the same token-authenticated loopback RPC as primary
-    workers — the parent stages the bootstrap snapshot, the child
-    replays it and applies shipped ops durable-first."""
-
-    def __init__(self, supervisor, shard_id: int, directory: Path,
-                 epoch: int, storage: str, storage_kwargs: dict,
-                 on_death=None) -> None:
-        self.supervisor = supervisor
-        self.shard_id = shard_id
-        self.directory = Path(directory)
-        self.epoch = epoch
-        self.storage_name = storage
-        self.storage_kwargs = dict(storage_kwargs)
-        self.on_death = on_death
-        self.handle = None
-
-    async def restart(self, entries) -> None:
-        if self.handle is not None:
-            await self.handle.close(graceful=False)
-            self.handle = None
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._stage_sync, entries)
-        handle, _entries, _stats = await self.supervisor.spawn(
-            self.shard_id, self.directory, self.epoch,
-            on_death=self._on_death, role=self.directory.name,
-        )
-        self.handle = handle
-
-    def _stage_sync(self, entries) -> None:
-        cls = backend_class(self.storage_name)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        cls.discard(self.directory)
-        # see InlineApplier._restart_sync: stale cursor goes with the
-        # stale state, so a crash mid-bootstrap reads as -1
-        (self.directory / CURSOR_NAME).unlink(missing_ok=True)
-        fsync = bool(self.storage_kwargs.get("fsync", False))
-        cls.stage(self.directory, entries, epoch=self.epoch, fsync=fsync)
-
-    def _on_death(self, shard_id=None) -> None:
-        # WorkerHandle's reader task passes the shard id; the follower
-        # driver only needs the wake-up
-        if self.on_death is not None:
-            self.on_death()
-
-    async def apply(self, op: str, args: tuple) -> None:
-        from repro.cluster.proc import RpcType
-
-        rpc = {
-            "apply": RpcType.APPLY,
-            "create": RpcType.CREATE,
-            "restore": RpcType.RESTORE,
-        }[op]
-        await self.handle.call(rpc, (args, None))
-
-    async def close(self, graceful: bool = True) -> None:
-        if self.handle is not None:
-            await self.handle.close(graceful=graceful)
-            self.handle = None
+        handle, self.handle = self.handle, None
+        if handle is not None:
+            await handle.close(graceful=graceful)
 
 
 # -- the follower driver -------------------------------------------------------
@@ -497,13 +422,15 @@ class ShardReplication:
     """The primary side of one shard's replication: the shipped-op
     sequence, the follower set, and quorum accounting.
 
-    ``ship()`` must be called in ack order, synchronously after the
-    primary's durable apply (no ``await`` in between) — the inline
-    worker loop does it right after :func:`apply_mutation` returns,
-    the subprocess executor inside the reply callback that also
-    updates the read mirror.  That makes ``bootstrap_source()`` —
-    which captures ``(entries_fn(), seq)`` in one event-loop step —
-    a consistent snapshot by construction.
+    ``ship()`` must be called in ack order, in the event-loop step in
+    which the mutation becomes visible in the primary's read view (no
+    ``await`` in between) — the router does it in its one ack callback,
+    which a worker handle runs right as its read view changes: the
+    in-process worker's own store after :func:`~repro.cluster.storage.
+    apply_mutation` returns, or a child's mirror in the RPC reader.
+    That makes ``bootstrap_source()`` — which captures ``(entries_fn(),
+    seq)`` in one event-loop step — a consistent snapshot by
+    construction.
     """
 
     def __init__(

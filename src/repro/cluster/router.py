@@ -4,35 +4,39 @@
 from; plain ``repro serve`` runs a 1-shard memory cluster, and
 ``repro serve --shards N --data-dir DIR`` a sharded, durable one.  A
 consistent-hash ring (:mod:`repro.cluster.ring`) maps every named set to
-one of N *shard workers*; each worker owns its own ``SetStore`` and its own
+one of N *shard workers*.  Each is a :class:`~repro.cluster.worker.
+ShardWorker`: it owns the shard's ``SetStore`` and its
 :class:`~repro.cluster.storage.StorageBackend` (the append-only journal
 or the WAL-mode SQLite store, chosen by ``ClusterConfig.storage``), and
-applies mutations strictly in arrival order.  Two executors decide what
-a "worker" physically is:
+applies mutations strictly in arrival order.  Followers of a replicated
+shard are shard workers too.  The executor decides only where a worker
+runs — :meth:`ClusterStore._open_worker` is the one place that asks:
 
-* ``executor="inline"`` (default) — one asyncio task per shard on the
-  server's event loop, fed through a per-shard queue.  Zero extra
+* ``executor="inline"`` (default) — on the server's event loop, behind
+  a direct-call :class:`~repro.cluster.worker.LocalHandle`.  Zero extra
   processes; decode CPU is bounded by one core.
-* ``executor="subprocess"`` (``repro serve --workers proc``) — one child
-  process per shard (:mod:`repro.cluster.proc`), driven over a loopback
-  socket speaking the service's frame format as an internal RPC.  The
-  parent keeps a read *mirror* of each shard's ``SetStore`` (updated in
-  ack order, so reads stay synchronous and versions stay bit-for-bit),
-  proxies mutations and BCH decode work to the owning child, and
-  respawns-and-replays a worker that dies.  Decode CPU scales across
-  cores; each worker batches decode work with its own coalescer.
+* ``executor="subprocess"`` (``repro serve --workers proc``) — in a
+  child process (:mod:`repro.cluster.proc`), behind a
+  :class:`~repro.cluster.proc.WorkerHandle` speaking the service's frame
+  format as an internal RPC.  The handle keeps a read *mirror* of a
+  primary's ``SetStore`` (updated in ack order, so reads stay
+  synchronous and versions stay bit-for-bit), BCH decode work is
+  proxied to the owning child, and a worker that dies is respawned and
+  replays its storage.  Decode CPU scales across cores; each worker
+  batches decode work with its own coalescer.
 
-Either way the cluster keeps its three core properties:
+Everything else — submit, ack, ship, quorum wait, start, close, resize,
+stats — is one code path over the handle's surface, and the cluster
+keeps its three core properties under either executor:
 
 * **Independent progress** — sessions for sets on different shards never
   contend on a store or a journal; only same-shard writes serialize.
-  (Reads — snapshots, sizes — are direct synchronous calls against
-  event-loop-consistent state: the inline worker's store, or the proc
-  executor's mirror.)
+  (Reads — snapshots, sizes — are direct synchronous calls against the
+  handle's event-loop-consistent read view.)
 * **Durable acks** — an ``apply_diff`` resolves only after the diff's
-  journal record is on disk (via the thread-pool executor inline, via
-  the child's journal-first apply loop in proc mode), so shard journals
-  commit in parallel while the event loop keeps serving.
+  journal record is on disk (appends commit in a thread pool, so shard
+  journals commit in parallel while the event loop keeps serving) and,
+  under quorum replication, after a majority of replicas has it.
 * **Deterministic recovery** — ``start()`` replays snapshot-then-journal
   per shard; versions are re-derived by replay, so a recovered store is
   bit-for-bit the pre-crash store up to the last complete record.
@@ -47,7 +51,8 @@ worker coalesces its own shard's sessions instead (see
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cluster.config import EXECUTORS, ClusterConfig
@@ -58,15 +63,13 @@ from repro.cluster.manifest import (
     write_manifest,
 )
 from repro.cluster.proc import (
-    RpcType,
     WorkerHandle,
     WorkerSupervisor,
     WorkerUnavailableError,
 )
 from repro.cluster.rebalance import RebalanceResult, rebalance
 from repro.cluster.replication import (
-    InlineApplier,
-    ProcApplier,
+    FollowerApplier,
     ReplicationError,
     ShardReplication,
     elect_replica,
@@ -75,12 +78,7 @@ from repro.cluster.replication import (
     read_cursor,
 )
 from repro.cluster.ring import HashRing
-from repro.cluster.storage import (
-    StorageBackend,
-    apply_mutation,
-    compact_if_due,
-    open_backend,
-)
+from repro.cluster.worker import LocalHandle, ShardWorker
 from repro.core.elements import element_array
 from repro.errors import ReproError
 from repro.obs.logs import get_logger
@@ -93,36 +91,25 @@ log = get_logger("cluster")
 
 @dataclass
 class _Shard:
-    """One worker's world: a store, optional durability, and a mailbox.
-
-    Inline executor: ``store`` is the shard's authoritative ``SetStore``
-    and ``task``/``queue`` drive it.  Subprocess executor: ``store`` is
-    the parent's read mirror, ``worker`` is the RPC handle to the child
-    that owns the authoritative state and journal.
-    """
+    """One shard: its worker's handle, counters and replication."""
 
     shard_id: int
-    store: SetStore
-    storage: StorageBackend | None
-    queue: asyncio.Queue = field(default_factory=asyncio.Queue)
-    task: asyncio.Task | None = None
+    #: a :class:`LocalHandle` (inline) or :class:`WorkerHandle`
+    #: (subprocess); ``None`` until the first start
+    worker: LocalHandle | WorkerHandle | None = None
     applies: int = 0
     creates: int = 0
-    compact_error: str = ""       #: last failed background compaction
-    # -- replication (both executors; requires a data dir) --
     #: the shard's primary-side replication state: ship sequence,
     #: follower drivers, quorum accounting (None = replication off)
     repl: ShardReplication | None = None
-    # -- subprocess executor only --
-    worker: WorkerHandle | None = None
     restarts: int = 0             #: successful respawns after worker death
     restart_error: str = ""       #: last failed respawn attempt (diagnosis)
-    last_storage_stats: dict = field(default_factory=dict)
-    last_coalescer_stats: dict = field(default_factory=dict)
-    #: the child's latest cumulative histogram dump (rides every ack;
-    #: latest-wins, merged by :func:`repro.service.metrics.
-    #: merged_histograms` into the server-wide latency view)
-    last_obs: dict = field(default_factory=dict)
+
+    @property
+    def store(self) -> SetStore:
+        """The read view: the in-process worker's own store, or a
+        child's mirror — a drained shard's last state after close."""
+        return self.worker.store if self.worker is not None else SetStore()
 
 
 class ClusterStore:
@@ -134,12 +121,12 @@ class ClusterStore:
     are plain synchronous methods, like ``SetStore``'s.
 
     ``config.executor`` picks where the shard workers run — ``"inline"``
-    (asyncio tasks; default) or ``"subprocess"`` (one child process per
-    shard: decode CPU scales across cores through :meth:`decode_remote`,
-    and workers are respawned on death).  Both executors expose
-    identical semantics and identical on-disk formats; a data dir
-    written by one recovers under the other.  ``data_dir=None`` keeps
-    every shard in memory.
+    (on the event loop; default) or ``"subprocess"`` (one child process
+    per worker: decode CPU scales across cores through
+    :meth:`decode_remote`, and workers are respawned on death).  Both
+    executors run the same worker and expose identical semantics and
+    identical on-disk formats; a data dir written by one recovers under
+    the other.  ``data_dir=None`` keeps every shard in memory.
 
     >>> # inside a coroutine:
     >>> # store = ClusterStore("data", ClusterConfig(
@@ -161,16 +148,11 @@ class ClusterStore:
         self.ring = HashRing(range(config.shards), vnodes=config.vnodes)
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.executor = config.executor
-        self.worker_window_s = config.worker_window_s
-        self.restart_backoff_s = config.restart_backoff_s
         #: RETRY hint the server sends for sessions hitting a shard whose
         #: worker is down (a restart is usually one backoff away)
         self.unavailable_retry_after_s = config.restart_backoff_s
         self._storage_kwargs = config.storage_kwargs()
-        self._shards = [
-            _Shard(shard_id=i, store=SetStore(), storage=None)
-            for i in range(config.shards)
-        ]
+        self._shards = [_Shard(shard_id=i) for i in range(config.shards)]
         #: the committed layout (set by :meth:`start` when journaling)
         self.manifest: ClusterManifest | None = None
         self._started = False
@@ -185,7 +167,7 @@ class ClusterStore:
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
-        """Recover every shard from disk and start the worker tasks.
+        """Recover every shard and open its worker.
 
         With a data dir, the directory's manifest is checked first: a
         shard/vnode count differing from the committed layout raises
@@ -194,7 +176,8 @@ class ClusterStore:
         (run ``repro rebalance`` — or :meth:`resize` — to migrate), and
         shard directories without a manifest raise
         :class:`~repro.cluster.manifest.ManifestError`.  Shard storage
-        opens at each shard's committed layout epoch.
+        opens at each shard's committed layout epoch.  A memory-only
+        shard starts empty.
         """
         if self._started:
             return
@@ -214,72 +197,66 @@ class ClusterStore:
                 await asyncio.get_running_loop().run_in_executor(
                     None, self._prepare_replication_sync
                 )
-        if self.executor == "subprocess":
-            # _closing drops *before* the spawns: a worker that comes up
-            # and dies again inside this window must schedule a restart
-            # (the death callback ignores deaths only while closing)
-            self._closing = False
-            await self._start_proc()
-            self._start_replication()
-            self._started = True
-            self._close_done = None
-            return
-        try:
-            for shard in self._shards:
-                # a fresh mailbox every start: a drained queue from a
-                # previous close() may still hold stop sentinels
-                shard.queue = asyncio.Queue()
-                if self.data_dir is not None:
-                    shard.storage = open_backend(
-                        self.config.storage,
-                        self._shard_dir(shard.shard_id),
-                        epoch=self.manifest.shard_epoch(shard.shard_id),
-                        **self._storage_kwargs,
-                    )
-                    # recovery defines the state; the returned store is
-                    # wired for write-through persistence
-                    shard.store = shard.storage.open_store()
-                shard.task = asyncio.create_task(
-                    self._worker(shard), name=f"shard-{shard.shard_id}"
-                )
-            self._start_replication()
-        except BaseException:
-            # partial recovery (e.g. one corrupt shard): unwind the shards
-            # already started so nothing leaks a worker task or journal fd
-            for shard in self._shards:
-                if shard.task is not None:
-                    shard.task.cancel()
-            await asyncio.gather(
-                *(s.task for s in self._shards if s.task is not None),
-                return_exceptions=True,
-            )
-            for shard in self._shards:
-                shard.task = None
-                if shard.storage is not None:
-                    shard.storage.close()
-                    shard.storage = None
-            raise
-        self._started = True
+        # _closing drops *before* the opens: a worker child that comes up
+        # and dies again inside this window must schedule a restart (the
+        # death callback ignores deaths only while closing)
         self._closing = False
+        results = await asyncio.gather(
+            *[
+                self._open_worker(
+                    shard.shard_id,
+                    self._shard_dir(shard.shard_id),
+                    self._shard_epoch(shard.shard_id),
+                    self._on_worker_death,
+                )
+                for shard in self._shards
+            ],
+            return_exceptions=True,
+        )
+        failure = next(
+            (r for r in results if isinstance(r, BaseException)), None
+        )
+        if failure is not None:
+            # partial start (e.g. one corrupt shard): close the workers
+            # that did come up so nothing outlives the error — including
+            # any replacement a death-during-start restart may have
+            # already installed on a shard
+            for result in results:
+                if not isinstance(result, BaseException):
+                    await result.close(graceful=False)
+            for shard in self._shards:
+                if shard.worker is not None and shard.worker.alive:
+                    await shard.worker.close(graceful=False)
+            await self._close_supervisor()
+            raise failure
+        for shard, handle in zip(self._shards, results):
+            if shard.worker is not None and shard.worker.alive:
+                # this shard's original child died during the spawn
+                # window and a restart already installed a fresh one —
+                # keep it, reap the corpse
+                await handle.close(graceful=False)
+                continue
+            shard.worker = handle
+        self._start_replication()
+        self._started = True
         self._close_done = None
 
     async def close(self) -> None:
         """Drain every worker, flush and close the journals.
 
-        Under the subprocess executor this also reaps every worker
-        child: each gets a CLOSE RPC (applying queued mutations and
-        closing its journal first) and is then joined — escalating to
-        terminate/kill only if it hangs — so no orphan processes or
+        Each worker applies its queued mutations and closes its storage
+        first; worker children are then joined — escalating to
+        terminate/kill only if one hangs — so no orphan processes or
         stray tmp files survive a graceful shutdown.
 
-        Mutations already queued are applied; anything submitted after
-        close() begins is rejected immediately (never silently stranded
-        on an unserviced queue).  Idempotent and safe in any state: a
-        second (even concurrent) close awaits the first instead of
-        double-draining queues or double-closing journal handles, a
-        close before :meth:`start` is a no-op, and a close racing a
-        :meth:`resize` waits the resize out and then closes the swapped
-        store (close never returns while workers may be restarted).
+        Anything submitted after close() begins is rejected immediately
+        (never silently stranded on an unserviced queue).  Idempotent
+        and safe in any state: a second (even concurrent) close awaits
+        the first instead of double-draining queues or double-closing
+        journal handles, a close before :meth:`start` is a no-op, and a
+        close racing a :meth:`resize` waits the resize out and then
+        closes the swapped store (close never returns while workers may
+        be restarted).  A drained shard's last state stays readable.
         """
         while self._resize_gate is not None:
             await self._resize_gate.wait()
@@ -296,23 +273,27 @@ class ClusterStore:
         self._close_done = asyncio.Event()
         self._closing = True
         try:
-            if self.executor == "subprocess":
-                await self._close_proc()
-            else:
-                for shard in self._shards:
-                    await shard.queue.put(None)
-                for shard in self._shards:
-                    if shard.task is not None:
-                        await shard.task
-                        shard.task = None
-                    if shard.storage is not None:
-                        # keep the closed storage around: its stats stay
-                        # readable after close; start() replaces it anyway
-                        shard.storage.close()
-                await self._stop_replication()
+            for task in list(self._restart_tasks):
+                task.cancel()
+            if self._restart_tasks:
+                await asyncio.gather(
+                    *self._restart_tasks, return_exceptions=True
+                )
+                self._restart_tasks.clear()
+            for shard in self._shards:
+                await shard.worker.close()
+            # after the primaries: their final acks have shipped by now,
+            # so a graceful follower drain catches everything
+            await self._stop_replication()
+            await self._close_supervisor()
             self._started = False
         finally:
             self._close_done.set()
+
+    async def _close_supervisor(self) -> None:
+        if self._supervisor is not None:
+            await self._supervisor.close()
+            self._supervisor = None
 
     # -- replication -----------------------------------------------------------
     def _prepare_replication_sync(self) -> None:
@@ -378,16 +359,16 @@ class ClusterStore:
         self, shard: _Shard, seq0: int | None = None, promotions: int = 0
     ) -> None:
         """Wire one shard's :class:`ShardReplication`: a follower driver
-        per non-active replica directory, applied in-process under the
-        inline executor and through a worker child (the same token-
-        authenticated RPC as primaries) under the subprocess executor."""
+        per non-active replica directory, each applying through a shard
+        worker opened by the same factory as the primary's."""
         active = self.manifest.primary_replica[shard.shard_id]
         repl = ShardReplication(
             shard_id=shard.shard_id,
             replicas=self.config.replicas,
             mode=self.config.replication,
-            # attribute lookup at call time: shard.store is replaced on
-            # worker respawn, and bootstraps must snapshot the current one
+            # attribute lookup at call time: the shard's worker (and so
+            # its read view) is replaced on respawn, and bootstraps must
+            # snapshot the current one
             entries_fn=lambda s=shard: s.store.items(),
             active_replica=active,
             seq0=(
@@ -395,7 +376,7 @@ class ClusterStore:
                 if seq0 is None else seq0
             ),
             storage_kwargs=self._storage_kwargs,
-            backoff_s=self.restart_backoff_s,
+            backoff_s=self.config.restart_backoff_s,
         )
         repl.promotions = promotions
         epoch = self._shard_epoch(shard.shard_id)
@@ -403,20 +384,17 @@ class ClusterStore:
             if replica == active:
                 continue
             directory = replica_dir(self.data_dir, shard.shard_id, replica)
-            if self.executor == "subprocess":
-                applier = ProcApplier(
-                    self._supervisor, shard.shard_id, directory, epoch,
-                    self.config.storage, self._storage_kwargs,
-                )
-                follower = repl.add_follower(replica, directory, applier)
-                applier.on_death = (
-                    lambda f=follower: f.mark_dead("follower worker died")
-                )
-            else:
-                repl.add_follower(replica, directory, InlineApplier(
-                    directory, epoch, self.config.storage,
-                    self._storage_kwargs,
-                ))
+            applier = FollowerApplier(
+                directory, epoch, self.config.storage, self.config.fsync
+            )
+            follower = repl.add_follower(replica, directory, applier)
+            applier.open_worker = functools.partial(
+                self._open_worker, shard.shard_id, directory, epoch,
+                lambda _shard_id, f=follower: f.mark_dead(
+                    "follower worker died"
+                ),
+                role=directory.name,
+            )
         shard.repl = repl
         repl.start()
 
@@ -485,7 +463,7 @@ class ClusterStore:
             shard.shard_id, old_active, elected, repl.seq,
         )
         try:
-            handle, entries, stats = await self._supervisor.spawn(
+            handle = await self._open_worker(
                 shard.shard_id,
                 self._shard_dir(shard.shard_id),
                 epoch,
@@ -497,9 +475,7 @@ class ClusterStore:
                 shard, seq0=repl.seq, promotions=repl.promotions + 1
             )
             return False
-        shard.store = self._mirror_from(entries)
         shard.worker = handle
-        shard.last_storage_stats = dict(stats)
         shard.restarts += 1
         shard.restart_error = ""
         self._open_shard_replication(
@@ -507,7 +483,7 @@ class ClusterStore:
         )
         return True
 
-    # -- subprocess executor lifecycle -----------------------------------------
+    # -- workers -----------------------------------------------------------------
     def _shard_dir(self, shard_id: int) -> Path | None:
         if self.data_dir is None:
             return None
@@ -525,85 +501,27 @@ class ClusterStore:
             else 0
         )
 
-    @staticmethod
-    def _mirror_from(entries) -> SetStore:
-        store = SetStore()
-        for name, values, version in entries:
-            store.create(name, values, version=version)
-        return store
+    async def _open_worker(self, shard_id: int, directory, epoch: int,
+                           on_death=None, role: str = ""):
+        """The worker factory: every primary and follower opens here.
 
-    async def _start_proc(self) -> None:
-        """Spawn one worker child per shard and seed the read mirrors."""
-        supervisor = WorkerSupervisor(
-            window_s=self.worker_window_s,
-            storage=self.config.storage,
-            **self._storage_kwargs,
-        )
-        await supervisor.start()
-        self._supervisor = supervisor
-        results = await asyncio.gather(
-            *[
-                supervisor.spawn(
-                    shard.shard_id,
-                    self._shard_dir(shard.shard_id),
-                    self._shard_epoch(shard.shard_id),
-                    self._on_worker_death,
-                )
-                for shard in self._shards
-            ],
-            return_exceptions=True,
-        )
-        failure = next(
-            (r for r in results if isinstance(r, BaseException)), None
-        )
-        if failure is not None:
-            # partial spawn (e.g. one corrupt shard journal): reap the
-            # children that did come up so nothing outlives the error —
-            # including any replacement a death-during-start restart
-            # may have already installed on a shard
-            for result in results:
-                if not isinstance(result, BaseException):
-                    await result[0].close(graceful=False)
-            for shard in self._shards:
-                if shard.worker is not None and shard.worker.alive:
-                    await shard.worker.close(graceful=False)
-            await supervisor.close()
-            self._supervisor = None
-            raise failure
-        for shard, (handle, entries, stats) in zip(self._shards, results):
-            if shard.worker is not None and shard.worker.alive:
-                # this shard's original worker died during the spawn
-                # window and a restart already installed (and seeded the
-                # mirror from) a fresh one — keep it, reap the corpse
-                await handle.close(graceful=False)
-                continue
-            shard.store = self._mirror_from(entries)
-            shard.worker = handle
-            shard.storage = None
-            shard.last_storage_stats = dict(stats)
-
-    async def _close_proc(self) -> None:
-        """Gracefully stop every worker child and reap the processes."""
-        for task in list(self._restart_tasks):
-            task.cancel()
-        if self._restart_tasks:
-            await asyncio.gather(
-                *self._restart_tasks, return_exceptions=True
+        Inline, a :class:`ShardWorker` on this event loop behind a
+        :class:`LocalHandle`; under the subprocess executor, a worker
+        child behind a :class:`WorkerHandle` (``on_death`` fires if the
+        child dies; ``role`` tags follower children)."""
+        if self.executor == "inline":
+            return LocalHandle(ShardWorker(
+                self.config.storage, directory, epoch, self._storage_kwargs
+            ))
+        if self._supervisor is None:
+            self._supervisor = WorkerSupervisor(
+                window_s=self.config.worker_window_s,
+                storage=self.config.storage,
+                storage_kwargs=self._storage_kwargs,
             )
-            self._restart_tasks.clear()
-        for shard in self._shards:
-            if shard.worker is not None:
-                stats = await shard.worker.close()
-                if stats:
-                    # the post-close journal counters stay readable,
-                    # like the inline executor's closed storage backend
-                    shard.last_storage_stats = dict(stats)
-        # after the primaries: their final acks have shipped by now, so
-        # a graceful follower drain catches everything
-        await self._stop_replication()
-        if self._supervisor is not None:
-            await self._supervisor.close()
-            self._supervisor = None
+        return await self._supervisor.spawn(
+            shard_id, directory, epoch, on_death, role=role
+        )
 
     def _on_worker_death(self, shard_id: int) -> None:
         """Reader-task callback: a worker died unexpectedly — heal it.
@@ -633,7 +551,7 @@ class ClusterStore:
         worker that stays down past ``promote_after`` consecutive failed
         respawns (its directory is gone, not just its process) is failed
         over to the most-advanced follower via :meth:`_promote`."""
-        backoff = self.restart_backoff_s
+        backoff = self.config.restart_backoff_s
         failures = 0
         while True:
             await asyncio.sleep(backoff)
@@ -641,19 +559,17 @@ class ClusterStore:
                 self._closing
                 or self._supervisor is None
                 or shard not in self._shards       # resized away meanwhile
-                or (shard.worker is not None and shard.worker.alive)
+                or shard.worker.alive
             ):
                 return
-            if shard.worker is not None:
-                # reap the condemned handle before its successor opens
-                # the same journal: close() terminates the old child if
-                # it is somehow still running (a parent-side reader
-                # failure, not a real death — two live children must
-                # never append to one journal) and releases its socket
-                # and process object
-                await shard.worker.close(graceful=False)
+            # reap the condemned handle before its successor opens the
+            # same journal: close() terminates the old child if it is
+            # somehow still running (a parent-side reader failure, not a
+            # real death — two live children must never append to one
+            # journal) and releases its socket and process object
+            await shard.worker.close(graceful=False)
             try:
-                handle, entries, stats = await self._supervisor.spawn(
+                handle = await self._open_worker(
                     shard.shard_id,
                     self._shard_dir(shard.shard_id),
                     self._shard_epoch(shard.shard_id),
@@ -680,7 +596,7 @@ class ClusterStore:
             if (
                 shard.repl is not None
                 and shard.repl.seq > 0
-                and not entries
+                and not handle.store.names()
                 and any(f.acked_seq > 0 for f in shard.repl.followers)
             ):
                 # The respawned child recovered *nothing* while a
@@ -696,9 +612,7 @@ class ClusterStore:
                     return
                 failures = 0
                 continue
-            shard.store = self._mirror_from(entries)
             shard.worker = handle
-            shard.last_storage_stats = dict(stats)
             shard.restarts += 1
             shard.restart_error = ""
             if shard.repl is not None:
@@ -713,18 +627,17 @@ class ClusterStore:
     def shard_available(self, shard_id: int) -> bool:
         """Is the shard's worker able to take new sessions right now?
 
-        Always true inline; in proc mode false while the shard's child
-        is dead or restarting (the server sheds new sessions for it with
-        RETRY instead of queueing against a corpse).  A stale shard id
-        from before a shrink reports available — admission control owns
-        that case.
+        False while the shard's worker child is dead or restarting (the
+        server sheds new sessions for it with RETRY instead of queueing
+        against a corpse); an in-process worker never dies.  A stale
+        shard id from before a shrink reports available — admission
+        control owns that case.
         """
-        if self.executor != "subprocess" or not self._started:
+        if not self._started:
             return True
         if not 0 <= shard_id < len(self._shards):
             return True
-        worker = self._shards[shard_id].worker
-        return worker is not None and worker.alive
+        return self._shards[shard_id].worker.alive
 
     async def resize(self, shards: int, admission=None) -> dict:
         """Live-resize to ``shards`` shards without losing a byte.
@@ -775,48 +688,31 @@ class ClusterStore:
         try:
             await self._drain()
             if self.data_dir is not None:
-                fsync = self._storage_kwargs.get("fsync", False)
                 result = await asyncio.get_running_loop().run_in_executor(
                     None,
                     lambda: rebalance(
                         self.data_dir, shards, vnodes=old_ring.vnodes,
-                        fsync=fsync, storage=self.config.storage,
+                        fsync=self.config.fsync,
+                        storage=self.config.storage,
                     ),
                 )
                 moved = result.moved_count
             else:
+                # the drained shards' last state, read from their
+                # workers' read views
                 entries = [
-                    (name, values, version)
-                    for shard in self._shards
-                    for name, values, version in shard.store.items()
+                    entry for shard in self._shards
+                    for entry in shard.store.items()
                 ]
             self.ring = HashRing(range(shards), vnodes=old_ring.vnodes)
-            self._shards = [
-                _Shard(shard_id=i, store=SetStore(), storage=None)
-                for i in range(shards)
-            ]
+            self._shards = [_Shard(shard_id=i) for i in range(shards)]
             await self.start()
             if entries is not None:
-                moved = 0
-                for name, values, version in entries:
-                    target = self.ring.lookup(name)
-                    if old_ring.lookup(name) != target:
-                        moved += 1
-                    target_shard = self._shards[target]
-                    if target_shard.worker is not None:
-                        # proc executor: the child owns the state — push
-                        # the versioned create through it (mirror updates
-                        # on the ack, like any other mutation)
-                        await self._proc_restore(
-                            target_shard, name, values, version
-                        )
-                    else:
-                        # repro: ignore[blocking-call-in-async] -- live
-                        # resize redistributes in memory on drained
-                        # shards; no storage hook is attached here
-                        target_shard.store.create(
-                            name, values, version=version
-                        )
+                moved = sum(
+                    old_ring.lookup(name) != self.ring.lookup(name)
+                    for name, _values, _version in entries
+                )
+                await self._restore(entries)
         except BaseException:
             # best-effort rollback: reopen under the old layout (a
             # pre-commit failure left the old manifest current; after a
@@ -835,15 +731,10 @@ class ClusterStore:
             self._shards = old_shard_list
             try:
                 await self.start()
-                if entries is not None and self.executor == "subprocess":
-                    # in-memory proc rollback: the respawned children
-                    # start empty — push the saved entries back through
-                    # them under the old ring
-                    for name, values, version in entries:
-                        await self._proc_restore(
-                            self._shards[old_ring.lookup(name)],
-                            name, values, version,
-                        )
+                if entries is not None:
+                    # in-memory rollback: the reopened workers start
+                    # empty — push the saved entries back through them
+                    await self._restore(entries)
             except Exception:
                 pass
             raise
@@ -904,24 +795,23 @@ class ClusterStore:
         """
         await self._resize_barrier()
         return await self._submit(
-            self._shard(name), "apply", name,
-            element_array(add), element_array(remove),
-            trace=trace,
+            self._shard(name), "apply",
+            (name, element_array(add), element_array(remove)), trace,
         )
 
     async def create(self, name: str, values=(), trace=None) -> None:
         """Create (or replace) a named set, journaled as full state."""
         await self._resize_barrier()
         await self._submit(
-            self._shard(name), "create", name, element_array(values),
-            trace=trace,
+            self._shard(name), "create", (name, element_array(values), 0),
+            trace,
         )
 
     async def flush(self) -> None:
         """Barrier: resolves after every queued mutation has been applied."""
         await self._resize_barrier()
         await asyncio.gather(
-            *[self._submit(shard, "sync") for shard in self._shards]
+            *[self._submit(shard, "sync", ()) for shard in self._shards]
         )
 
     async def snapshot(self, name: str, create_missing: bool = False) -> Snapshot:
@@ -932,111 +822,62 @@ class ClusterStore:
             if not create_missing:
                 # raises UnknownSetError with the standard message
                 return shard.store.snapshot(name, create_missing=False)
-            await self._submit(shard, "create", name, ())
+            await self._submit(shard, "create", (name, (), 0))
         return shard.store.snapshot(name)
 
-    def _submit(self, shard: _Shard, op: str, *args, trace=None):
-        """Route one mutation to the shard's worker; returns an awaitable
-        (a queue-backed future inline, a coroutine in proc mode)."""
+    async def _submit(self, shard: _Shard, op: str, args: tuple,
+                      trace=None):
+        """The one mutation path: hand ``op`` to the shard's worker.
+
+        ``op`` is a :func:`~repro.cluster.storage.apply_mutation` op
+        (public creates carry version 0).  The handle runs the ack
+        callback in the event-loop step in which the mutation becomes
+        visible in the shard's read view; it counts the mutation and
+        ships it to the followers, so the ship stream and
+        ``bootstrap_source()`` stay consistent.  The quorum wait then
+        runs here, in the submitting coroutine — the shard's worker
+        keeps applying other mutations meanwhile.
+        """
         if not self._started:
             raise ReproError("ClusterStore.start() before use")
         if self._closing:
             raise ReproError("ClusterStore is closing")
-        if self.executor == "subprocess":
-            return self._proc_submit(shard, op, args, trace)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        shard.queue.put_nowait((op, args, future, trace))
-        return future
-
-    @staticmethod
-    def _ack(shard: _Shard, body) -> None:
-        """Fold one mutation ack's stats riders into the shard entry."""
-        shard.last_storage_stats = body[1] or shard.last_storage_stats
-        shard.last_obs = body[2] or shard.last_obs
-
-    async def _proc_submit(self, shard: _Shard, op: str, args, trace=None):
-        """One mutation RPC to the shard's child, mirror updated on ack.
-
-        The mirror callback runs in the worker handle's reader task, in
-        reply order — which is the child's apply order — so the mirror's
-        contents and versions track the child's bit-for-bit.  Mutation
-        bodies are ``(args, trace)`` pairs: the span context (as a plain
-        id tuple) rides to the child, whose storage-commit span then
-        joins the session's trace tree.
-        """
         worker = shard.worker
-        if worker is None or not worker.alive:
+        if not worker.alive:
             raise WorkerUnavailableError(
                 f"shard {shard.shard_id} worker is down (restarting)"
             )
-        # capture the repl for the whole RPC: ship and quorum wait must
+        # capture the repl for the whole call: ship and quorum wait must
         # hit the same object even if a promotion swaps shard.repl
-        repl = shard.repl
-        trace_t = tuple(trace) if trace is not None else None
-        if op == "apply":
-            name, add, remove = args
-            shipped: list[int] = []
-
-            def on_apply(body):
-                shard.store.apply_diff(name, add=add, remove=remove)
-                shard.applies += 1
-                self._ack(shard, body)
-                # inside the reader callback = synchronously with the
-                # child's durable ack, in ack order — the ship stream
-                # and bootstrap_source() stay consistent (empty diffs
-                # are not persisted by the child, so not shipped)
-                if repl is not None and (len(add) or len(remove)):
-                    shipped.append(
-                        repl.ship("apply", (name, add, remove))
-                    )
-
-            result = (await worker.call(
-                RpcType.APPLY, ((name, add, remove), trace_t),
-                on_ok=on_apply,
-            ))[0]
-            if shipped:
-                await repl.wait_durable(shipped[0])
-            return result
-        if op == "create":
-            (name, values) = args
-            shipped = []
-
-            def on_create(body):
-                shard.store.create(name, values)
-                shard.creates += 1
-                self._ack(shard, body)
-                if repl is not None:
-                    shipped.append(repl.ship("create", (name, values, 0)))
-
-            await worker.call(
-                RpcType.CREATE, ((name, values, 0), trace_t),
-                on_ok=on_create,
-            )
-            if shipped:
-                await repl.wait_durable(shipped[0])
-            return None
-        await worker.call(RpcType.SYNC, (None, None))   # "sync" barrier
-        return None
-
-    async def _proc_restore(self, shard: _Shard, name, values, version) -> None:
-        """Versioned create through the child (in-memory resize path)."""
         repl = shard.repl
         shipped: list[int] = []
 
-        def on_restore(body):
-            shard.store.create(name, values, version=version)
-            self._ack(shard, body)
-            if repl is not None:
-                shipped.append(
-                    repl.ship("restore", (name, values, version))
-                )
+        def on_ack() -> None:
+            if op == "apply":
+                shard.applies += 1
+            elif op == "create":
+                shard.creates += 1
+            # ship exactly what was persisted: empty diffs were not,
+            # sync barriers carry nothing
+            if repl is not None and op != "sync" and (
+                op != "apply" or len(args[1]) or len(args[2])
+            ):
+                shipped.append(repl.ship(op, args))
 
-        await shard.worker.call(
-            RpcType.RESTORE, ((name, values, version), None),
-            on_ok=on_restore,
-        )
+        result = await worker.submit(op, args, trace, on_ack)
         if shipped:
+            # quorum mode blocks here until a majority of replicas is
+            # durable; async mode returns at once
             await repl.wait_durable(shipped[0])
+        return result
+
+    async def _restore(self, entries) -> None:
+        """Versioned creates through the owning workers (the in-memory
+        resize and its rollback)."""
+        for name, values, version in entries:
+            await self._submit(
+                self._shard(name), "restore", (name, values, version)
+            )
 
     async def decode_remote(
         self, shard_id: int, codec, deltas, trace=None, lone: bool = False
@@ -1062,78 +903,15 @@ class ClusterStore:
             raise WorkerUnavailableError(
                 f"shard {shard_id} no longer exists (cluster resized)"
             )
-        shard = self._shards[shard_id]
-        worker = shard.worker
-        if worker is None or not worker.alive:
+        worker = self._shards[shard_id].worker
+        if not worker.alive:
             raise WorkerUnavailableError(
                 f"shard {shard_id} worker is down (restarting)"
             )
         trace_t = tuple(trace) if trace is not None else None
-        decoded, share, stats, obs = await worker.call(
-            RpcType.DECODE, (codec.field.m, codec.t, deltas, trace_t, lone)
+        return await worker.decode(
+            codec.field.m, codec.t, deltas, trace_t, lone
         )
-        shard.last_coalescer_stats = stats
-        shard.last_obs = obs or shard.last_obs
-        return decoded, share
-
-    async def _worker(self, shard: _Shard) -> None:
-        """Apply this shard's mutations in order (inline executor).
-
-        The durable-first protocol itself — raise-before-persist,
-        empty-diff skip, persist-then-mutate, compaction charging — is
-        :func:`repro.cluster.storage.apply_mutation` /
-        :func:`~repro.cluster.storage.compact_if_due`, shared verbatim
-        with the subprocess executor's child loop so the two executors
-        cannot drift apart.
-        """
-        while True:
-            item = await shard.queue.get()
-            if item is None:
-                # fail anything that raced past the _closing gate rather
-                # than stranding its future (a hung session) forever
-                while not shard.queue.empty():
-                    raced = shard.queue.get_nowait()
-                    if raced is not None and not raced[2].done():
-                        raced[2].set_exception(
-                            ReproError("ClusterStore closed")
-                        )
-                return
-            op, args, future, trace = item
-            try:
-                if op == "create":
-                    args = (*args, 0)   # public creates journal version 0
-                result = await apply_mutation(
-                    shard.store, shard.storage, op, args, trace=trace
-                )
-                if op == "apply":
-                    shard.applies += 1
-                elif op == "create":
-                    shard.creates += 1
-                # ship synchronously with the durable apply — no await
-                # between apply_mutation resolving and ship(), so
-                # bootstrap_source() snapshots are consistent by
-                # construction; ship exactly what was persisted (empty
-                # diffs were not, sync barriers carry nothing)
-                seq = None
-                if shard.repl is not None and (
-                    op in ("create", "restore")
-                    or (op == "apply" and (len(args[1]) or len(args[2])))
-                ):
-                    seq = shard.repl.ship(op, args)
-                compact_error = await compact_if_due(
-                    shard.store, shard.storage
-                )
-                if compact_error is not None:
-                    shard.compact_error = compact_error
-                if seq is not None:
-                    # quorum mode blocks here until a majority of
-                    # replicas is durable; async mode returns at once
-                    await shard.repl.wait_durable(seq)
-                if not future.done():
-                    future.set_result(result)
-            except Exception as exc:  # surfaced to the awaiting session
-                if not future.done():
-                    future.set_exception(exc)
 
     # -- reads (synchronous, event-loop consistent) ----------------------------
     def __contains__(self, name: str) -> bool:
@@ -1195,41 +973,24 @@ class ClusterStore:
         return out
 
     def _shard_stats(self, shard: _Shard) -> dict:
+        store = shard.store
         entry = {
             "shard": shard.shard_id,
-            "sets": len(shard.store.names()),
-            "elements": sum(
-                shard.store.size(n) for n in shard.store.names()
-            ),
+            "sets": len(store.names()),
+            "elements": sum(store.size(n) for n in store.names()),
             "applies": shard.applies,
             "creates": shard.creates,
-            "compact_error": shard.compact_error,
-            "queue_depth": shard.queue.qsize(),
+            "compact_error": "",
+            "queue_depth": 0,
         }
-        if self.executor == "subprocess":
-            entry["worker"] = {
-                "pid": shard.worker.pid if shard.worker is not None else None,
-                "alive": bool(shard.worker is not None
-                              and shard.worker.alive),
-                "restarts": shard.restarts,
-                "restart_error": shard.restart_error,
-                "death_reason": (
-                    shard.worker.death_reason
-                    if shard.worker is not None
-                    else ""
-                ),
-            }
-            entry.update(shard.last_storage_stats)
-            if shard.last_coalescer_stats:
-                entry["coalescer"] = shard.last_coalescer_stats
-            if shard.last_obs:
-                entry["obs"] = shard.last_obs
-        elif shard.storage is not None:
-            entry.update(shard.storage.stats())
+        if shard.worker is not None:
+            # storage counters (a child's as of its latest ack), plus a
+            # child's worker block and coalescer/obs riders
+            entry.update(shard.worker.stats())
+        if "worker" in entry:
+            entry["worker"].update(
+                restarts=shard.restarts, restart_error=shard.restart_error
+            )
         if shard.repl is not None:
             entry["replication"] = shard.repl.stats()
-        if hasattr(shard.store, "cache_stats"):
-            # inline SQLite shard: the LazySetStore's LRU hit rate (in
-            # proc mode the child ships it inside last_storage_stats)
-            entry["set_cache"] = shard.store.cache_stats()
         return entry

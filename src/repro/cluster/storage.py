@@ -85,8 +85,9 @@ class StorageBackend(ABC):
     keys are validated and irrelevant ones dropped.
 
     There is exactly one writing owner per shard directory at a time
-    (the inline shard worker task or the shard's worker subprocess);
-    the owner serializes all ``record_*`` calls.  Read-only users (the
+    (the shard's :class:`~repro.cluster.worker.ShardWorker`, in the
+    server process or in a worker subprocess); the owner serializes
+    all ``record_*`` calls.  Read-only users (the
     offline rebalance, stats tooling) open a second instance with
     ``create=False`` and only call :meth:`iter_sets` / :meth:`stats`.
     """
@@ -272,10 +273,10 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
     durable medium are also recorded into the storage-commit latency
     histogram and WARN-logged past the slow-op threshold.
 
-    This is the *single* definition of how a shard worker mutates — the
-    inline executor's task loop and the subprocess executor's child both
-    route through it, which is what keeps the two executors' stores and
-    shard files bit-for-bit interchangeable:
+    This is the *single* definition of how a shard mutates — the one
+    :class:`~repro.cluster.worker.ShardWorker` loop runs it for every
+    primary and follower under both executors, which is what keeps the
+    executors' stores and shard files bit-for-bit interchangeable:
 
     * ``apply`` ``(name, add, remove)`` — raise the store's own
       ``UnknownSetError`` *before* the durable write (a DIFF record must
@@ -376,7 +377,8 @@ async def _mutate(store: SetStore, storage: StorageBackend | None,
 
 async def compact_if_due(store: SetStore,
                          storage: StorageBackend | None) -> str | None:
-    """Run a due background compaction; shared by both executors.
+    """Run a due background compaction (the shard worker's, after the
+    ack of the mutation that made it due).
 
     Returns ``None`` when no compaction was due, ``""`` after a
     successful one, and the error string after a failed one — a failed

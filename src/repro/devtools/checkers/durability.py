@@ -37,10 +37,12 @@ DURABLE_CALLS = frozenset({
 })
 
 #: Callee names (last segment) that acknowledge a mutation to a peer:
-#: wire replies, a resolved mutation future (``set_result``), and a
-#: follower's replication-cursor write (the ack an election trusts).
+#: wire replies, a resolved mutation future (``set_result``), the shard
+#: worker's ack callback (``ack``: it ships the mutation and answers
+#: its submitter), and a follower's replication-cursor write (the ack
+#: an election trusts).
 ACK_CALLS = frozenset({
-    "send_frame", "_reply_ok", "reply_ok", "_send",
+    "send_frame", "_reply_ok", "reply_ok", "_send", "ack",
     "set_result", "write_cursor", "_write_cursor",
 })
 

@@ -33,7 +33,6 @@ from repro.cluster.config import ClusterConfig, open_cluster
 from repro.evaluation.harness import ExperimentTable, scaled
 from repro.obs.histogram import LatencyHistogram
 from repro.service.client import sync_with_server
-from repro.service.scheduler import DecodeCoalescer
 from repro.service.server import ReconciliationServer
 from repro.service.wire import ServerBusy, backoff_or_raise
 from repro.workloads.generator import SetPairGenerator
@@ -107,7 +106,8 @@ async def _run_fleet(
     data_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-bench-"))
     try:
         store = open_cluster(
-            data_dir, ClusterConfig(shards=shards, fsync=True)
+            data_dir,
+            ClusterConfig(shards=shards, fsync=True, worker_window_s=WINDOW_S),
         )
         await store.start()
         admission = AdmissionController(
@@ -115,10 +115,9 @@ async def _run_fleet(
             max_sessions=MAX_SESSIONS_PER_SHARD,
             retry_after_s=0.02,
         )
-        coalescer = DecodeCoalescer(window_s=WINDOW_S)
         try:
             async with ReconciliationServer(
-                store, coalescer=coalescer, admission=admission
+                store, admission=admission
             ) as server:
                 expected = {}
                 for jobs in fleets:
@@ -150,7 +149,7 @@ async def _run_fleet(
                 wall,
                 ok,
                 admission.total_shed,
-                coalescer.stats.decode_s,
+                server.coalescer.stats.decode_s,
                 sum(s["records_appended"] for s in journal),
                 sum(s["journal_bytes"] for s in journal),
             )

@@ -26,7 +26,6 @@ from repro.cluster.proc import fork_safe_cpu_count
 from repro.cluster.config import ClusterConfig, open_cluster
 from repro.evaluation.harness import ExperimentTable, scaled
 from repro.service.client import sync_with_server
-from repro.service.scheduler import DecodeCoalescer
 from repro.service.server import ReconciliationServer
 from repro.workloads.generator import SetPairGenerator
 
@@ -72,9 +71,8 @@ async def _run_fleet(executor: str, shards: int, fleets, seed0: int):
         shards=shards, executor=executor, worker_window_s=WINDOW_S
     ))
     await store.start()
-    coalescer = DecodeCoalescer(window_s=WINDOW_S)
     try:
-        async with ReconciliationServer(store, coalescer=coalescer) as server:
+        async with ReconciliationServer(store) as server:
             expected = {}
             for jobs in fleets:
                 for name, pair in jobs:
@@ -109,8 +107,8 @@ async def _run_fleet(executor: str, shards: int, fleets, seed0: int):
                 for s in shard_stats
             )
         else:
-            groups = coalescer.stats.groups
-            decode_s = coalescer.stats.decode_s
+            groups = server.coalescer.stats.groups
+            decode_s = server.coalescer.stats.decode_s
         return wall, ok, groups, decode_s
     finally:
         await store.close()

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.cluster import open_cluster
+from repro.cluster import ClusterConfig, open_cluster
 from repro.evaluation.harness import ExperimentTable, scaled
 from repro.obs.histogram import LatencyHistogram
-from repro.service.scheduler import DecodeCoalescer
 from repro.service.server import ReconciliationServer
 from repro.service.client import sync_with_server
 from repro.workloads.generator import SetPairGenerator
@@ -52,9 +51,9 @@ async def _run_fleet(
     pairs, coalesce: bool, seed: int, hist: LatencyHistogram
 ) -> tuple[float, dict, int]:
     """One server + len(pairs) concurrent clients; returns (wall, stats, ok)."""
-    coalescer = DecodeCoalescer(window_s=WINDOW_S if coalesce else 0.0)
-    async with open_cluster() as store, ReconciliationServer(
-        store, coalescer=coalescer
+    config = ClusterConfig(worker_window_s=WINDOW_S if coalesce else 0.0)
+    async with open_cluster(None, config) as store, ReconciliationServer(
+        store
     ) as server:
         for i, pair in enumerate(pairs):
             await store.create(f"s{i}", pair.b)
@@ -76,7 +75,7 @@ async def _run_fleet(
                 raise AssertionError(
                     f"session {i} converged to a wrong difference"
                 )
-        return wall, coalescer.stats.to_dict(), ok
+        return wall, server.coalescer.stats.to_dict(), ok
 
 
 def run(

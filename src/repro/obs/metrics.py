@@ -11,10 +11,12 @@ the one consumer (``ServiceMetrics.snapshot()`` / the admin endpoint)
 reads everything back at snapshot time.
 
 In proc mode each shard-worker subprocess has its *own* registry; the
-worker ships ``REGISTRY.to_dict()`` on its stats/decode acks (counts
+worker ships ``REGISTRY.to_dict()`` on its mutation/decode acks (counts
 are cumulative, so latest-wins per worker), and the parent merges the
 per-worker dumps with its own registry when building a snapshot —
-see ``ServiceMetrics.snapshot()`` and ``_Worker._stats``.
+see ``ServiceMetrics.snapshot()`` and ``WorkerHandle.stats``.  An
+in-process (inline) worker records straight into the parent's registry
+and ships no dump.
 
 Metric names are declared here so that the exposition layer, the
 snapshot, and the tests agree on one spelling.

@@ -101,7 +101,6 @@ class ReconciliationServer:
         store: ClusterStore,
         host: str = "127.0.0.1",
         port: int = 0,
-        coalescer: DecodeCoalescer | None = None,
         gamma: float = DEFAULT_GAMMA,
         delta: int = DEFAULT_DELTA,
         r: int = 3,
@@ -114,8 +113,11 @@ class ReconciliationServer:
         self.admission = admission
         self.host = host
         self.port = port
-        self.coalescer = (
-            coalescer if coalescer is not None else DecodeCoalescer()
+        #: cross-session decode batching under the inline executor; its
+        #: window is the cluster's (``--window-ms``), like each proc
+        #: worker's own coalescer
+        self.coalescer = DecodeCoalescer(
+            window_s=store.config.worker_window_s
         )
         self.metrics = ServiceMetrics(self.coalescer.stats)
         self.gamma = gamma

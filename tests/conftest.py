@@ -99,10 +99,10 @@ def bch_engine():
 
 
 @contextlib.asynccontextmanager
-async def _memory_cluster(sets=None):
-    from repro.cluster import open_cluster
+async def _memory_cluster(sets=None, **config):
+    from repro.cluster import ClusterConfig, open_cluster
 
-    async with open_cluster() as store:
+    async with open_cluster(None, ClusterConfig(**config)) as store:
         for name, values in (sets or {}).items():
             await store.create(name, values)
         yield store
@@ -112,7 +112,8 @@ async def _memory_cluster(sets=None):
 def memory_cluster():
     """The store plain ``repro serve`` runs: ``async with
     memory_cluster({name: values}) as store`` yields a started 1-shard
-    in-memory ClusterStore holding those sets, closed on exit."""
+    in-memory ClusterStore holding those sets, closed on exit (keyword
+    arguments override ``ClusterConfig`` fields)."""
     return _memory_cluster
 
 

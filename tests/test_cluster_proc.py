@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    EXECUTORS,
     ClusterConfig,
     ClusterStore,
     WorkerUnavailableError,
@@ -270,37 +271,43 @@ class TestRemoteDecode:
 
 
 class TestResizeRollback:
-    def test_failed_restore_rolls_back_to_old_layout(self, monkeypatch):
-        """A failure while repopulating the new layout's children must
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_failed_restore_rolls_back_to_old_layout(
+        self, monkeypatch, executor
+    ):
+        """A failure while repopulating the new layout's workers must
         tear the new workers down and reopen (and re-populate) the old
         layout — not leave the store half-swapped with every mutation
         failing (the rollback used to call start() while _started was
-        still True, a silent no-op)."""
+        still True, a silent no-op).  Both executors restore through
+        the one mutation path."""
 
         async def inner():
-            store = _cluster(3, executor="subprocess")
+            store = _cluster(3, executor=executor)
             async with store:
                 for i in range(6):
                     await store.create(f"r{i}", range(i, i + 5))
                 before = _state(store)
 
-                real_restore = ClusterStore._proc_restore
+                real_submit = ClusterStore._submit
                 calls = {"n": 0}
 
-                async def flaky_restore(self, shard, name, values, version):
-                    calls["n"] += 1
-                    if calls["n"] == 1:
-                        raise WorkerUnavailableError("injected mid-restore")
-                    await real_restore(self, shard, name, values, version)
+                async def flaky_submit(self, shard, op, args, trace=None):
+                    if op == "restore":
+                        calls["n"] += 1
+                        if calls["n"] == 1:
+                            raise WorkerUnavailableError(
+                                "injected mid-restore"
+                            )
+                    return await real_submit(self, shard, op, args, trace)
 
-                monkeypatch.setattr(
-                    ClusterStore, "_proc_restore", flaky_restore
-                )
+                monkeypatch.setattr(ClusterStore, "_submit", flaky_submit)
                 with pytest.raises(WorkerUnavailableError):
                     await store.resize(2)
-                monkeypatch.setattr(
-                    ClusterStore, "_proc_restore", real_restore
-                )
+                monkeypatch.setattr(ClusterStore, "_submit", real_submit)
+                # the rollback re-populated the old layout through the
+                # same path
+                assert calls["n"] == 1 + len(before)
 
                 # old topology, old contents, and a working write path
                 assert store.n_shards == 3

@@ -563,7 +563,8 @@ class TestLiveResize:
                 await store.resize(4)
             await closing
             assert store._started is False
-            assert all(sh.task is None for sh in store._shards)
+            assert all(not sh.worker.alive for sh in store._shards)
+            assert asyncio.all_tasks() == {asyncio.current_task()}
 
         asyncio.run(inner())
 
@@ -601,7 +602,8 @@ class TestLiveResize:
             await store.close()           # must wait, then really close
             assert (await resizing)["changed"]
             assert store._started is False
-            assert all(sh.task is None for sh in store._shards)
+            assert all(not sh.worker.alive for sh in store._shards)
+            assert asyncio.all_tasks() == {asyncio.current_task()}
             # the closed store restarts cleanly at the new topology
             await store.start()
             assert store.n_shards == 4

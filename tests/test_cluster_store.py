@@ -236,20 +236,21 @@ class TestDurableFirstOrdering:
         async def inner():
             async with make_cluster(1, tmp_path) as store:
                 await store.create("s", {1, 2, 3})
-                shard = store._shards[0]
-                original = shard.storage.record_diff
+                # the shard's storage, owned by its in-process worker
+                storage = store._shards[0].worker.worker.storage
+                original = storage.record_diff
 
                 def exploding_record_diff(name, add=(), remove=()):
                     raise OSError("no space left on device")
 
-                shard.storage.record_diff = exploding_record_diff
+                storage.record_diff = exploding_record_diff
                 with pytest.raises(OSError):
                     await store.apply_diff("s", add=[999])
                 # the rejected diff is not in the live set: later sessions
                 # cannot be acked against state a restart would lose
                 assert store.get("s") == {1, 2, 3}
                 assert store.version("s") == 0
-                shard.storage.record_diff = original
+                storage.record_diff = original
                 assert await store.apply_diff("s", add=[999]) == 1
             async with make_cluster(1, tmp_path) as again:
                 assert again.get("s") == {1, 2, 3, 999}
@@ -359,8 +360,10 @@ class TestStartFailureCleanup:
             with pytest.raises(StorageCorruptError):
                 await broken.start()
             # the shard that DID start must be fully unwound: no worker
-            # task left to be destroyed at loop teardown
-            assert all(sh.task is None for sh in broken._shards)
+            # installed, no worker task left to be destroyed at loop
+            # teardown
+            assert all(sh.worker is None for sh in broken._shards)
+            assert asyncio.all_tasks() == {asyncio.current_task()}
             from repro.errors import ReproError
             with pytest.raises(ReproError):
                 await broken.apply_diff("set-0", add=[1])

@@ -226,6 +226,36 @@ class TestDurableBeforeAck:
         )
         assert len(findings) == 1
 
+    def test_worker_ack_before_apply_mutation(self, tmp_path):
+        """The shard worker's loop: an ack hoisted above the durable
+        apply would ship — and answer — a mutation that is not on
+        disk."""
+        findings = run_one(
+            DurableBeforeAck(), tmp_path,
+            {"src/repro/cluster/worker.py": """
+                async def _run(self):
+                    op, args, trace, ack = await self._queue.get()
+                    ack(None, None)
+                    await apply_mutation(self.store, self.storage, op, args)
+            """},
+        )
+        assert len(findings) == 1
+        assert "before its durable write" in findings[0].message
+
+    def test_worker_ack_after_apply_mutation_is_fine(self, tmp_path):
+        findings = run_one(
+            DurableBeforeAck(), tmp_path,
+            {"src/repro/cluster/worker.py": """
+                async def _run(self):
+                    op, args, trace, ack = await self._queue.get()
+                    result = await apply_mutation(
+                        self.store, self.storage, op, args
+                    )
+                    ack(result, None)
+            """},
+        )
+        assert findings == []
+
     def test_quorum_count_then_reply_is_fine(self, tmp_path):
         findings = run_one(
             DurableBeforeAck(), tmp_path,

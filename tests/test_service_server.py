@@ -14,7 +14,6 @@ import pytest
 from repro.errors import SerializationError
 from repro.service import (
     ClientConnection,
-    DecodeCoalescer,
     ReconciliationServer,
     sync_with_server,
 )
@@ -481,10 +480,8 @@ class TestConcurrentSessions:
 
         async def scenario():
             async with (
-                memory_cluster({"inv": set_b}) as store,
-                ReconciliationServer(
-                    store, coalescer=DecodeCoalescer(window_s=30.0)
-                ) as server,
+                memory_cluster({"inv": set_b}, worker_window_s=30.0) as store,
+                ReconciliationServer(store) as server,
             ):
                 result = await asyncio.wait_for(
                     sync_with_server(
@@ -507,10 +504,10 @@ class TestConcurrentSessions:
 
         async def scenario():
             async with (
-                memory_cluster({"s0": set_b, "s1": set_b}) as store,
-                ReconciliationServer(
-                    store, coalescer=DecodeCoalescer(window_s=0.2)
-                ) as server,
+                memory_cluster(
+                    {"s0": set_b, "s1": set_b}, worker_window_s=0.2
+                ) as store,
+                ReconciliationServer(store) as server,
             ):
                 results = await asyncio.gather(*[
                     sync_with_server(
@@ -600,10 +597,8 @@ class TestConcurrentSessions:
 
         async def scenario():
             async with (
-                memory_cluster({"inv": set_b}) as store,
-                ReconciliationServer(
-                    store, coalescer=DecodeCoalescer(window_s=0)
-                ) as server,
+                memory_cluster({"inv": set_b}, worker_window_s=0) as store,
+                ReconciliationServer(store) as server,
             ):
                 result = await sync_with_server(
                     "127.0.0.1", server.port, set_a, set_name="inv", seed=9
