@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 from repro.baselines import DifferenceDigestProtocol
 from repro.core.protocol import PBSProtocol
 from repro.utils.seeds import spawn_rng
@@ -101,5 +99,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    np.random.seed(0)
     main()

@@ -15,7 +15,8 @@ bins — and derives a recurrence by throwing the i-th ball "in slow motion":
               + (1-(i-1-j+k)/n) * Mt(i-1, j, k)       # lands in an empty bin
 
 with Mt(0, 0, 0) = 1.  The full (t+1)^3 table costs O(t^3) — trivial for
-the t <= ~35 used anywhere in the paper.
+the t <= ~35 used anywhere in the paper — and is built once per n, one
+array step per i, then sliced for every smaller t.
 """
 
 from __future__ import annotations
@@ -27,27 +28,38 @@ import numpy as np
 from repro.errors import ParameterError
 
 
-@lru_cache(maxsize=256)
+#: Every table is built at least this large: t <= 35 covers both of the
+#: optimizer's grids (§5.1's 3.5 * delta and §5.2's 7 * delta, delta = 5),
+#: so one table per n serves every t they try.
+_TABLE_T = 35
+
+
+@lru_cache(maxsize=64)
 def _substate_table(n: int, i_max: int) -> np.ndarray:
-    """The Mt(i, j, k) table for i, j, k in [0, i_max]."""
+    """The Mt(i, j, k) table for i, j, k in [0, i_max].
+
+    Row i depends on row i - 1 only, so a table built for a larger i_max
+    holds the smaller ones as its leading corner.  Each row is one
+    vectorized step over (j, k); terms the recurrence skips (j < 2 or
+    k < 1, a non-positive empty fraction) enter as +0.0, which leaves
+    every sum bit-for-bit what the scalar recurrence computes.
+    """
     size = i_max + 1
     table = np.zeros((size, size, size), dtype=np.float64)
     table[0, 0, 0] = 1.0
+    j = np.arange(size)[:, None]
+    k = np.arange(size)
     for i in range(1, size):
-        for j in range(0, i + 1):
-            # j bad balls occupy k bad bins, each holding >= 2 of them.
-            for k in range(0, j // 2 + 1):
-                if j == 1:
-                    continue  # a lone ball in a bin is good, never bad
-                acc = 0.0
-                if j >= 2 and k >= 1:
-                    acc += (i - j + 1) / n * table[i - 1, j - 2, k - 1]
-                if j >= 1:
-                    acc += k / n * table[i - 1, j - 1, k]
-                empty_frac = 1.0 - (i - 1 - j + k) / n
-                if empty_frac > 0:
-                    acc += empty_frac * table[i - 1, j, k]
-                table[i, j, k] = acc
+        prev, rows = table[i - 1], i + 1
+        # the i-th ball lands on a good ball, in a bad bin, in an empty bin
+        on_good = np.zeros((rows, size))
+        on_good[2:, 1:] = (i - j[2:rows] + 1) / n * prev[: rows - 2, :-1]
+        in_bad = np.zeros((rows, size))
+        in_bad[1:] = k / n * prev[: rows - 1]
+        empty_frac = np.maximum(1.0 - (i - 1 - j[:rows] + k) / n, 0.0)
+        # j bad balls occupy k bad bins, each holding >= 2 of them, so
+        # j = 1 and k > j // 2 stay 0 (their every term reads a 0)
+        table[i, :rows] = on_good + in_bad + empty_frac * prev[:rows]
     return table
 
 
@@ -63,9 +75,10 @@ def transition_matrix(n: int, t: int) -> np.ndarray:
         raise ParameterError(f"t must be >= 0, got {t}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    table = _substate_table(n, t)
-    matrix = table.sum(axis=2)
-    return matrix
+    table = _substate_table(n, max(t, _TABLE_T))
+    # a contiguous (t+1)^3 copy sums in the same order as a table built
+    # for t alone
+    return np.ascontiguousarray(table[: t + 1, : t + 1, : t + 1]).sum(axis=2)
 
 
 def chain_power(n: int, t: int, r: int) -> np.ndarray:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
-from repro.analysis.success import overall_lower_bound
+from repro.analysis.success import lower_bounds
 from repro.errors import ParameterError
 
 #: Practical bitmap sizes (§5.1): n = 2^m - 1 for m = 6..11.
@@ -86,25 +87,26 @@ def optimize_params(
     g = groups_for(d, delta)
     if t_candidates is None:
         t_candidates = default_t_candidates(delta)
-    best: OptimalParams | None = None
     for n in n_candidates:
         m = (n + 1).bit_length() - 1
         if n != (1 << m) - 1:
             raise ParameterError(f"n={n} is not of the form 2^m - 1")
-        for t in t_candidates:
-            bound = overall_lower_bound(n, t, d, g, r, split_model)
-            if bound < p0:
-                continue
-            objective = (t + delta) * m
-            if (
-                best is None
-                or objective < best.objective_bits
-                or (objective == best.objective_bits and bound > best.bound)
-            ):
-                best = OptimalParams(
-                    n=n, t=t, m=m, g=g, delta=delta, r=r, p0=p0,
-                    bound=bound, objective_bits=objective,
-                )
+    bounds = lower_bounds(n_candidates, t_candidates, d, g, r, split_model)
+    best: OptimalParams | None = None
+    for (n, t), bound in zip(product(n_candidates, t_candidates), bounds):
+        if bound < p0:
+            continue
+        m = (n + 1).bit_length() - 1
+        objective = (t + delta) * m
+        if (
+            best is None
+            or objective < best.objective_bits
+            or (objective == best.objective_bits and bound > best.bound)
+        ):
+            best = OptimalParams(
+                n=n, t=t, m=m, g=g, delta=delta, r=r, p0=p0,
+                bound=bound, objective_bits=objective,
+            )
     if best is None:
         raise ParameterError(
             f"no (n, t) combination meets p0={p0} for d={d}, delta={delta}, r={r}; "
@@ -125,11 +127,8 @@ def lower_bound_grid(
     g = groups_for(d, delta)
     if t_candidates is None:
         t_candidates = default_t_candidates(delta)
-    return {
-        (n, t): overall_lower_bound(n, t, d, g, r, split_model)
-        for t in t_candidates
-        for n in n_candidates
-    }
+    bounds = lower_bounds(n_candidates, t_candidates, d, g, r, split_model)
+    return dict(zip(product(n_candidates, t_candidates), bounds))
 
 
 def sweep_round_targets(

@@ -27,8 +27,9 @@ Two models for the over-capacity case ``x > t`` are provided:
 See EXPERIMENTS.md for the full discrepancy discussion.
 
 The split model is evaluated bottom-up as a table ``F_r[x]`` for
-x = 0..X_MAX with vectorized Multinomial(x; 1/3, 1/3, 1/3) convolutions,
-so a full optimizer grid costs milliseconds per (n, t).
+x = 0..X_MAX, its Multinomial(x; 1/3, 1/3, 1/3) convolutions as matrix
+products.  A candidate grid's tables are stacked once, so scoring every
+(n, t) for a new d is one product with the Binomial(d, 1/g) pmf.
 """
 
 from __future__ import annotations
@@ -76,6 +77,18 @@ def _binom_pmf_matrix(p_num: int, p_den: int) -> np.ndarray:
     )
 
 
+#: Gather index of :func:`_reflected`: ``x - k``, or the appended 0.
+_REFLECT = np.subtract.outer(np.arange(_X_MAX + 1), np.arange(_X_MAX + 1))
+_REFLECT[_REFLECT < 0] = _X_MAX + 1
+
+
+def _reflected(vec: np.ndarray) -> np.ndarray:
+    """``R[x, k] = vec[x - k]`` for k <= x and 0 above the diagonal, so
+    ``(B * vec * _reflected(other)).sum(axis=1)[x]`` is the convolution
+    ``sum_k B[x, k] * vec[k] * other[x - k]``."""
+    return np.append(vec, 0.0)[_REFLECT]
+
+
 @lru_cache(maxsize=512)
 def _success_table(n: int, t: int, r: int) -> np.ndarray:
     """``F[x] = Pr[x ->r 0]`` under the three-way-split model, x <= X_MAX."""
@@ -95,19 +108,24 @@ def _success_table(n: int, t: int, r: int) -> np.ndarray:
         return out  # a split consumes the round; x > t cannot finish
     # Over-capacity groups split three ways, each sub-pair then has r - 1
     # rounds.  Multinomial(x; 1/3,1/3,1/3) factored as Binomial(x, 1/3)
-    # then Binomial(x - x1, 1/2).
+    # then Binomial(x - x1, 1/2):
+    #   inner[rem] = sum_{x2} B12[rem, x2] * prev[x2] * prev[rem - x2]
+    #   out[x]     = sum_{x1} B13[x, x1] * prev[x1] * inner[x - x1]
     b13 = _binom_pmf_matrix(1, 3)
     b12 = _binom_pmf_matrix(1, 2)
-    # inner[rem] = sum_{x2} B12[rem, x2] * prev[x2] * prev[rem - x2]
-    inner = np.array(
-        [
-            float((b12[rem, : rem + 1] * prev[: rem + 1] * prev[rem::-1]).sum())
-            for rem in range(size)
-        ]
-    )
-    for x in range(t + 1, size):
-        # sum_{x1} B13[x, x1] * prev[x1] * inner[x - x1]
-        out[x] = float((b13[x, : x + 1] * prev[: x + 1] * inner[x::-1]).sum())
+    inner = (b12 * prev * _reflected(prev)).sum(axis=1)
+    out[t + 1 :] = (b13 * prev * _reflected(inner))[t + 1 :].sum(axis=1)
+    return out
+
+
+def _model_table(n: int, t: int, r: int, split_model: str) -> np.ndarray:
+    """``Pr[x ->r 0]`` for x in [0, X_MAX] under ``split_model``."""
+    if split_model == "three-way":
+        return _success_table(n, t, r)
+    out = np.zeros(_X_MAX + 1)
+    top = min(t, _X_MAX)
+    out[: top + 1] = chain_power(n, t, r)[: top + 1, 0]
+    out[0] = 1.0
     return out
 
 
@@ -140,29 +158,71 @@ def prob_reconcile_within(
 def _group_pmf(d: int, g: int) -> np.ndarray:
     """``Pr[X = x]`` for X ~ Binomial(d, 1/g), x in [0, min(d, X_MAX)].
 
-    Depends on (d, g) only, so the optimizer's (n, t) candidates share
-    one vector; it is read-only because every caller gets the same one.
+    Depends on (d, g) only, so calls for other round targets, models or
+    grids share one vector; it is read-only because every caller gets
+    the same one.
     """
     pmf = binom_pmf(d, 1.0 / g, min(d, _X_MAX))
     pmf.flags.writeable = False
     return pmf
 
 
+@lru_cache(maxsize=64)
+def _candidate_tables(
+    n_candidates: tuple[int, ...],
+    t_candidates: tuple[int, ...],
+    r: int,
+    split_model: str,
+) -> np.ndarray:
+    """One :func:`_model_table` row per (n, t), n outer, read-only."""
+    rows = np.array([
+        _model_table(n, t, r, split_model)
+        for n in n_candidates
+        for t in t_candidates
+    ])
+    rows.flags.writeable = False
+    return rows
+
+
+def _alphas(
+    n_candidates: tuple[int, ...],
+    t_candidates: tuple[int, ...],
+    d: int,
+    g: int,
+    r: int,
+    split_model: str,
+) -> list[float]:
+    """``alpha(n, t)`` of every (n, t), n outer: one product of the
+    stacked success tables with the Binomial(d, 1/g) pmf."""
+    pmf = _group_pmf(d, g)
+    tables = _candidate_tables(
+        tuple(n_candidates), tuple(t_candidates), r, split_model
+    )
+    return (tables[:, : len(pmf)] * pmf).sum(axis=1).tolist()
+
+
 def group_success_probability(
     n: int, t: int, d: int, g: int, r: int, split_model: str = "three-way"
 ) -> float:
     """``alpha(n, t)``: per-group success probability, X ~ Binomial(d, 1/g)."""
-    pmf = _group_pmf(d, g)
-    x_max = len(pmf) - 1
-    if split_model == "three-way":
-        table = _success_table(n, t, r)
-        return float((pmf * table[: x_max + 1]).sum())
-    powered = chain_power(n, t, r)
-    vals = np.zeros(x_max + 1)
-    top = min(t, x_max)
-    vals[: top + 1] = powered[: top + 1, 0]
-    vals[0] = 1.0
-    return float((pmf * vals).sum())
+    return _alphas((n,), (t,), d, g, r, split_model)[0]
+
+
+def lower_bounds(
+    n_candidates: tuple[int, ...],
+    t_candidates: tuple[int, ...],
+    d: int,
+    g: int,
+    r: int,
+    split_model: str = "three-way",
+) -> list[float]:
+    """:func:`overall_lower_bound` of every (n, t), n outer, t inner."""
+    # alpha^g with g in the hundreds: go through logs for stability.
+    return [
+        -1.0 if alpha <= 0.0
+        else 1.0 - 2.0 * (1.0 - math.exp(g * math.log(alpha)))
+        for alpha in _alphas(n_candidates, t_candidates, d, g, r, split_model)
+    ]
 
 
 def overall_lower_bound(
@@ -173,9 +233,4 @@ def overall_lower_bound(
     May be negative for hopeless parameter choices; callers compare it
     against the target p0 directly, as the optimizer does.
     """
-    alpha = group_success_probability(n, t, d, g, r, split_model)
-    if alpha <= 0.0:
-        return -1.0
-    # alpha^g with g in the hundreds: go through logs for stability.
-    alpha_g = math.exp(g * math.log(alpha))
-    return 1.0 - 2.0 * (1.0 - alpha_g)
+    return lower_bounds((n,), (t,), d, g, r, split_model)[0]

@@ -25,8 +25,14 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import io
+import os
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from repro.baselines import (
     DifferenceDigestProtocol,
@@ -34,6 +40,7 @@ from repro.baselines import (
     PinSketchProtocol,
     PinSketchWPProtocol,
 )
+from repro.core.elements import element_array
 from repro.core.protocol import PBSProtocol
 
 SCHEMES = {
@@ -47,15 +54,68 @@ SCHEMES = {
 DEFAULT_PORT = 7171
 
 
-def load_signatures(path: Path) -> set[int]:
+def load_signatures(path: Path) -> np.ndarray:
     """Parse one signature per line (decimal or 0x-hex); '#' comments ok.
+
+    Returns the signatures as an element array
+    (:mod:`repro.core.elements`).  A plain file (one decimal per line)
+    takes one C-level pass.  A file that pass rejects, or that holds a
+    zero, too-wide or duplicate value, goes to the per-line parser, which
+    accepts it or reports the line.
+    """
+    text = path.read_text()
+    if _plain_decimal(text):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # empty input
+                # numpy 1.23-1.26 read a decimal >= 2^64 through float
+                # and cast it in C, with only a DeprecationWarning
+                warnings.simplefilter("error", DeprecationWarning)
+                column = np.loadtxt(
+                    io.StringIO(text), dtype=np.uint64, ndmin=2,
+                    comments=None,
+                )
+        except (ValueError, OverflowError, DeprecationWarning):
+            column = np.empty((0, 0))
+        if column.shape[1] == 1:
+            arr = element_array(column[:, 0])
+            if len(arr) == len(column) and (
+                not len(arr) or (arr[0] >= 1 and arr[-1] < 1 << 32)
+            ):
+                return arr
+    return element_array(_parse_signature_lines(path, text))
+
+
+def _plain_decimal(text: str) -> bool:
+    """``text`` holds only ASCII digits, ``+``, spaces, tabs and line
+    ends, and no line longer than ``int()`` reads.
+
+    Only such text goes to ``np.loadtxt``, so what the fast path accepts
+    does not depend on how a numpy release reads other tokens (``5.7``,
+    ``1e3``, Unicode digits).  The per-line parser rejects a decimal with
+    more digits than ``sys.get_int_max_str_digits()`` (leading zeros
+    count); ``np.loadtxt`` would read it.
+    """
+    data = text.encode()
+    if data.translate(None, b"0123456789+ \t\r\n"):
+        return False
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or len(data) <= limit:
+        return True
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    return int(np.diff(ends, prepend=-1, append=len(data)).max()) <= limit + 1
+
+
+def _parse_signature_lines(path: Path, text: str) -> set[int]:
+    """The per-line parser of ``path``'s ``text``: every format, and the
+    error message for every file :func:`load_signatures` rejects.
 
     Rejects malformed lines, values outside the nonzero 32-bit universe,
     and duplicates — each with the offending line number, so a bad export
     pipeline is caught at the door instead of silently skewing d.
     """
     seen: dict[int, int] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -77,6 +137,32 @@ def load_signatures(path: Path) -> set[int]:
             )
         seen[value] = line_no
     return set(seen)
+
+
+def _write_signatures(path: Path, values: np.ndarray) -> None:
+    """Replace ``path`` with ``values``, one decimal per line.
+
+    Write-temp / fsync / ``os.replace`` in the file's own directory (a
+    symlink is followed, as a plain write would): a kill or a full disk
+    mid-write leaves the old file whole, and a failed write leaves no
+    temp file behind.  This needs write permission on the directory, and
+    the result is a new inode with the old file's mode.
+    """
+    target = path.resolve()
+    fd, tmp = tempfile.mkstemp(
+        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("".join(f"{v}\n" for v in values.tolist()))
+            fh.flush()
+            os.fsync(fh.fileno())
+        if target.exists():
+            os.chmod(tmp, target.stat().st_mode & 0o7777)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- parsers ------------------------------------------------------------------
@@ -612,7 +698,7 @@ def cmd_serve(argv: list[str]) -> int:
                 return 2
             if result.changed:
                 log.info(result.summary())
-    preload: list[tuple[str, set[int]]] = []
+    preload: list[tuple[str, np.ndarray]] = []
     for spec in args.sets:
         name, sep, file_spec = spec.partition("=")
         if not sep or not name:
@@ -906,11 +992,10 @@ def cmd_sync(argv: list[str]) -> int:
                     continue
                 all_ok = all_ok and result.success
                 if args.write and result.success:
-                    union = sorted(values | result.difference)
-                    # repro: ignore[blocking-call-in-async] -- one-shot
-                    # CLI: this coroutine is the only work on the loop,
-                    # so the inline file write stalls nobody
-                    args.file.write_text("".join(f"{v}\n" for v in union))
+                    union = np.union1d(values, element_array(result.difference))
+                    # one-shot CLI: this coroutine is the only work on
+                    # the loop, so the inline file write stalls nobody
+                    _write_signatures(args.file, union)
                 _print_result(
                     result, scheme="service", json_out=args.json,
                     quiet=args.quiet,
@@ -1055,7 +1140,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.workloads import SetPairGenerator
 
         pair = SetPairGenerator(seed=args.seed).generate(size_a=10_000, d=100)
-        set_a, set_b = set(pair.a), set(pair.b)
+        set_a, set_b = element_array(pair.a), element_array(pair.b)
     else:
         if not (args.file_a and args.file_b):
             print("error: need two signature files (or --selftest)", file=sys.stderr)
@@ -1070,7 +1155,8 @@ def main(argv: list[str] | None = None) -> int:
         result = proto.run(set_a, set_b)
     else:
         proto = SCHEMES[args.scheme](seed=args.seed)
-        result = proto.run(set_a, set_b, estimated_d=max(1, len(set_a ^ set_b)))
+        d = len(np.setxor1d(set_a, set_b, assume_unique=True))
+        result = proto.run(set_a, set_b, estimated_d=max(1, d))
 
     _print_result(result, scheme=args.scheme, json_out=args.json,
                   quiet=args.quiet)

@@ -20,29 +20,29 @@ _EMPTY = np.empty(0, dtype=np.uint64)
 _EMPTY.flags.writeable = False
 
 
-def _is_canonical(arr: np.ndarray) -> bool:
-    """Read-only, 1-D ``uint64`` and strictly increasing."""
-    return (
-        arr.dtype == np.uint64
-        and arr.ndim == 1
-        and not arr.flags.writeable
-        and bool(np.all(arr[1:] > arr[:-1]))
-    )
-
-
 def element_array(values) -> np.ndarray:
     """``values`` as a sorted, distinct, read-only ``uint64`` array.
 
     An array that already has that form is returned as is (an O(n)
-    check, no copy); anything else is copied, so the caller may keep
-    mutating its own buffer.  Python ints must fit in 64 unsigned bits.
+    check, no copy).  A strictly increasing ``uint64`` array that is
+    still writeable is copied read-only without a sort; anything else is
+    copied and sorted, so the caller may keep mutating its own buffer.
+    Python ints must fit in 64 unsigned bits.
 
     >>> element_array([3, 1, 3, 2]).tolist()
     [1, 2, 3]
     """
     if isinstance(values, np.ndarray):
-        if _is_canonical(values):
-            return values
+        if (
+            values.dtype == np.uint64
+            and values.ndim == 1
+            and bool(np.all(values[1:] > values[:-1]))
+        ):
+            if not values.flags.writeable:
+                return values
+            arr = values.copy()
+            arr.flags.writeable = False
+            return arr
         if values.dtype.kind == "i" and len(values) and values.min() < 0:
             raise OverflowError("negative value in an element array")
         arr = values.astype(np.uint64)

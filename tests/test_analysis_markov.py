@@ -5,9 +5,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import markov, success
 from repro.analysis.balls_bins import prob_ideal
 from repro.analysis.markov import chain_power, transition_matrix
+from repro.analysis.optimizer import DEFAULT_N_CANDIDATES, optimize_params
 from repro.errors import ParameterError
+
+
+def _loop_substate_table(n: int, i_max: int) -> np.ndarray:
+    """The Appendix-E recurrence one entry at a time: the oracle of
+    :func:`repro.analysis.markov._substate_table`."""
+    size = i_max + 1
+    table = np.zeros((size, size, size), dtype=np.float64)
+    table[0, 0, 0] = 1.0
+    for i in range(1, size):
+        for j in range(0, i + 1):
+            for k in range(0, j // 2 + 1):
+                if j == 1:
+                    continue
+                acc = 0.0
+                if j >= 2 and k >= 1:
+                    acc += (i - j + 1) / n * table[i - 1, j - 2, k - 1]
+                if j >= 1:
+                    acc += k / n * table[i - 1, j - 1, k]
+                empty_frac = 1.0 - (i - 1 - j + k) / n
+                if empty_frac > 0:
+                    acc += empty_frac * table[i - 1, j, k]
+                table[i, j, k] = acc
+    return table
 
 
 class TestStructure:
@@ -119,3 +144,37 @@ class TestMonteCarloValidation:
             successes += remaining == 0
         expected = chain_power(n, t, r)[x, 0]
         assert successes / trials == pytest.approx(expected, abs=0.01)
+
+
+class TestArrayTables:
+    """The vectorized sub-state tables against the scalar recurrence."""
+
+    @pytest.mark.parametrize("n", DEFAULT_N_CANDIDATES)
+    def test_sliced_table_is_bit_identical_to_the_loop(self, n):
+        table = markov._substate_table(n, markov._TABLE_T)
+        for t in range(markov._TABLE_T + 1):
+            loop = _loop_substate_table(n, t)
+            corner = np.ascontiguousarray(table[: t + 1, : t + 1, : t + 1])
+            assert corner.tobytes() == loop.tobytes(), t
+            assert transition_matrix(n, t).tobytes() == (
+                loop.sum(axis=2).tobytes()
+            ), t
+
+    @pytest.mark.parametrize("n, t", [(3, 12), (7, 40), (63, 41)])
+    def test_small_bitmaps_and_large_capacities(self, n, t):
+        """t > n makes empty fractions negative; t > 35 gets its own table."""
+        assert transition_matrix(n, t).tobytes() == (
+            _loop_substate_table(n, t).sum(axis=2).tobytes()
+        )
+
+    def test_a_fresh_optimizer_builds_one_table_per_n(self):
+        for cached in (
+            markov._substate_table,
+            markov.transition_matrix,
+            success._success_table,
+            success._candidate_tables,
+        ):
+            cached.cache_clear()
+        optimize_params(1234)
+        info = markov._substate_table.cache_info()
+        assert info.misses == info.currsize == len(DEFAULT_N_CANDIDATES)

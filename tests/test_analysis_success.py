@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
+from repro.analysis.markov import chain_power
 from repro.analysis.optimizer import (
+    DEFAULT_N_CANDIDATES,
     OptimalParams,
     default_t_candidates,
     groups_for,
@@ -191,8 +197,8 @@ class TestBinomialPmfMemo:
         success._group_pmf.cache_clear()
         optimize_params(1234)
         info = success._group_pmf.cache_info()
-        assert info.misses == 1
-        assert info.hits == 6 * len(default_t_candidates(5)) - 1
+        # one lookup in all: every candidate is scored from one product
+        assert (info.misses, info.hits) == (1, 0)
 
     def test_shared_pmf_is_read_only(self):
         with pytest.raises(ValueError):
@@ -233,3 +239,86 @@ class TestPiecewise:
 
     def test_zero_differences(self):
         assert expected_cumulative_reconciled(0, 3, 127, 13) == 0.0
+
+
+@lru_cache(maxsize=None)
+def _loop_success_table(n: int, t: int, r: int) -> np.ndarray:
+    """The three-way split recursion one sum per entry: the oracle of
+    :func:`repro.analysis.success._success_table`."""
+    size = success._X_MAX + 1
+    out = np.zeros(size)
+    if r == 0:
+        out[0] = 1.0
+        return out
+    prev = _loop_success_table(n, t, r - 1)
+    top = min(t, success._X_MAX)
+    out[: top + 1] = chain_power(n, t, r)[: top + 1, 0]
+    out[0] = 1.0
+    if r == 1:
+        return out
+    b13 = success._binom_pmf_matrix(1, 3)
+    b12 = success._binom_pmf_matrix(1, 2)
+    inner = np.array([
+        float((b12[rem, : rem + 1] * prev[: rem + 1] * prev[rem::-1]).sum())
+        for rem in range(size)
+    ])
+    for x in range(t + 1, size):
+        out[x] = float((b13[x, : x + 1] * prev[: x + 1] * inner[x::-1]).sum())
+    return out
+
+
+def _loop_optimize(d: int, split_model: str, delta: int = 5, r: int = 3,
+                   p0: float = 0.99):
+    """§5.1 one candidate at a time: ``(objective, bound, n, t)``."""
+    g = groups_for(d, delta)
+    pmf = success._group_pmf(d, g)
+    best = None
+    for n in DEFAULT_N_CANDIDATES:
+        m = (n + 1).bit_length() - 1
+        for t in default_t_candidates(delta):
+            table = success._model_table(n, t, r, split_model)
+            alpha = float((pmf * table[: len(pmf)]).sum())
+            if alpha <= 0.0:
+                bound = -1.0
+            else:
+                bound = 1.0 - 2.0 * (1.0 - math.exp(g * math.log(alpha)))
+            if bound < p0:
+                continue
+            objective = (t + delta) * m
+            if (
+                best is None
+                or objective < best[0]
+                or (objective == best[0] and bound > best[1])
+            ):
+                best = (objective, bound, n, t)
+    return best
+
+
+class TestArrayOptimizer:
+    """The array-form tables and the one-pass scoring against loops."""
+
+    @pytest.mark.parametrize("n", DEFAULT_N_CANDIDATES)
+    def test_success_tables_match_the_loop(self, n):
+        for t in (1, *default_t_candidates(5), 35):
+            for r in range(5):
+                np.testing.assert_allclose(
+                    success._success_table(n, t, r),
+                    _loop_success_table(n, t, r),
+                    rtol=1e-12, atol=0,
+                )
+
+    @pytest.mark.parametrize("split_model", ["three-way", "none"])
+    def test_batched_selection_equals_the_loop(self, split_model):
+        # 68,154 / 163,505 / 163,699 are the optimizer's known near-ties
+        for d in (*range(1, 3001), 68_154, 163_505, 163_699):
+            try:
+                best = optimize_params(d, split_model=split_model)
+                got = (best.objective_bits, best.bound, best.n, best.t)
+            except ParameterError:
+                got = None
+            assert got == _loop_optimize(d, split_model), d
+
+    def test_batched_bounds_equal_the_scalar_bound(self):
+        grid = lower_bound_grid(1381)
+        for (n, t), bound in grid.items():
+            assert bound == overall_lower_bound(n, t, 1381, 276, 3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import errno
 import json
 import os
 import signal
@@ -30,7 +31,7 @@ def sig_files(tmp_path):
 class TestLoadSignatures:
     def test_parses_decimal_hex_comments(self, sig_files):
         a, _ = sig_files
-        assert load_signatures(a) == {1, 2, 255, 42}
+        assert load_signatures(a).tolist() == [1, 2, 42, 255]
 
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -146,7 +147,44 @@ class TestServeAndSync:
             "--write", "--quiet",
         ])
         assert code == 0
-        assert load_signatures(a) == {1, 2, 42, 99, 255, 1000}
+        assert load_signatures(a).tolist() == [1, 2, 42, 99, 255, 1000]
+
+    def test_a_failed_sync_write_leaves_the_old_file_whole(
+        self, server, sig_files, monkeypatch
+    ):
+        """A disk that fills up halfway through ``--write`` leaves the
+        old file as it was and no temp file beside it."""
+        srv, _ = server
+        a, _ = sig_files
+        before = a.read_bytes()
+        fdopen = os.fdopen
+
+        class HalfFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        argv = ["sync", str(a), "--set", "inv", "--port", str(srv.port),
+                "--write", "--quiet"]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                os, "fdopen", lambda *args, **kw: HalfFull(fdopen(*args, **kw))
+            )
+            assert main(argv) == 2
+        assert a.read_bytes() == before
+        assert sorted(p.name for p in a.parent.iterdir()) == ["a.txt", "b.txt"]
+        assert main(argv) == 0
+        assert a.read_text() == "1\n2\n42\n99\n255\n1000\n"
 
     def test_sync_connection_refused_is_clean_error(self, sig_files, capsys):
         a, _ = sig_files

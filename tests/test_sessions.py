@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.elements import element_array
 from repro.core.messages import ReplyMessage, UnitReply
 from repro.core.params import PBSParams
 from repro.core.protocol import PBSProtocol
@@ -48,6 +49,25 @@ class TestElementValidation:
 
     def test_empty_ok(self):
         assert len(_as_element_array([], 32)) == 0
+
+    def test_increasing_writeable_array_is_copied_read_only(self):
+        values = np.array([3, 9, 12], dtype=np.uint64)
+        arr = element_array(values)
+        assert arr.tolist() == [3, 9, 12]
+        assert arr.dtype == np.uint64 and not arr.flags.writeable
+        assert not np.shares_memory(arr, values)
+        values[0] = 99   # the caller keeps its own buffer
+        assert arr.tolist() == [3, 9, 12]
+
+    def test_read_only_element_array_is_returned_as_is(self):
+        arr = element_array([2, 1])
+        assert element_array(arr) is arr
+
+    def test_unsorted_and_repeated_arrays_are_sorted_and_deduped(self):
+        for values in ([5, 5, 7], [9, 3, 5]):
+            arr = element_array(np.array(values, dtype=np.uint64))
+            assert arr.tolist() == sorted(set(values))
+            assert not arr.flags.writeable
 
 
 class TestGroupPartition:
