@@ -139,6 +139,11 @@ def _parse_signature_lines(path: Path, text: str) -> set[int]:
     return set(seen)
 
 
+class _WriteFailed(Exception):
+    """``sync --write`` could not replace its file after the sync itself
+    completed (the server has already merged A \\ B)."""
+
+
 def _write_signatures(path: Path, values: np.ndarray) -> None:
     """Replace ``path`` with ``values``, one decimal per line.
 
@@ -995,7 +1000,10 @@ def cmd_sync(argv: list[str]) -> int:
                     union = np.union1d(values, element_array(result.difference))
                     # one-shot CLI: this coroutine is the only work on
                     # the loop, so the inline file write stalls nobody
-                    _write_signatures(args.file, union)
+                    try:
+                        _write_signatures(args.file, union)
+                    except OSError as exc:
+                        raise _WriteFailed(exc) from exc
                 _print_result(
                     result, scheme="service", json_out=args.json,
                     quiet=args.quiet,
@@ -1010,6 +1018,10 @@ def cmd_sync(argv: list[str]) -> int:
 
     try:
         ok = asyncio.run(_sync())
+    except _WriteFailed as exc:
+        print(f"error: synced with {args.host}:{args.port}, but cannot "
+              f"write {args.file}: {exc}", file=sys.stderr)
+        return 2
     except (ConnectionError, OSError, ReproError, asyncio.IncompleteReadError) as exc:
         print(f"error: cannot sync with {args.host}:{args.port}: {exc}",
               file=sys.stderr)

@@ -31,9 +31,9 @@ Pieces (bottom up):
 * :mod:`repro.cluster.config` — :class:`ClusterConfig`, every knob
   that shapes a cluster, and :func:`open_cluster`, which builds one;
 * :mod:`repro.cluster.router` — :class:`ClusterStore`, the store every
-  server serves from (one shard worker per shard; a 1-shard memory
-  cluster is what plain ``repro serve`` runs), with a live
-  drain-and-swap :meth:`~ClusterStore.resize`;
+  server serves from (one shard worker per shard, a shard count fixed
+  for the store's lifetime; a 1-shard memory cluster is what plain
+  ``repro serve`` runs);
 * :mod:`repro.cluster.proc` — the ``subprocess`` shard executor: shard
   workers in child processes speaking the service framing as an
   internal RPC, so BCH decode CPU scales across cores

@@ -44,11 +44,9 @@ class AdmissionController:
 
     Lifecycle of a slot: :meth:`try_admit` at HELLO (``None`` =
     admitted, a float = shed with RETRY carrying that delay), paired
-    with exactly one :meth:`release` carrying the :meth:`incarnation`
-    token captured at admit time (so releases that straddle a
-    :meth:`resize` cannot corrupt a re-created shard's counts).
-    :meth:`decode_slot` is the mid-session backpressure context manager.
-    Caps of 0 mean unlimited.  The controller is executor-agnostic: it
+    with exactly one :meth:`release`.  :meth:`decode_slot` is the
+    mid-session backpressure context manager.  Caps of 0 mean
+    unlimited.  The controller is executor-agnostic: it
     counts sessions and decode submissions per shard id, whether the
     shard worker is an asyncio task or a subprocess (worker *downtime*
     shedding is separate — the server consults
@@ -78,15 +76,6 @@ class AdmissionController:
             asyncio.Semaphore(max_decode_queue) if max_decode_queue else None
             for _ in range(shards)
         ]
-        # per-shard incarnation: bumped when a resize re-creates a shard
-        # id after it was removed, so bookkeeping from the id's previous
-        # life (a stale release/slot-exit) can be told apart from the
-        # current one's and dropped instead of corrupting its counts
-        self._incarnation = [0] * shards
-        self._incarnation_counter = 0
-        #: sessions shed because their shard id no longer exists (a
-        #: multi-pass connection re-admitting across a shrink)
-        self._shed_stale = 0
 
     # -- session admission -----------------------------------------------------
     def try_admit(self, shard: int) -> float | None:
@@ -98,15 +87,7 @@ class AdmissionController:
         client's job (:func:`repro.service.wire.retry_delay` jitters and
         grows it per attempt, so deeper overload backs clients off
         further without the server tracking them).
-
-        A shard id that no longer exists (a multi-pass connection
-        re-admitting with the id it captured before a shrinking
-        :meth:`resize`) is shed with the same hint: the client backs
-        off, reconnects, and re-routes under the new topology.
         """
-        if not 0 <= shard < len(self._active):
-            self._shed_stale += 1       # visible in stats like any shed
-            return self.retry_after_s
         over_sessions = (
             self.max_sessions and self._active[shard] >= self.max_sessions
         )
@@ -122,75 +103,17 @@ class AdmissionController:
         self._peak[shard] = max(self._peak[shard], self._active[shard])
         return None
 
-    def incarnation(self, shard: int) -> int:
-        """The shard's current incarnation token (capture at admit time,
-        hand back to :meth:`release` so a release that straddled resizes
-        can be matched to the admission it balances)."""
-        if 0 <= shard < len(self._incarnation):
-            return self._incarnation[shard]
-        return -1
-
-    def release(self, shard: int, incarnation: int | None = None) -> None:
-        # a session admitted before a shrink may release a shard id that
-        # no longer exists (its slot died with the shard), or one that a
-        # later grow re-created (decrementing the *new* shard's count
-        # would quietly raise its effective cap by one) — the incarnation
-        # token tells those apart from a live shard's ordinary release.
-        # The floor is a last-resort guard for callers without a token.
-        if not 0 <= shard < len(self._active):
-            return
-        if incarnation is not None and incarnation != self._incarnation[shard]:
-            return
-        self._active[shard] = max(0, self._active[shard] - 1)
-
-    def resize(self, shards: int) -> None:
-        """Re-shape the per-shard books after a :meth:`ClusterStore.resize`.
-
-        Surviving shards keep their live counts and history; new shards
-        start cold.  Sessions admitted under the old topology simply
-        finish: a release (or decode slot) against a removed shard id is
-        ignored rather than indexed out of bounds.
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-
-        def _fit(values: list, fill) -> list:
-            return values[:shards] + [fill] * (shards - len(values))
-
-        self._active = _fit(self._active, 0)
-        self._peak = _fit(self._peak, 0)
-        self._admitted = _fit(self._admitted, 0)
-        self._shed = _fit(self._shed, 0)
-        self._decode_waiting = _fit(self._decode_waiting, 0)
-        self._decode_peak = _fit(self._decode_peak, 0)
-        self._decode_slots = self._decode_slots[:shards] + [
-            asyncio.Semaphore(self.max_decode_queue)
-            if self.max_decode_queue
-            else None
-            for _ in range(shards - len(self._decode_slots))
-        ]
-        # shards beyond the old count are (re-)born: new incarnation, so
-        # tokens captured during a removed predecessor's life dangle
-        self._incarnation_counter += 1
-        self._incarnation = self._incarnation[:shards] + [
-            self._incarnation_counter
-            for _ in range(shards - len(self._incarnation))
-        ]
-        self.shards = shards
+    def release(self, shard: int) -> None:
+        self._active[shard] -= 1
 
     # -- decode backpressure ---------------------------------------------------
     @contextlib.asynccontextmanager
     async def decode_slot(self, shard: int):
         """Hold one of the shard's decode-queue slots (waits when full)."""
-        slot = (
-            self._decode_slots[shard]
-            if 0 <= shard < len(self._decode_slots)
-            else None
-        )
+        slot = self._decode_slots[shard]
         if slot is None:
             yield
             return
-        incarnation = self._incarnation[shard]
         self._decode_waiting[shard] += 1
         self._decode_peak[shard] = max(
             self._decode_peak[shard], self._decode_waiting[shard]
@@ -199,22 +122,12 @@ class AdmissionController:
             async with slot:
                 yield
         finally:
-            # the shard may have been resized away (or away and back)
-            # while the slot was held; only this incarnation's counter
-            # may be decremented — a surviving shard keeps its counts
-            # across a resize, a re-created one must not inherit ours
-            if (
-                0 <= shard < len(self._decode_waiting)
-                and self._incarnation[shard] == incarnation
-            ):
-                self._decode_waiting[shard] = max(
-                    0, self._decode_waiting[shard] - 1
-                )
+            self._decode_waiting[shard] -= 1
 
     # -- introspection ---------------------------------------------------------
     @property
     def total_shed(self) -> int:
-        return sum(self._shed) + self._shed_stale
+        return sum(self._shed)
 
     def stats(self) -> dict:
         return {
@@ -222,7 +135,6 @@ class AdmissionController:
             "max_decode_queue": self.max_decode_queue,
             "retry_after_s": self.retry_after_s,
             "shed_total": self.total_shed,
-            "shed_stale_shard": self._shed_stale,
             "per_shard": [
                 {
                     "shard": shard,

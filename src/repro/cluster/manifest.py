@@ -40,14 +40,11 @@ from repro.errors import ReproError
 MANIFEST_NAME = "manifest.json"
 
 #: Manifest schema version (bump on incompatible layout changes).
-#: Format 2 (PR 6) added the ``storage`` backend field; format 3
-#: (PR 10) added the replication fields (``replicas``,
-#: ``primary_replica``, ``cursors``).  Older formats are still read,
-#: with the newer fields defaulting to their pre-replication values
-#: (no followers, every shard served from its ``shard-NN`` root).
+#: Format 2 added the ``storage`` backend field; format 3 added the
+#: replication fields (``replicas``, ``primary_replica``, ``cursors``).
+#: Only the current format is read, with every field required: an
+#: older manifest raises :class:`ManifestError` naming its format.
 MANIFEST_FORMAT = 3
-
-_READABLE_FORMATS = (1, 2, 3)
 
 _SHARD_DIR_RE = re.compile(r"^shard-(\d+)$")
 
@@ -204,9 +201,11 @@ class ClusterManifest:
     def from_dict(cls, data: dict, source: str = "manifest") -> "ClusterManifest":
         if not isinstance(data, dict):
             raise ManifestError(f"{source}: not a JSON object")
-        if data.get("format") not in _READABLE_FORMATS:
+        if data.get("format") != MANIFEST_FORMAT:
             raise ManifestError(
-                f"{source}: unsupported manifest format {data.get('format')!r}"
+                f"{source}: unsupported manifest format "
+                f"{data.get('format')!r} (this version reads format "
+                f"{MANIFEST_FORMAT} only)"
             )
         try:
             return cls(
@@ -214,12 +213,10 @@ class ClusterManifest:
                 vnodes=int(data["vnodes"]),
                 epoch=int(data["epoch"]),
                 shard_epochs=[int(e) for e in data["shard_epochs"]],
-                storage=str(data.get("storage", "journal")),
-                replicas=int(data.get("replicas", 0)),
-                primary_replica=[
-                    int(r) for r in data.get("primary_replica", [])
-                ],
-                cursors=[int(c) for c in data.get("cursors", [])],
+                storage=str(data["storage"]),
+                replicas=int(data["replicas"]),
+                primary_replica=[int(r) for r in data["primary_replica"]],
+                cursors=[int(c) for c in data["cursors"]],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{source}: malformed manifest: {exc}") from None

@@ -121,7 +121,6 @@ class RpcType(enum.IntEnum):
     READY = 32      #: child -> parent: token + recovered state dump
     APPLY = 33      #: parent -> child: journal + apply one diff
     CREATE = 34     #: parent -> child: journal + create one set
-    RESTORE = 35    #: parent -> child: create at an explicit version
     SYNC = 36       #: parent -> child: mutation-queue barrier
     DECODE = 37     #: parent -> child: BCH-decode sketch deltas
     CLOSE = 39      #: parent -> child: drain, close journal, exit
@@ -133,7 +132,6 @@ class RpcType(enum.IntEnum):
 _MUTATION_RPC = {
     "apply": RpcType.APPLY,
     "create": RpcType.CREATE,
-    "restore": RpcType.RESTORE,
     "sync": RpcType.SYNC,
 }
 _MUTATION_OPS = {rpc: op for op, rpc in _MUTATION_RPC.items()}
@@ -453,7 +451,7 @@ class WorkerHandle:
         if op == "apply":
             name, add, remove = args
             self.store.apply_diff(name, add=add, remove=remove)
-        elif op in ("create", "restore"):
+        elif op == "create":
             name, values, version = args
             self.store.create(name, values, version=version)
 

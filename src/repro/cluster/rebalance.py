@@ -11,8 +11,8 @@ through the committed backend's iterator and staged through the new
 backend's writer, so ``journal`` and ``sqlite`` directories migrate in
 either direction with versions preserved.
 
-The protocol (all offline — run it against a stopped server, or let
-:meth:`ClusterStore.resize` drain the workers first):
+The protocol (all offline — run it against a stopped server; ``repro
+serve --rebalance`` runs it before the server opens the directory):
 
 1. **Replay** every committed shard directory read-only through the
    committed backend (:meth:`repro.cluster.storage.StorageBackend.iter_sets`)
@@ -219,8 +219,7 @@ def rebalance(
     that point — the crash-injection hook the recovery drills use.
 
     Must not run concurrently with a server holding the same directory
-    open (stop it, or use :meth:`ClusterStore.resize`, which drains the
-    shard workers and calls this).
+    open: stop it first.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -256,7 +255,6 @@ def rebalance(
         # already there — but a crashed earlier attempt may have left
         # staged files behind; sweep them so they cannot outlive epochs
         removed = _sweep_stale(data_dir, manifest)
-        write_manifest(data_dir, manifest, fsync=fsync)  # current format
         return RebalanceResult(
             data_dir=str(data_dir), changed=False,
             old_shards=manifest.shards, new_shards=shards,

@@ -25,9 +25,9 @@ runs — :meth:`ClusterStore._open_worker` is the one place that asks:
   replays its storage.  Decode CPU scales across cores; each worker
   batches decode work with its own coalescer.
 
-Everything else — submit, ack, ship, quorum wait, start, close, resize,
-stats — is one code path over the handle's surface, and the cluster
-keeps its three core properties under either executor:
+Everything else — submit, ack, ship, quorum wait, start, close, stats —
+is one code path over the handle's surface, and the cluster keeps its
+three core properties under either executor:
 
 * **Independent progress** — sessions for sets on different shards never
   contend on a store or a journal; only same-shard writes serialize.
@@ -40,6 +40,10 @@ keeps its three core properties under either executor:
 * **Deterministic recovery** — ``start()`` replays snapshot-then-journal
   per shard; versions are re-derived by replay, so a recovered store is
   bit-for-bit the pre-crash store up to the last complete record.
+
+The shard count is fixed for a store's lifetime: changing it is the
+offline :func:`~repro.cluster.rebalance.rebalance` between a close and
+the next start (``repro rebalance``, ``repro serve --rebalance``).
 
 With the inline executor the server's cross-session
 :class:`~repro.service.scheduler.DecodeCoalescer` sits *above* this
@@ -67,7 +71,6 @@ from repro.cluster.proc import (
     WorkerSupervisor,
     WorkerUnavailableError,
 )
-from repro.cluster.rebalance import RebalanceResult, rebalance
 from repro.cluster.replication import (
     FollowerApplier,
     ReplicationError,
@@ -158,12 +161,8 @@ class ClusterStore:
         self._started = False
         self._closing = False
         self._close_done: asyncio.Event | None = None
-        self._resize_gate: asyncio.Event | None = None
         self._supervisor: WorkerSupervisor | None = None
         self._restart_tasks: set[asyncio.Task] = set()
-        # -- resize counters (cluster_stats / metrics) --
-        self.resizes = 0
-        self.sets_moved = 0
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
@@ -173,8 +172,8 @@ class ClusterStore:
         shard/vnode count differing from the committed layout raises
         :class:`~repro.cluster.manifest.TopologyMismatchError` instead of
         silently remapping set names to shards that never journaled them
-        (run ``repro rebalance`` — or :meth:`resize` — to migrate), and
-        shard directories without a manifest raise
+        (run ``repro rebalance`` to migrate), and shard directories
+        without a manifest raise
         :class:`~repro.cluster.manifest.ManifestError`.  Shard storage
         opens at each shard's committed layout epoch.  A memory-only
         shard starts empty.
@@ -253,18 +252,9 @@ class ClusterStore:
         (never silently stranded on an unserviced queue).  Idempotent
         and safe in any state: a second (even concurrent) close awaits
         the first instead of double-draining queues or double-closing
-        journal handles, a close before :meth:`start` is a no-op, and a
-        close racing a :meth:`resize` waits the resize out and then
-        closes the swapped store (close never returns while workers may
-        be restarted).  A drained shard's last state stays readable.
+        journal handles, and a close before :meth:`start` is a no-op.
+        A drained shard's last state stays readable.
         """
-        while self._resize_gate is not None:
-            await self._resize_gate.wait()
-        await self._drain()
-
-    async def _drain(self) -> None:
-        """The close body, minus the resize fence (resize drains through
-        here itself — fencing would deadlock on its own gate)."""
         if self._close_done is not None:
             await self._close_done.wait()
             return
@@ -410,7 +400,6 @@ class ClusterStore:
             await repl.stop(graceful=True)
             if (
                 self.manifest is not None
-                and shard.shard_id < len(self.manifest.cursors)
                 and self.manifest.cursors[shard.shard_id] != repl.seq
             ):
                 self.manifest.cursors[shard.shard_id] = repl.seq
@@ -534,8 +523,6 @@ class ClusterStore:
         """
         if self._closing or self._supervisor is None:
             return
-        if not 0 <= shard_id < len(self._shards):
-            return
         shard = self._shards[shard_id]
         task = asyncio.create_task(
             self._restart_worker(shard), name=f"shard-{shard_id}-restart"
@@ -555,12 +542,7 @@ class ClusterStore:
         failures = 0
         while True:
             await asyncio.sleep(backoff)
-            if (
-                self._closing
-                or self._supervisor is None
-                or shard not in self._shards       # resized away meanwhile
-                or shard.worker.alive
-            ):
+            if self._closing or self._supervisor is None or shard.worker.alive:
                 return
             # reap the condemned handle before its successor opens the
             # same journal: close() terminates the old child if it is
@@ -629,130 +611,11 @@ class ClusterStore:
 
         False while the shard's worker child is dead or restarting (the
         server sheds new sessions for it with RETRY instead of queueing
-        against a corpse); an in-process worker never dies.  A stale
-        shard id from before a shrink reports available — admission
-        control owns that case.
+        against a corpse); an in-process worker never dies.
         """
         if not self._started:
-            return True
-        if not 0 <= shard_id < len(self._shards):
             return True
         return self._shards[shard_id].worker.alive
-
-    async def resize(self, shards: int, admission=None) -> dict:
-        """Live-resize to ``shards`` shards without losing a byte.
-
-        Drains every shard worker (queued mutations apply and journal
-        first; subprocess workers are closed and later respawned under
-        the new layout), runs the offline move plan — :func:`rebalance`
-        for a journaled store (in an executor, so reads and the event
-        loop keep serving while it replays and stages), an in-memory
-        redistribution otherwise — then swaps the ring and restarts the
-        workers under
-        the new layout.  Sessions keep working across the swap: reads
-        serve the pre-resize view until the switch, mutations submitted
-        during the resize wait behind a gate and then route through the
-        new ring, and sessions holding pre-resize snapshots re-route
-        their later ``apply_diff`` calls the same way.  If the move plan
-        fails, the store reopens under the old layout (the rebalance
-        commit is atomic, so disk always holds exactly one valid epoch)
-        and the error propagates.
-
-        ``admission`` (the server's per-shard
-        :class:`~repro.cluster.admission.AdmissionController`, if any) is
-        re-shaped to the new shard count after the swap, so caps apply to
-        the new topology immediately.  Returns a summary dict.
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if not self._started:
-            raise ReproError("ClusterStore.start() before resize()")
-        if self._closing:
-            # a close() is already draining: restarting workers behind
-            # its back would hand the caller a "closed" store that is
-            # secretly alive (leaked tasks, reopened journal handles)
-            raise ReproError("ClusterStore is closing")
-        if self._resize_gate is not None:
-            raise ReproError("a resize is already in progress")
-        old_shards = self.n_shards
-        old_ring = self.ring
-        old_shard_list = self._shards
-        if shards == old_shards:
-            return {
-                "old_shards": old_shards, "new_shards": shards,
-                "moved": 0, "changed": False,
-            }
-        self._resize_gate = asyncio.Event()
-        result: RebalanceResult | None = None
-        entries: list[tuple] | None = None
-        try:
-            await self._drain()
-            if self.data_dir is not None:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    None,
-                    lambda: rebalance(
-                        self.data_dir, shards, vnodes=old_ring.vnodes,
-                        fsync=self.config.fsync,
-                        storage=self.config.storage,
-                    ),
-                )
-                moved = result.moved_count
-            else:
-                # the drained shards' last state, read from their
-                # workers' read views
-                entries = [
-                    entry for shard in self._shards
-                    for entry in shard.store.items()
-                ]
-            self.ring = HashRing(range(shards), vnodes=old_ring.vnodes)
-            self._shards = [_Shard(shard_id=i) for i in range(shards)]
-            await self.start()
-            if entries is not None:
-                moved = sum(
-                    old_ring.lookup(name) != self.ring.lookup(name)
-                    for name, _values, _version in entries
-                )
-                await self._restore(entries)
-        except BaseException:
-            # best-effort rollback: reopen under the old layout (a
-            # pre-commit failure left the old manifest current; after a
-            # committed rebalance this restart refuses the stale
-            # topology, and the store stays closed for the caller).  If
-            # the new layout's workers already started (a failure in the
-            # restore loop), drain them first — otherwise start() would
-            # see _started and silently do nothing, stranding the store
-            # half-swapped (and, in proc mode, leaking worker children).
-            if self._started:
-                try:
-                    await self._drain()
-                except Exception:
-                    pass
-            self.ring = old_ring
-            self._shards = old_shard_list
-            try:
-                await self.start()
-                if entries is not None:
-                    # in-memory rollback: the reopened workers start
-                    # empty — push the saved entries back through them
-                    await self._restore(entries)
-            except Exception:
-                pass
-            raise
-        finally:
-            gate, self._resize_gate = self._resize_gate, None
-            gate.set()
-        if admission is not None:
-            admission.resize(shards)
-        self.resizes += 1
-        self.sets_moved += moved
-        return {
-            "old_shards": old_shards,
-            "new_shards": shards,
-            "moved": moved,
-            "changed": True,
-            "epoch": self.manifest.epoch if self.manifest is not None else None,
-            "rebalance": result.to_dict() if result is not None else None,
-        }
 
     async def __aenter__(self) -> "ClusterStore":
         await self.start()
@@ -774,16 +637,6 @@ class ClusterStore:
         return self._shards[self.ring.lookup(name)]
 
     # -- mutations (through the shard worker) ----------------------------------
-    async def _resize_barrier(self) -> None:
-        """Park mutations while a :meth:`resize` swaps the layout.
-
-        No suspension points separate the wait's resolution from the
-        caller's ``_submit`` (single event loop), so a released waiter
-        always routes through the fully-swapped ring.
-        """
-        while self._resize_gate is not None:
-            await self._resize_gate.wait()
-
     async def apply_diff(self, name: str, add=(), remove=(),
                          trace=None) -> int:
         """Merge a completed session's diff; durable before it resolves.
@@ -793,7 +646,6 @@ class ClusterStore:
         the commit appears inside the session's trace tree even though
         it runs in the worker child.
         """
-        await self._resize_barrier()
         return await self._submit(
             self._shard(name), "apply",
             (name, element_array(add), element_array(remove)), trace,
@@ -801,7 +653,6 @@ class ClusterStore:
 
     async def create(self, name: str, values=(), trace=None) -> None:
         """Create (or replace) a named set, journaled as full state."""
-        await self._resize_barrier()
         await self._submit(
             self._shard(name), "create", (name, element_array(values), 0),
             trace,
@@ -809,14 +660,12 @@ class ClusterStore:
 
     async def flush(self) -> None:
         """Barrier: resolves after every queued mutation has been applied."""
-        await self._resize_barrier()
         await asyncio.gather(
             *[self._submit(shard, "sync", ()) for shard in self._shards]
         )
 
     async def snapshot(self, name: str, create_missing: bool = False) -> Snapshot:
         """Freeze one set for a session (creating it, durably, if asked)."""
-        await self._resize_barrier()
         shard = self._shard(name)
         if name not in shard.store:
             if not create_missing:
@@ -871,14 +720,6 @@ class ClusterStore:
             await repl.wait_durable(shipped[0])
         return result
 
-    async def _restore(self, entries) -> None:
-        """Versioned creates through the owning workers (the in-memory
-        resize and its rollback)."""
-        for name, values, version in entries:
-            await self._submit(
-                self._shard(name), "restore", (name, values, version)
-            )
-
     async def decode_remote(
         self, shard_id: int, codec, deltas, trace=None, lone: bool = False
     ):
@@ -893,16 +734,10 @@ class ClusterStore:
         shard, so no batch could form.  Returns the same ``(decoded, seconds)``
         contract as :meth:`DecodeCoalescer.decode`.  Raises
         :class:`~repro.cluster.proc.WorkerUnavailableError` while the
-        worker is dead or the shard id predates a shrink — the session
-        fails and the client retries under the new conditions.
+        worker is dead — the session fails and the client retries.
         """
         if self.executor != "subprocess":
             raise ReproError("decode_remote requires the subprocess executor")
-        await self._resize_barrier()
-        if not 0 <= shard_id < len(self._shards):
-            raise WorkerUnavailableError(
-                f"shard {shard_id} no longer exists (cluster resized)"
-            )
         worker = self._shards[shard_id].worker
         if not worker.alive:
             raise WorkerUnavailableError(
@@ -957,8 +792,6 @@ class ClusterStore:
             "layout": (
                 self.manifest.to_dict() if self.manifest is not None else None
             ),
-            "resizes": self.resizes,
-            "sets_moved": self.sets_moved,
             "worker_restarts": sum(s.restarts for s in self._shards),
             "per_shard": [self._shard_stats(shard) for shard in self._shards],
         }

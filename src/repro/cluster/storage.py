@@ -283,8 +283,8 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
       never precede its CREATE), skip the write for empty diffs
       (converged re-sync passes change nothing), persist, then mutate;
       returns the changed-element count.
-    * ``create`` / ``restore`` ``(name, values, version)`` — persist the
-      full-state replacement, then replace the set.
+    * ``create`` ``(name, values, version)`` — persist the full-state
+      replacement, then replace the set.
     * ``sync`` — a no-op ordering barrier.
 
     For ``concurrent_writes`` backends the durable write runs in the
@@ -295,7 +295,7 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
     can observe state a crash recovery would roll back.
     """
     durable = storage is not None and (
-        op in ("create", "restore")
+        op == "create"
         or (op == "apply" and (len(args[1]) or len(args[2])))
     )
     if not durable:
@@ -356,7 +356,7 @@ async def _mutate(store: SetStore, storage: StorageBackend | None,
         # persistence hook only fires for non-empty diffs, so this is
         # a pure in-memory reconcile-counter bump
         return store.apply_diff(name, add=add, remove=remove)
-    if op in ("create", "restore"):
+    if op == "create":
         name, values, version = args
         if not offload:
             # repro: ignore[blocking-call-in-async] -- same-thread

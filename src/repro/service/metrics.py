@@ -38,7 +38,10 @@ SESSION_HISTORY = 64
 #: (objective burn state) blocks.
 #: v4: the ``cluster`` block grows a ``replication`` summary (and
 #: per-shard ``replication`` entries) when ``--replicas`` is on.
-SNAPSHOT_SCHEMA = 4
+#: v5: the live-resize history is gone: its two optional top-level
+#: keys, their twins in the ``cluster`` block, and the ``admission``
+#: block's stale-shard shed count.
+SNAPSHOT_SCHEMA = 5
 
 
 def merged_histograms(cluster_stats: dict | None = None) -> dict:
@@ -141,32 +144,9 @@ class ServiceMetrics:
         self.encode_s = 0.0
         self.decode_s = 0.0
         self.applied_total = 0
-        self.sets_moved = 0
-        self.resizes: list[dict] = []
         self._coalescer_stats = coalescer_stats
         self._recent: deque[dict] = deque(maxlen=SESSION_HISTORY)
         self._next_id = 0
-
-    # -- topology events -------------------------------------------------------
-    def record_resize(self, summary: dict) -> None:
-        """Fold one :meth:`ReconciliationServer.resize_store` outcome in.
-
-        ``summary`` is the :meth:`ClusterStore.resize` return value.  The
-        per-event history is kept (resizes are rare operator actions) but
-        bounded: the embedded rebalance detail's per-set ``moved`` name
-        map can be huge and would be re-serialized into every metrics
-        heartbeat, so only its scalar fields are retained.
-        """
-        summary = dict(summary)
-        detail = summary.get("rebalance")
-        if isinstance(detail, dict):
-            summary["rebalance"] = {
-                key: value
-                for key, value in detail.items()
-                if key != "moved"
-            }
-        self.resizes.append(summary)
-        self.sets_moved += int(summary.get("moved", 0) or 0)
 
     # -- session lifecycle -----------------------------------------------------
     def open_session(self, peer: str = "") -> SessionMetrics:
@@ -280,9 +260,6 @@ class ServiceMetrics:
             },
             "recent_sessions": list(self._recent),
         }
-        if self.resizes:
-            out["resizes"] = list(self.resizes)
-            out["sets_moved"] = self.sets_moved
         if self._coalescer_stats is not None:
             out["coalescer"] = self._coalescer_stats.to_dict()
         if store_stats is not None:

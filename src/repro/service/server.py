@@ -108,8 +108,14 @@ class ReconciliationServer:
         create_missing: bool = True,
         admission=None,
     ) -> None:
+        if admission is not None and admission.shards != store.n_shards:
+            raise ValueError(
+                f"admission controller is sized for {admission.shards} "
+                f"shards, but the store has {store.n_shards}"
+            )
         self.store = store
         #: optional :class:`~repro.cluster.admission.AdmissionController`
+        #: with one set of caps per store shard
         self.admission = admission
         self.host = host
         self.port = port
@@ -154,21 +160,6 @@ class ReconciliationServer:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
-
-    async def resize_store(self, shards: int) -> dict:
-        """Live-resize the cluster store behind this server.
-
-        Delegates to :meth:`~repro.cluster.router.ClusterStore.resize`
-        (drain, journaled move plan, ring swap) and hands it the
-        admission controller so per-shard caps re-shape atomically under
-        the same drain.  Sessions in flight keep working — their shard
-        ids only label metrics and admission slots, both of which
-        tolerate ids from the old topology.  Recorded in the metrics
-        snapshot (``resizes``).
-        """
-        summary = await self.store.resize(shards, admission=self.admission)
-        self.metrics.record_resize(summary)
-        return summary
 
     # -- per-connection protocol ----------------------------------------------
     async def _handle_connection(
@@ -301,20 +292,14 @@ class ReconciliationServer:
                 await self._send_retry(stream, shard, retry_after)
                 return
         # the slot is released while a multi-pass connection idles between
-        # passes (see _admitted_session), so track whether we hold it —
-        # [held, incarnation]: the incarnation token pairs the eventual
-        # release with this admission even if resizes reshape the shard
-        # ids in between
-        holding = [
-            self.admission is not None,
-            self.admission.incarnation(shard) if self.admission else 0,
-        ]
+        # passes (see _admitted_session), so track whether we hold it
+        holding = [self.admission is not None]
         try:
             await self._admitted_session(stream, session, hello, shard,
                                          holding, session_ctx)
         finally:
-            if holding[0] and self.admission is not None:
-                self.admission.release(shard, holding[1])
+            if holding[0]:
+                self.admission.release(shard)
 
     async def _admitted_session(
         self,
@@ -361,8 +346,8 @@ class ReconciliationServer:
                 # an idle connection must not pin a capped shard: give the
                 # admission slot back while waiting for the next pass and
                 # re-admit (or shed with RETRY) when one actually opens
-                if self.admission is not None and holding[0]:
-                    self.admission.release(shard, holding[1])
+                if holding[0]:
+                    self.admission.release(shard)
                     holding[0] = False
                 try:
                     _, payload = await stream.recv(expect=FrameType.ESTIMATE)
@@ -385,7 +370,6 @@ class ReconciliationServer:
                         await self._send_retry(stream, shard, retry_after)
                         return
                     holding[0] = True
-                    holding[1] = self.admission.incarnation(shard)
                 snapshot = await self.store.snapshot(
                     hello.set_name, create_missing=self.create_missing
                 )

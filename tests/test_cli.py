@@ -150,10 +150,11 @@ class TestServeAndSync:
         assert load_signatures(a).tolist() == [1, 2, 42, 99, 255, 1000]
 
     def test_a_failed_sync_write_leaves_the_old_file_whole(
-        self, server, sig_files, monkeypatch
+        self, server, sig_files, monkeypatch, capsys
     ):
         """A disk that fills up halfway through ``--write`` leaves the
-        old file as it was and no temp file beside it."""
+        old file as it was and no temp file beside it, and the error
+        names the file, not the connection: the sync itself completed."""
         srv, _ = server
         a, _ = sig_files
         before = a.read_bytes()
@@ -181,6 +182,9 @@ class TestServeAndSync:
                 os, "fdopen", lambda *args, **kw: HalfFull(fdopen(*args, **kw))
             )
             assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {a}" in err and "synced with" in err
+        assert "cannot sync" not in err
         assert a.read_bytes() == before
         assert sorted(p.name for p in a.parent.iterdir()) == ["a.txt", "b.txt"]
         assert main(argv) == 0

@@ -78,6 +78,27 @@ class TestController:
 
         asyncio.run(inner())
 
+    def test_failed_decode_returns_its_slot(self):
+        """A decode that raises inside its slot still frees it: the
+        shard's queue count drops back, the next decode gets the slot at
+        once, and new sessions are not shed as if the queue were full."""
+
+        async def inner():
+            adm = AdmissionController(shards=2, max_decode_queue=1)
+            with pytest.raises(RuntimeError):
+                async with adm.decode_slot(1):
+                    raise RuntimeError("decode failed")
+            assert adm.stats()["per_shard"][1]["decode_waiting"] == 0
+            assert adm.try_admit(1) is None
+
+            async def decode_again():
+                async with adm.decode_slot(1):
+                    return "decoded"
+
+            assert await asyncio.wait_for(decode_again(), 1.0) == "decoded"
+
+        asyncio.run(inner())
+
     def test_retry_delay_jitter_and_growth(self):
         rng = random.Random(7)
         delays = [retry_delay(0.05, attempt, rng) for attempt in range(4)]
@@ -186,6 +207,25 @@ class TestServerSheds:
         assert snap["sessions"]["shed"] == 0
         assert snap["sessions"]["completed"] == 1
         assert snap["by_shard"]["0"]["completed"] == 1
+
+
+    def test_admission_must_match_the_store_shard_count(
+        self, memory_cluster
+    ):
+        """Caps are kept per store shard, so a controller sized for
+        another shard count is refused when the server is built."""
+        async def scenario():
+            async with memory_cluster(shards=2) as store:
+                with pytest.raises(ValueError, match="store has 2"):
+                    ReconciliationServer(
+                        store, admission=AdmissionController(shards=3)
+                    )
+                server = ReconciliationServer(
+                    store, admission=AdmissionController(shards=2)
+                )
+                assert server.admission.shards == store.n_shards
+
+        asyncio.run(scenario())
 
 
 class TestIdleConnectionsDoNotPinCapacity:

@@ -1,9 +1,9 @@
 """Subprocess shard executors: equivalence with inline, crash drills.
 
 Durable tests are parametrized over every storage backend
-(``make_cluster`` in ``conftest.py``): the SIGKILL drill, startup-crash
-fail-fast, and resize preservation must hold identically whether the
-child persists to journal files or a SQLite store.
+(``make_cluster`` in ``conftest.py``): equivalence, the SIGKILL drill
+and startup-crash fail-fast must hold identically whether the child
+persists to journal files or a SQLite store.
 
 Written against plain ``asyncio.run`` so the suite does not depend on a
 pytest-asyncio plugin being installed.  Worker children are real spawned
@@ -27,11 +27,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    EXECUTORS,
     ClusterConfig,
     ClusterStore,
     WorkerUnavailableError,
     open_cluster,
+    rebalance,
 )
 from repro.errors import ReproError
 from repro.service import ReconciliationServer, ServerBusy, sync_with_server
@@ -104,9 +104,8 @@ class TestInlineProcEquivalence:
         assert asyncio.run(recover(inline_dir)) == inline_state
         assert asyncio.run(recover(proc_dir)) == inline_state
 
-    def test_in_memory_proc_roundtrip_and_resize(self):
-        """Proc executor without a data dir: mutations, reads, and the
-        in-memory resize path (versioned RESTORE through the children)."""
+    def test_in_memory_proc_roundtrip(self):
+        """Proc executor without a data dir: mutations and reads."""
 
         async def inner():
             async with _cluster(3, executor="subprocess") as store:
@@ -114,30 +113,41 @@ class TestInlineProcEquivalence:
                     await store.create(f"m{i}", range(i, i + 4))
                     await store.apply_diff(f"m{i}", add=[999])
                 before = _state(store)
-                summary = await store.resize(2)
-                assert summary["changed"] and store.n_shards == 2
-                assert _state(store) == before
-                # post-resize children are authoritative again: apply
-                # lands and reads see it (mirror updated on the ack)
+                # the children are authoritative: an apply lands and
+                # reads see it (mirror updated on the ack)
                 changed = await store.apply_diff("m0", add=[12345])
                 assert changed == 1 and 12345 in store.get("m0")
                 assert store.version("m0") == before["m0"][1] + 1
 
         asyncio.run(inner())
 
-    def test_durable_proc_resize_preserves_state(self, tmp_path, make_cluster):
+    def test_durable_proc_rebalance_preserves_state(
+        self, tmp_path, make_cluster
+    ):
+        """Worker children write the same shard files as inline shards,
+        so the offline rebalance between a close and the next start
+        resizes a proc-served directory: the new layout's children
+        serve every set at its version and take new writes."""
+
         async def inner():
-            store = make_cluster(2, tmp_path, executor="subprocess")
-            async with store:
+            async with make_cluster(
+                2, tmp_path, executor="subprocess"
+            ) as store:
                 for i in range(6):
                     await store.create(f"s{i}", range(10 * i, 10 * i + 5))
+                    await store.apply_diff(f"s{i}", add=[1000 + i])
                 before = _state(store)
-                summary = await store.resize(4)
-                assert summary["changed"] and summary["moved"] >= 1
+            result = rebalance(tmp_path, 4)
+            assert result.changed and result.moved_count >= 1
+            async with make_cluster(
+                4, tmp_path, executor="subprocess"
+            ) as store:
                 assert _state(store) == before
-            # and the committed epoch recovers under the new topology
+                assert await store.apply_diff("s0", add=[4242]) == 1
+            # and the children persisted that write at the new epoch
             async with make_cluster(4, tmp_path) as check:
-                assert _state(check) == before
+                assert 4242 in check.get("s0")
+                assert check.version("s0") == before["s0"][1] + 1
 
         asyncio.run(inner())
 
@@ -268,57 +278,6 @@ class TestRemoteDecode:
         assert codec.decode_many(deltas).failed.tolist() == [
             False, False, False, True, False, False, True,
         ]
-
-
-class TestResizeRollback:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_failed_restore_rolls_back_to_old_layout(
-        self, monkeypatch, executor
-    ):
-        """A failure while repopulating the new layout's workers must
-        tear the new workers down and reopen (and re-populate) the old
-        layout — not leave the store half-swapped with every mutation
-        failing (the rollback used to call start() while _started was
-        still True, a silent no-op).  Both executors restore through
-        the one mutation path."""
-
-        async def inner():
-            store = _cluster(3, executor=executor)
-            async with store:
-                for i in range(6):
-                    await store.create(f"r{i}", range(i, i + 5))
-                before = _state(store)
-
-                real_submit = ClusterStore._submit
-                calls = {"n": 0}
-
-                async def flaky_submit(self, shard, op, args, trace=None):
-                    if op == "restore":
-                        calls["n"] += 1
-                        if calls["n"] == 1:
-                            raise WorkerUnavailableError(
-                                "injected mid-restore"
-                            )
-                    return await real_submit(self, shard, op, args, trace)
-
-                monkeypatch.setattr(ClusterStore, "_submit", flaky_submit)
-                with pytest.raises(WorkerUnavailableError):
-                    await store.resize(2)
-                monkeypatch.setattr(ClusterStore, "_submit", real_submit)
-                # the rollback re-populated the old layout through the
-                # same path
-                assert calls["n"] == 1 + len(before)
-
-                # old topology, old contents, and a working write path
-                assert store.n_shards == 3
-                assert _state(store) == before
-                assert all(
-                    store.shard_available(i) for i in range(store.n_shards)
-                )
-                changed = await store.apply_diff("r0", add=[31337])
-                assert changed == 1 and 31337 in store.get("r0")
-
-        asyncio.run(inner())
 
 
 class TestWorkerCrashDrill:

@@ -25,7 +25,6 @@ import pytest
 
 from repro.cluster import (
     ClusterConfig,
-    ClusterStore,
     HashRing,
     ManifestError,
     RebalanceAborted,
@@ -172,6 +171,59 @@ class TestManifest:
         assert manifest.shards == 4
         assert load_manifest(tmp_path / "new").vnodes == 32
 
+    @pytest.mark.parametrize(
+        "key", ["storage", "replicas", "primary_replica", "cursors"]
+    )
+    def test_current_format_requires_every_field(self, tmp_path, key):
+        """Format 3 defaults nothing: a manifest missing a field is
+        malformed and refused at start, not read with a guessed value."""
+        _populate(tmp_path, 2, {"a": {1, 2}, "b": {3}})
+        path = manifest_path(tmp_path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=f"malformed manifest: '{key}'"):
+            load_manifest(tmp_path)
+        with pytest.raises(ManifestError, match=key):
+            asyncio.run(_cluster(2, tmp_path).start())
+        assert json.loads(path.read_text()) == doc
+
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_old_manifest_format_is_refused(
+        self, tmp_path, capsys, old_format
+    ):
+        """Only the current manifest format is read.  A format-1 (no
+        ``storage``) or format-2 (no replication fields) manifest raises
+        ManifestError naming its format, and ``repro serve`` and
+        ``repro rebalance`` exit 2 and write nothing."""
+        from repro.cli import main
+
+        _populate(tmp_path, 2, {"a": {1, 2}, "b": {3}})
+        path = manifest_path(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["format"] = old_format
+        for key in ("replicas", "primary_replica", "cursors"):
+            del doc[key]
+        if old_format == 1:
+            del doc["storage"]
+        path.write_text(json.dumps(doc))
+
+        def files():
+            return {
+                p.relative_to(tmp_path): p.read_bytes()
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()
+            }
+
+        before = files()
+        with pytest.raises(ManifestError, match=f"format {old_format}"):
+            load_manifest(tmp_path)
+        for command in ("serve", "rebalance"):
+            assert main([
+                command, "--data-dir", str(tmp_path), "--shards", "2",
+            ]) == 2
+            assert f"format {old_format}" in capsys.readouterr().err
+        assert files() == before
+
 
 class TestRebalanceProperty:
     @pytest.mark.parametrize("old_n", [1, 2, 3, 4, 5])
@@ -261,6 +313,60 @@ class TestRebalanceProperty:
         second = rebalance(tmp_path, 4)
         assert first.changed and not second.changed
         assert load_manifest(tmp_path).epoch == first.new_epoch
+
+    def test_noop_rebalance_writes_nothing(self, tmp_path, storage_backend):
+        """A rebalance to the committed layout touches no file: the
+        manifest keeps its inode (no rewrite), and every shard file its
+        bytes and mtime."""
+        _populate(tmp_path, 3, _random_sets(seed=8), storage=storage_backend)
+
+        def files():
+            return {
+                p.relative_to(tmp_path): (
+                    p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns,
+                )
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()
+            }
+
+        before = files()
+        result = rebalance(tmp_path, 3)
+        assert not result.changed
+        assert files() == before
+
+    def test_writes_after_rebalance_persist_at_the_new_epoch(
+        self, tmp_path, storage_backend
+    ):
+        """Resizing is close, rebalance, reopen: the reopened store
+        takes writes into the rewritten shards' new-epoch files, and a
+        later restart replays them."""
+        sets = _random_sets(seed=13)
+        expected, versions = _populate(
+            tmp_path, 2, sets, storage=storage_backend
+        )
+        result = rebalance(tmp_path, 3)
+        assert result.new_epoch == 1 and result.rewritten_shards
+
+        async def write():
+            async with _cluster(3, tmp_path, storage=storage_backend) as store:
+                for name in expected:
+                    assert await store.apply_diff(name, add=[1 << 21]) == 1
+
+        asyncio.run(write())
+        recovered, recovered_versions = _recovered(
+            tmp_path, 3, storage=storage_backend
+        )
+        assert recovered == {
+            name: values | {1 << 21} for name, values in expected.items()
+        }
+        assert recovered_versions == {
+            name: version + 1 for name, version in versions.items()
+        }
+        manifest = load_manifest(tmp_path)
+        assert manifest.epoch == 1
+        assert all(
+            manifest.shard_epoch(shard) == 1
+            for shard in result.rewritten_shards
+        )
 
     def test_minimal_movement(self, tmp_path):
         """The point of the ring: growing 4 -> 5 moves roughly 1/5 of
@@ -384,264 +490,6 @@ class TestCrashMidRebalance:
         assert load_manifest(tmp_path).shards == 2      # commit never landed
         recovered, recovered_versions = _recovered(tmp_path, 2)
         assert recovered == expected and recovered_versions == versions
-
-
-class TestLiveResize:
-    def test_in_memory_resize_moves_nothing_off_process(self):
-        async def inner():
-            async with _cluster(2) as store:
-                names = [f"s{i}" for i in range(10)]
-                for i, name in enumerate(names):
-                    await store.create(name, {i, i + 100})
-                before = {n: store.get(n) for n in names}
-                summary = await store.resize(4)
-                assert summary["changed"] and summary["new_shards"] == 4
-                assert store.n_shards == 4 and len(store.ring) == 4
-                assert {n: store.get(n) for n in names} == before
-                # the store still serves mutations after the swap
-                assert await store.apply_diff(names[0], add=[999]) == 1
-
-        asyncio.run(inner())
-
-    def test_durable_resize_survives_restart(self, tmp_path, storage_backend):
-        async def inner():
-            async with _cluster(
-                2, tmp_path, storage=storage_backend
-            ) as store:
-                for i in range(8):
-                    await store.create(f"s{i}", {i, i * 7 + 1})
-                summary = await store.resize(3)
-                assert summary["rebalance"]["new_epoch"] == 1
-                await store.apply_diff("s0", add=[12345])   # post-resize write
-            # a cold restart at the new topology sees everything,
-            # including the post-resize mutation
-            async with _cluster(3, tmp_path, storage=storage_backend) as again:
-                assert again.get("s0") == {0, 1, 12345}
-                assert len(again.names()) == 8
-
-        asyncio.run(inner())
-
-    def test_resize_to_same_count_is_a_no_op(self, tmp_path):
-        async def inner():
-            async with _cluster(2, tmp_path) as store:
-                await store.create("s", {1})
-                summary = await store.resize(2)
-                assert not summary["changed"]
-                assert store.cluster_stats()["resizes"] == 0
-
-        asyncio.run(inner())
-
-    def test_server_resize_reshapes_admission(self, tmp_path):
-        from repro.cluster import AdmissionController
-        from repro.service import ReconciliationServer
-
-        async def inner():
-            store = _cluster(2, tmp_path)
-            admission = AdmissionController(shards=2, max_sessions=4)
-            async with store:
-                server = ReconciliationServer(store, admission=admission)
-                async with server:
-                    summary = await server.resize_store(4)
-                assert summary["new_shards"] == 4
-                assert admission.shards == 4
-                assert len(admission.stats()["per_shard"]) == 4
-                # the resize is on the metrics record
-                snapshot = server.metrics.snapshot(
-                    cluster_stats=store.cluster_stats()
-                )
-                assert snapshot["resizes"][0]["new_shards"] == 4
-                assert snapshot["cluster"]["resizes"] == 1
-
-        asyncio.run(inner())
-
-    def test_admission_release_of_removed_shard_is_ignored(self):
-        from repro.cluster import AdmissionController
-
-        admission = AdmissionController(shards=4, max_sessions=2)
-        assert admission.try_admit(3) is None     # admitted on shard 3
-        admission.resize(2)                       # shard 3 disappears
-        admission.release(3)                      # session ends: no crash
-        assert admission.stats()["per_shard"][0]["active"] == 0
-
-    def test_admission_stale_shard_id_is_shed_not_crashed(self):
-        """A multi-pass connection re-admits with the shard id it
-        captured at HELLO; after a shrink that id may be gone — it must
-        be shed (client reconnects and re-routes), not IndexError."""
-        from repro.cluster import AdmissionController
-
-        admission = AdmissionController(shards=4, max_sessions=2)
-        admission.resize(2)
-        assert admission.try_admit(3) == admission.retry_after_s
-        # ... and the shed is visible to operators, not silent
-        assert admission.total_shed == 1
-        assert admission.stats()["shed_stale_shard"] == 1
-
-    def test_admission_shrink_then_grow_never_goes_negative(self):
-        from repro.cluster import AdmissionController
-
-        admission = AdmissionController(shards=4, max_sessions=2)
-        assert admission.try_admit(3) is None
-        admission.resize(2)
-        admission.resize(4)           # shard 3 exists again, cold
-        admission.release(3)          # stale release from the old epoch
-        assert admission.stats()["per_shard"][3]["active"] == 0
-        # the fresh shard's cap is intact: two admits fill it, a third
-        # is shed
-        assert admission.try_admit(3) is None
-        assert admission.try_admit(3) is None
-        assert admission.try_admit(3) is not None
-
-    def test_admission_stale_release_cannot_raise_a_live_shards_cap(self):
-        """A release from a shard id's *previous* life (removed by a
-        shrink, re-created by a grow) must not decrement the new shard's
-        live count — that would quietly admit one session over the cap."""
-        from repro.cluster import AdmissionController
-
-        admission = AdmissionController(shards=4, max_sessions=2)
-        stale_token = admission.incarnation(3)
-        assert admission.try_admit(3) is None
-        admission.resize(2)
-        admission.resize(4)                    # shard 3 re-born, cold
-        assert admission.try_admit(3) is None  # fill the new shard's cap
-        assert admission.try_admit(3) is None
-        admission.release(3, stale_token)      # the old life's release
-        assert admission.try_admit(3) is not None   # cap NOT raised
-        admission.release(3, admission.incarnation(3))  # a live release
-        assert admission.try_admit(3) is None
-
-    def test_admission_decode_slot_survives_shrink_while_held(self):
-        from repro.cluster import AdmissionController
-
-        async def inner():
-            admission = AdmissionController(shards=4, max_decode_queue=2)
-            async with admission.decode_slot(3):
-                admission.resize(2)   # shard 3 vanishes mid-decode
-            # exiting the slot must not IndexError or corrupt counts
-            assert len(admission.stats()["per_shard"]) == 2
-
-        asyncio.run(inner())
-
-    def test_mutations_during_resize_wait_and_reroute(self, tmp_path):
-        """A mutation racing a live resize parks behind the resize gate
-        and completes through the new ring instead of dying with a
-        'ClusterStore is closing' error."""
-
-        async def inner():
-            async with _cluster(2, tmp_path) as store:
-                names = [f"s{i}" for i in range(6)]
-                for i, name in enumerate(names):
-                    await store.create(name, {i})
-                results = await asyncio.gather(
-                    store.resize(4),
-                    store.apply_diff(names[0], add=[777]),
-                    store.create("born-mid-resize", {42}),
-                )
-                assert results[0]["new_shards"] == 4
-                assert 777 in store.get(names[0])
-                assert store.get("born-mid-resize") == {42}
-            # ... and both racing mutations are durable under the new
-            # topology
-            async with _cluster(4, tmp_path) as again:
-                assert 777 in again.get(names[0])
-                assert again.get("born-mid-resize") == {42}
-
-        asyncio.run(inner())
-
-    def test_resize_refuses_while_a_close_is_draining(self, tmp_path):
-        """The mirror race: a resize starting after close() began must
-        not restart workers behind the closer's back — the caller was
-        promised a closed store."""
-        from repro.errors import ReproError
-
-        async def inner():
-            store = _cluster(2, tmp_path)
-            await store.start()
-            await store.create("s", {1})
-            closing = asyncio.create_task(store.close())
-            await asyncio.sleep(0)        # close is now draining
-            with pytest.raises(ReproError):
-                await store.resize(4)
-            await closing
-            assert store._started is False
-            assert all(not sh.worker.alive for sh in store._shards)
-            assert asyncio.all_tasks() == {asyncio.current_task()}
-
-        asyncio.run(inner())
-
-    def test_resize_metrics_are_bounded(self, tmp_path):
-        """The metrics record must not carry the per-set moved-name map
-        (it would be re-serialized into every heartbeat); scalar counts
-        and epochs suffice."""
-        from repro.service.metrics import ServiceMetrics
-
-        async def inner():
-            async with _cluster(2, tmp_path) as store:
-                for i in range(8):
-                    await store.create(f"s{i}", {i})
-                metrics = ServiceMetrics()
-                metrics.record_resize(await store.resize(4))
-                [event] = metrics.snapshot()["resizes"]
-                assert event["moved"] > 0
-                assert "moved" not in event["rebalance"]
-                assert event["rebalance"]["moved_count"] == event["moved"]
-
-        asyncio.run(inner())
-
-    def test_close_racing_a_resize_waits_it_out(self, tmp_path):
-        """close() during an in-flight resize must not return while the
-        resize is about to restart workers and reopen journals — it
-        waits the resize out, then closes the swapped store."""
-
-        async def inner():
-            store = _cluster(2, tmp_path)
-            await store.start()
-            for i in range(6):
-                await store.create(f"s{i}", {i})
-            resizing = asyncio.create_task(store.resize(4))
-            await asyncio.sleep(0)        # let resize set its gate
-            await store.close()           # must wait, then really close
-            assert (await resizing)["changed"]
-            assert store._started is False
-            assert all(not sh.worker.alive for sh in store._shards)
-            assert asyncio.all_tasks() == {asyncio.current_task()}
-            # the closed store restarts cleanly at the new topology
-            await store.start()
-            assert store.n_shards == 4
-            assert len(store.names()) == 6
-            await store.close()
-
-        asyncio.run(inner())
-
-    def test_failed_resize_rolls_back_to_a_working_store(self, tmp_path):
-        """If the move plan blows up (disk full, corrupt shard), the
-        store must reopen under the old layout instead of staying closed
-        until a process restart."""
-        import repro.cluster.router as router_mod
-
-        async def inner(monkeypatch):
-            async with _cluster(2, tmp_path) as store:
-                await store.create("s", {1, 2})
-
-                def exploding(*args, **kwargs):
-                    raise OSError("no space left on device")
-
-                monkeypatch.setattr(router_mod, "rebalance", exploding)
-                with pytest.raises(OSError):
-                    await store.resize(4)
-                monkeypatch.undo()
-                # still the old topology, still serving mutations
-                assert store.n_shards == 2
-                assert await store.apply_diff("s", add=[3]) == 1
-                # and a later resize attempt succeeds
-                summary = await store.resize(4)
-                assert summary["changed"]
-                assert store.get("s") == {1, 2, 3}
-
-        monkeypatch = pytest.MonkeyPatch()
-        try:
-            asyncio.run(inner(monkeypatch))
-        finally:
-            monkeypatch.undo()
 
 
 class TestRebalanceCLI:

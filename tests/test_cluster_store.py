@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterStore, open_cluster
+from repro.cluster import EXECUTORS, ClusterConfig, ClusterStore, open_cluster
 from repro.cluster.journal import encode_diff
 from repro.service import ReconciliationServer, sync_with_server
 from repro.service.store import UnknownSetError
@@ -327,6 +327,53 @@ class TestCloseSemantics:
                 store.apply_diff("s", add=[9]), timeout=5.0
             ) == 1
             await store.close()
+
+        asyncio.run(inner())
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_close_applies_mutations_accepted_before_it(
+        self, tmp_path, make_cluster, executor
+    ):
+        """close() drains rather than drops: every mutation that got
+        past the closing check resolves with its result, and the store
+        reopens with all of them."""
+
+        async def inner():
+            store = make_cluster(2, tmp_path, executor=executor)
+            await store.start()
+            for i, name in enumerate(NAMES):
+                await store.create(name, {i})
+            pending = [
+                asyncio.ensure_future(store.apply_diff(name, add=[100 + i]))
+                for i, name in enumerate(NAMES)
+            ]
+            await asyncio.sleep(0)      # every diff is queued on a worker
+            await store.close()
+            assert await asyncio.wait_for(
+                asyncio.gather(*pending), timeout=5.0
+            ) == [1] * len(NAMES)
+            async with make_cluster(2, tmp_path) as again:
+                for i, name in enumerate(NAMES):
+                    assert again.get(name) == {i, 100 + i}
+                    assert again.version(name) == 1
+
+        asyncio.run(inner())
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_memory_only_store_restarts_empty(self, executor):
+        """Without a data dir nothing outlives close(): start() after
+        close() serves an empty store whose versions begin again at 0."""
+
+        async def inner():
+            store = _cluster(2, executor=executor)
+            async with store:
+                await store.create("s", {1, 2})
+                await store.apply_diff("s", add=[3])
+            async with store:
+                assert store.names() == []
+                await store.create("s", {4})
+                assert store.get("s") == {4}
+                assert store.version("s") == 0
 
         asyncio.run(inner())
 

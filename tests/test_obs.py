@@ -361,7 +361,7 @@ class TestTracer:
 # -- snapshot schema -----------------------------------------------------------
 
 class TestSnapshotSchema:
-    #: The pinned top-level key set of snapshot schema 4.  If this test
+    #: The pinned top-level key set of snapshot schema 5.  If this test
     #: fails, you changed the snapshot shape: bump SNAPSHOT_SCHEMA and
     #: update this pin (and docs/operations.md) in the same change.
     ALWAYS = {
@@ -371,8 +371,7 @@ class TestSnapshotSchema:
         "recent_sessions",
     }
     OPTIONAL = {
-        "resizes", "sets_moved", "coalescer", "sets", "admission",
-        "cluster", "timeseries", "slo",
+        "coalescer", "sets", "admission", "cluster", "timeseries", "slo",
     }
 
     def test_schema_and_key_set_pinned(self):
@@ -382,7 +381,7 @@ class TestSnapshotSchema:
         session.success = True
         metrics.close_session(session)
         snap = metrics.snapshot()
-        assert snap["schema"] == SNAPSHOT_SCHEMA == 4
+        assert snap["schema"] == SNAPSHOT_SCHEMA == 5
         assert set(snap) == self.ALWAYS
         full = metrics.snapshot(
             store_stats={}, admission_stats={},

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.cluster import (
+    EXECUTORS,
     QuorumTimeoutError,
     WorkerUnavailableError,
     backend_class,
@@ -29,6 +30,7 @@ from repro.cluster import (
     open_backend,
     quorum_size,
     read_cursor,
+    rebalance,
     write_cursor,
 )
 from repro.cluster.manifest import replica_dir
@@ -199,6 +201,71 @@ class TestInlineReplication:
             assert contents[0] == contents[1] == contents[2]
             (name, values, _version), = contents[0]
             assert name == "s" and acked <= set(values)
+
+
+# -- offline rebalance of a replicated directory --------------------------------
+
+class TestRebalanceReplicated:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_rebalance_after_a_promotion_keeps_every_acked_write(
+        self, tmp_path, make_cluster, corrupt_shard, executor
+    ):
+        """Resize x replication: rebalancing a directory whose shard is
+        served from a promoted follower rewrites that shard at its root
+        and points every primary back at replica 0, with every set and
+        version intact; the reopened cluster takes acked writes and each
+        shard's replicas converge to the same contents."""
+        config = dict(replicas=1, replication="quorum", executor=executor)
+        names = [f"s{i}" for i in range(12)]
+
+        def state(store):
+            return {n: (store.get(n), store.version(n)) for n in store.names()}
+
+        async def seed():
+            async with make_cluster(1, tmp_path, **config) as store:
+                for i, name in enumerate(names):
+                    await store.create(name, [i + 1, i + 100])
+                    await store.apply_diff(name, add=[i + 1000])
+                await _until(lambda: _converged(store), what="convergence")
+
+        asyncio.run(seed())
+        corrupt_shard(replica_dir(tmp_path, 0, 0))
+
+        async def promoted():
+            async with make_cluster(1, tmp_path, **config) as store:
+                assert load_manifest(tmp_path).primary_replica == [1]
+                await store.apply_diff("s0", add=[4242])
+                await _until(lambda: _converged(store), what="convergence")
+                return state(store)
+
+        before = asyncio.run(promoted())
+        assert sorted(before) == sorted(names)
+        # the demoted root fails again: the rebalance must read shard 0
+        # from the promoted replica, not from the root it rewrites
+        corrupt_shard(replica_dir(tmp_path, 0, 0))
+        rebalance(tmp_path, 2)
+        manifest = load_manifest(tmp_path)
+        assert manifest.shards == 2
+        assert manifest.primary_replica == [0, 0]
+
+        async def reopened():
+            async with make_cluster(2, tmp_path, **config) as store:
+                assert state(store) == before
+                await store.apply_diff("s1", add=[4343])
+                for shard in range(2):
+                    await _until(
+                        lambda shard=shard: _converged(store, shard),
+                        what=f"shard {shard} convergence",
+                    )
+
+        asyncio.run(reopened())
+        manifest = load_manifest(tmp_path)
+        for shard in range(2):
+            primary, follower = _replica_contents(
+                make_cluster.storage, tmp_path, shard, replicas=1,
+                epoch=manifest.shard_epoch(shard),
+            )
+            assert primary == follower and primary
 
 
 # -- subprocess executor -------------------------------------------------------

@@ -16,7 +16,6 @@ import asyncio
 import json
 import os
 import random
-import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -372,27 +371,6 @@ class TestStorageMismatch:
             message = str(excinfo.value)
             assert storage_backend in message and other in message
             assert "repro rebalance" in message and "--storage" in message
-
-        asyncio.run(inner())
-
-    def test_legacy_manifest_is_adopted_as_journal(self, tmp_path):
-        """A PR-4/5 manifest (format 1, no storage field) must read as
-        journal — not refuse, not guess."""
-        self._populate(tmp_path, "journal")
-        path = tmp_path / "manifest.json"
-        doc = json.loads(path.read_text())
-        assert doc["storage"] == "journal"
-        del doc["storage"]
-        doc["format"] = 1
-        path.write_text(json.dumps(doc))
-        manifest = load_manifest(tmp_path)
-        assert manifest.storage == "journal"
-
-        async def inner():
-            async with open_cluster(
-                tmp_path, ClusterConfig(shards=2)
-            ) as store:
-                assert store.get("a") == {1, 2, 3, 4}
 
         asyncio.run(inner())
 
