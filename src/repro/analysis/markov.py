@@ -15,8 +15,9 @@ bins — and derives a recurrence by throwing the i-th ball "in slow motion":
               + (1-(i-1-j+k)/n) * Mt(i-1, j, k)       # lands in an empty bin
 
 with Mt(0, 0, 0) = 1.  The full (t+1)^3 table costs O(t^3) — trivial for
-the t <= ~35 used anywhere in the paper — and is built once per n, one
-array step per i, then sliced for every smaller t.
+the t <= ~35 used anywhere in the paper — and is built once per n and
+size (:data:`_TABLE_TS`), one array step per i, then sliced for every
+smaller t.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import numpy as np
 from repro.errors import ParameterError
 
 
-#: Every table is built at least this large: t <= 35 covers both of the
-#: optimizer's grids (§5.1's 3.5 * delta and §5.2's 7 * delta, delta = 5),
-#: so one table per n serves every t they try.
-_TABLE_T = 35
+#: Table sizes, smallest first; a t is sliced from the first that holds
+#: it.  With delta = 5, t <= 17 covers §5.1's grid (t <= 3.5 * delta,
+#: the one the server asks) and t <= 35 §5.2's (7 * delta), so each grid
+#: builds one table per n, and the server never pays for the larger one.
+_TABLE_TS = (17, 35)
 
 
 @lru_cache(maxsize=64)
@@ -75,7 +77,9 @@ def transition_matrix(n: int, t: int) -> np.ndarray:
         raise ParameterError(f"t must be >= 0, got {t}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    table = _substate_table(n, max(t, _TABLE_T))
+    table = _substate_table(
+        n, next((size for size in _TABLE_TS if t <= size), t)
+    )
     # a contiguous (t+1)^3 copy sums in the same order as a table built
     # for t alone
     return np.ascontiguousarray(table[: t + 1, : t + 1, : t + 1]).sum(axis=2)

@@ -50,12 +50,21 @@ Design decisions, in the order they matter:
   is processed.  Payloads after authentication are pickled — exactly
   the trust model of :mod:`multiprocessing`'s own pipes.
 
-Processes are started with the ``spawn`` method: the parent runs an
+Each child is a fresh ``sys.executable`` started with
+:func:`asyncio.create_subprocess_exec`, never a fork: the parent runs an
 asyncio loop and executor threads (journal appends), and forking a
-threaded interpreter is a deadlock lottery.  Children ignore SIGINT
+threaded interpreter is a deadlock lottery.  Its command line is a
+short bootstrap plus the worker's name (``repro-shard-N`` or
+``repro-shard-N-follower-KK``, visible in ``ps``); the parent's
+``sys.path`` and the pickled :class:`WorkerConfig` follow on its stdin.
+The child imports this module and what it needs, nothing of the
+parent's ``__main__``, and no :mod:`multiprocessing` machinery (no
+resource tracker) starts on either side.  Children ignore SIGINT
 (terminal Ctrl-C goes to the whole process group; shutdown is the
 parent's CLOSE RPC, which flushes and closes the journal first) and
 exit on EOF when the parent dies, so a killed server leaves no orphans.
+A child that cannot open its shard logs one ``repro.cluster`` error line
+and exits 1.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ from repro.errors import ReproError
 from repro.gf import field_for
 from repro.obs.logs import (
     configure_logging,
+    get_logger,
     logging_config,
     set_slow_op_threshold,
     slow_op_threshold_s,
@@ -111,6 +121,17 @@ _RID = struct.Struct("!I")
 #: practical limit.  Shards bigger than this need the worker-side
 #: snapshot-read follow-on (ROADMAP) before proc mode can carry them.
 RPC_MAX_FRAME_BYTES = (1 << 31) - 1
+
+#: A worker child's whole program (``python -c``): take the parent's
+#: import path, then the config, both pickled on stdin — the path as
+#: plain strings, so reading it imports nothing of this package.
+_CHILD_BOOT = (
+    "import pickle, sys; sys.path[:] = pickle.load(sys.stdin.buffer); "
+    "from repro.cluster.proc import worker_main; "
+    "sys.exit(worker_main(pickle.load(sys.stdin.buffer)))"
+)
+
+log = get_logger("cluster")
 
 
 class RpcType(enum.IntEnum):
@@ -180,8 +201,8 @@ class WorkerConfig:
 
 # -- the child process ---------------------------------------------------------
 
-def worker_main(config: WorkerConfig) -> None:
-    """Entry point of one shard worker child (multiprocessing target)."""
+def worker_main(config: WorkerConfig) -> int:
+    """Run one shard worker child to its end; the process exit code."""
     # Ctrl-C in a terminal signals the whole foreground process group;
     # shutdown must stay the parent's CLOSE RPC so the journal is closed
     # after the last acked append, never mid-mutation.
@@ -201,17 +222,28 @@ def worker_main(config: WorkerConfig) -> None:
             max_bytes=config.trace_max_bytes,
         )
     try:
-        asyncio.run(_worker_async(config))
+        return asyncio.run(_worker_async(config))
     except (ConnectionError, EOFError, asyncio.IncompleteReadError):
         # parent vanished mid-exchange; recovery already has everything
         # the parent acked, so a quiet exit is the correct behavior
-        pass
+        return 0
 
 
-async def _worker_async(cfg: WorkerConfig) -> None:
-    worker = ShardWorker(
-        cfg.storage, cfg.shard_dir, cfg.epoch, cfg.storage_kwargs
-    )
+async def _worker_async(cfg: WorkerConfig) -> int:
+    try:
+        worker = ShardWorker(
+            cfg.storage, cfg.shard_dir, cfg.epoch, cfg.storage_kwargs
+        )
+    except (ReproError, OSError) as exc:
+        # one line, not a traceback: the supervisor retries a dead
+        # shard, and the parent's spawn error already carries the code
+        role = cfg.role or "primary"
+        log.error(
+            "shard %d %s worker cannot open its shard: %s: %s",
+            cfg.shard_id, role, type(exc).__name__, exc,
+            extra={"shard": cfg.shard_id, "role": role},
+        )
+        return 1
     reader, writer = await asyncio.open_connection("127.0.0.1", cfg.port)
     try:
         await _RpcServer(cfg, worker, reader, writer).run()
@@ -224,6 +256,7 @@ async def _worker_async(cfg: WorkerConfig) -> None:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+    return 0
 
 
 class _RpcServer:
@@ -539,8 +572,7 @@ class WorkerHandle:
         child's final counters stay readable in :meth:`stats`), then
         reap the process — escalating to terminate/kill if the child
         does not exit in :data:`JOIN_TIMEOUT_S`.  Idempotent: a second
-        close returns immediately (the process object is already
-        released and must not be joined again)."""
+        close returns immediately."""
         if self._closed:
             return
         self._closed = True
@@ -564,22 +596,27 @@ class WorkerHandle:
             await self.writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-        await self._join_process()
+        await _reap(self.process, JOIN_TIMEOUT_S)
 
-    async def _join_process(self) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, self.process.join, JOIN_TIMEOUT_S
-        )
-        if self.process.is_alive():
-            self.process.terminate()
-            await loop.run_in_executor(None, self.process.join, 2.0)
-        if self.process.is_alive():
-            self.process.kill()
-            await loop.run_in_executor(None, self.process.join, 2.0)
-        # release the multiprocessing bookkeeping fds promptly
-        if hasattr(self.process, "close") and not self.process.is_alive():
-            self.process.close()
+
+async def _reap(process: asyncio.subprocess.Process, grace_s: float) -> None:
+    """Wait ``grace_s`` for ``process`` to exit, then terminate it, then
+    kill it, waiting 2 s after each signal."""
+    for stop in (None, process.terminate, process.kill):
+        if process.returncode is not None:
+            return
+        if stop is not None:
+            try:
+                stop()
+            except ProcessLookupError:
+                pass    # exited between the wait and the signal
+        try:
+            await asyncio.wait_for(
+                process.wait(), grace_s if stop is None else 2.0
+            )
+            return
+        except asyncio.TimeoutError:
+            pass
 
 
 class WorkerSupervisor:
@@ -665,22 +702,18 @@ class WorkerSupervisor:
         self, shard_id: int, shard_dir: str | None, epoch: int, on_death,
         *, role: str = "",
     ) -> WorkerHandle:
-        """Start one worker and wait for its authenticated READY.
+        """Start one worker child and wait for its authenticated READY.
 
         The returned handle's ``store`` is the mirror seeded from the
         child's post-recovery state dump (``None`` for a follower,
         whose READY carries none) and its ``stats()`` the recovery
-        counters.  ``role`` tags replica children (``"follower-01"``)
-        so primaries and followers are distinguishable in ``ps`` output
-        and per-process trace files.
+        counters.  ``role`` tags replica children (``"follower-01"``):
+        the child's command line ends in ``repro-shard-N-follower-01``
+        (a primary's in ``repro-shard-N``), so primaries and followers
+        are distinguishable in ``ps`` output, and its trace file is
+        named for it.
         """
         await self.start()
-        # spawn, not fork: the parent runs executor threads (journal
-        # appends) and forking a threaded interpreter can deadlock the
-        # child inside inherited locks
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
         self._generation += 1
         generation = self._generation
         # snapshot the parent's observability posture at spawn time so a
@@ -704,25 +737,29 @@ class WorkerSupervisor:
             trace_dir=str(trc.trace_dir) if trc.enabled else None,
             trace_max_bytes=trc.max_bytes,
         )
-        loop = asyncio.get_running_loop()
-        waiter: asyncio.Future = loop.create_future()
+        waiter: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiting[generation] = waiter
         name = f"repro-shard-{shard_id}"
         if role:
             name = f"{name}-{role}"
-        process = ctx.Process(
-            target=worker_main, args=(cfg,), name=name, daemon=True,
+        # a fresh interpreter, not a fork: the parent runs executor
+        # threads (journal appends) and forking a threaded interpreter
+        # can deadlock the child inside inherited locks.  ``name`` only
+        # labels the command line for ``ps``.
+        process = await asyncio.create_subprocess_exec(
+            sys.executable, "-c", _CHILD_BOOT, name,
+            stdin=asyncio.subprocess.PIPE,
         )
-        process.start()
         # race READY against child death: a worker that crashes during
         # startup (say, a corrupt shard journal) must fail the spawn
         # immediately with its exit code, not burn the whole timeout
-        exited: asyncio.Future = loop.create_future()
-        loop.add_reader(
-            process.sentinel,
-            lambda: exited.done() or exited.set_result(None),
-        )
+        exited = asyncio.ensure_future(process.wait())
         try:
+            process.stdin.write(
+                pickle.dumps(sys.path)
+                + pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)
+            )
+            process.stdin.close()
             await asyncio.wait(
                 {waiter, exited},
                 timeout=SPAWN_TIMEOUT_S,
@@ -733,8 +770,8 @@ class WorkerSupervisor:
             elif exited.done():
                 raise ReproError(
                     f"shard {shard_id} worker (pid {process.pid}) exited "
-                    f"with code {process.exitcode} before READY — see its "
-                    f"stderr for the recovery error"
+                    f"with code {process.returncode} before READY — see "
+                    f"its stderr for the recovery error"
                 )
             else:
                 raise ReproError(
@@ -742,14 +779,10 @@ class WorkerSupervisor:
                     f"come up within {SPAWN_TIMEOUT_S:.0f}s"
                 )
         except BaseException:
-            process.terminate()
-            process.join(2.0)
-            if process.is_alive():
-                process.kill()
-                process.join(2.0)
+            await _reap(process, 0.0)
             raise
         finally:
-            loop.remove_reader(process.sentinel)
+            exited.cancel()
             self._waiting.pop(generation, None)
             if not waiter.done():
                 waiter.cancel()

@@ -151,14 +151,17 @@ class TestArrayTables:
 
     @pytest.mark.parametrize("n", DEFAULT_N_CANDIDATES)
     def test_sliced_table_is_bit_identical_to_the_loop(self, n):
-        table = markov._substate_table(n, markov._TABLE_T)
-        for t in range(markov._TABLE_T + 1):
-            loop = _loop_substate_table(n, t)
-            corner = np.ascontiguousarray(table[: t + 1, : t + 1, : t + 1])
-            assert corner.tobytes() == loop.tobytes(), t
-            assert transition_matrix(n, t).tobytes() == (
-                loop.sum(axis=2).tobytes()
-            ), t
+        for size in markov._TABLE_TS:
+            table = markov._substate_table(n, size)
+            for t in range(size + 1):
+                loop = _loop_substate_table(n, t)
+                corner = np.ascontiguousarray(
+                    table[: t + 1, : t + 1, : t + 1]
+                )
+                assert corner.tobytes() == loop.tobytes(), (size, t)
+                assert transition_matrix(n, t).tobytes() == (
+                    loop.sum(axis=2).tobytes()
+                ), (size, t)
 
     @pytest.mark.parametrize("n, t", [(3, 12), (7, 40), (63, 41)])
     def test_small_bitmaps_and_large_capacities(self, n, t):
@@ -178,3 +181,27 @@ class TestArrayTables:
         optimize_params(1234)
         info = markov._substate_table.cache_info()
         assert info.misses == info.currsize == len(DEFAULT_N_CANDIDATES)
+
+    def test_a_table_is_as_large_as_the_largest_t_asked(self, monkeypatch):
+        """§5.1's grid (t <= 17) never builds §5.2's t <= 35 table; a t
+        above 17 builds that one, once per n, and t > 35 its own."""
+        table, built = markov._substate_table, []
+
+        def spy(n, i_max):
+            built.append(i_max)
+            return table(n, i_max)
+
+        monkeypatch.setattr(markov, "_substate_table", spy)
+        table.cache_clear()
+        markov.transition_matrix.cache_clear()
+        for t in (1, 8, 17):
+            transition_matrix(127, t)
+        assert set(built) == {17}
+        built.clear()
+        for t in (18, 20, 35):
+            transition_matrix(127, t)
+        assert set(built) == {35}
+        built.clear()
+        transition_matrix(127, 41)
+        assert built == [41]
+        assert table.cache_info().misses == 3

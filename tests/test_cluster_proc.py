@@ -6,9 +6,10 @@ and startup-crash fail-fast must hold identically whether the child
 persists to journal files or a SQLite store.
 
 Written against plain ``asyncio.run`` so the suite does not depend on a
-pytest-asyncio plugin being installed.  Worker children are real spawned
-processes — tests that start a proc-mode store pay ~a second per start,
-so each test packs several assertions around one cluster lifetime.
+pytest-asyncio plugin being installed.  Worker children are real
+processes — a proc-mode store pays a few tenths of a second of CPU per
+worker start, so each test packs several assertions around one cluster
+lifetime.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import random
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -30,9 +32,12 @@ from repro.cluster import (
     ClusterConfig,
     ClusterStore,
     WorkerUnavailableError,
+    backend_class,
     open_cluster,
     rebalance,
 )
+from repro.cluster import proc
+from repro.cluster.proc import WorkerSupervisor
 from repro.errors import ReproError
 from repro.service import ReconciliationServer, ServerBusy, sync_with_server
 
@@ -315,6 +320,46 @@ class TestWorkerCrashDrill:
         # fast failure: the child's death is noticed, not timed out
         assert time.monotonic() - start < 30.0
 
+    @pytest.mark.parametrize("log_json", [False, True])
+    def test_a_worker_that_cannot_open_its_shard_logs_one_line(
+        self, tmp_path, capfd, monkeypatch, storage_backend, corrupt_shard,
+        log_json,
+    ):
+        """The child logs one ``repro.cluster`` error naming its shard,
+        role and error (JSON under ``--log-json``) and exits 1 — no
+        traceback on the server's stderr, and the spawn still fails with
+        the child's exit code."""
+        shard_dir = tmp_path / "shard-00"
+        backend_class(storage_backend).stage(shard_dir, [("s", [1, 2], 0)])
+        corrupt_shard(shard_dir)
+        monkeypatch.setattr(proc, "logging_config", lambda: ("info", log_json))
+        capfd.readouterr()
+
+        async def spawn():
+            supervisor = WorkerSupervisor(storage=storage_backend)
+            try:
+                await supervisor.spawn(
+                    3, shard_dir, 0, None, role="follower-02"
+                )
+            finally:
+                await supervisor.close()
+
+        with pytest.raises(ReproError, match="exited with code 1 before"):
+            asyncio.run(spawn())
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        if log_json:
+            event = json.loads(line)
+            assert (event["level"], event["component"]) == ("ERROR", "cluster")
+            assert (event["shard"], event["role"]) == (3, "follower-02")
+            message = event["msg"]
+        else:
+            assert " ERROR   cluster: " in line
+            message = line
+        assert "shard 3 follower-02 worker cannot open its shard" in message
+        assert "CorruptError: " in message
+
     def test_sigkill_retry_shed_restart_replay(
         self, tmp_path, make_cluster, fault_plan
     ):
@@ -422,6 +467,96 @@ class TestWorkerCrashDrill:
                 return check.get("x")
 
         assert asyncio.run(recover()) == {1, 2, 3}
+
+
+def _argv(pid: int) -> list[bytes]:
+    """A live process's command line, from /proc."""
+    return Path(f"/proc/{pid}/cmdline").read_bytes().split(b"\0")[:-1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestWorkerProcesses:
+    def test_children_are_named_for_their_shard_and_role(self):
+        """A worker's command line ends in its name, so ``ps`` tells
+        primaries and followers apart."""
+
+        async def inner():
+            supervisor = WorkerSupervisor()
+            try:
+                primary = await supervisor.spawn(2, None, 0, None)
+                follower = await supervisor.spawn(
+                    2, None, 0, None, role="follower-01"
+                )
+                argv = [_argv(handle.pid) for handle in (primary, follower)]
+                await primary.close()
+                await follower.close()
+                return argv
+            finally:
+                await supervisor.close()
+
+        primary, follower = asyncio.run(inner())
+        assert primary[0] == follower[0] == os.fsencode(sys.executable)
+        assert primary[-1] == b"repro-shard-2"
+        assert follower[-1] == b"repro-shard-2-follower-01"
+
+    def test_a_proc_tree_is_only_its_workers(self):
+        """A fresh interpreter running a 2-shard subprocess store has
+        exactly the two worker children (no resource tracker or other
+        helper process), found by a ppid scan of /proc as the ledger
+        does it, and never loads :mod:`multiprocessing`."""
+        probe = textwrap.dedent(
+            """
+            import asyncio, json, os, sys
+            from pathlib import Path
+            from repro.cluster import ClusterConfig, open_cluster
+
+            def children():
+                out = []
+                for entry in Path("/proc").iterdir():
+                    if not entry.name.isdigit():
+                        continue
+                    try:
+                        stat = (entry / "stat").read_text()
+                    except OSError:
+                        continue   # gone meanwhile
+                    fields = stat.rsplit(")", 1)[1].split()
+                    if int(fields[1]) == os.getpid() and fields[0] != "Z":
+                        out.append(int(entry.name))
+                return sorted(out)
+
+            async def main():
+                config = ClusterConfig(shards=2, executor="subprocess")
+                async with open_cluster(None, config) as store:
+                    await store.create("s", [1, 2, 3])
+                    workers = [shard.worker.pid for shard in store._shards]
+                    return sorted(workers), children()
+
+            workers, running = asyncio.run(main())
+            print(json.dumps({
+                "workers": workers,
+                "children": running,
+                "after_close": children(),
+                "multiprocessing": sorted(
+                    m for m in sys.modules if m.startswith("multiprocessing")
+                ),
+            }))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(Path(__file__).resolve().parents[1] / "src")
+            + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert len(report["workers"]) == 2
+        assert report["children"] == report["workers"]
+        assert report["after_close"] == []
+        assert report["multiprocessing"] == []
 
 
 class TestServeProcessSignals:

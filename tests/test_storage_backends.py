@@ -21,6 +21,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -342,6 +343,102 @@ class TestSqliteSpecific:
         (tmp_path / db_filename()).write_bytes(b"\xff" * 512)
         with pytest.raises(StorageCorruptError):
             SqliteBackend(tmp_path)
+
+
+class TestSqliteBulkBinding:
+    """SQLite binds elements up to ``BULK_VALUES`` per statement: on
+    both sides of every batch boundary it must commit what the journal
+    backend and a bare ``SetStore`` hold."""
+
+    SIZES = (0, 1, 498, 499, 500, 999, 10_000)
+
+    @staticmethod
+    def _script(seed: int) -> list:
+        """Per size: a create straddling 2^63, then a diff adding and
+        removing that many values (half of the adds already present,
+        half of the removes absent), then a pure no-op diff."""
+        rng = np.random.default_rng(seed)
+        script = []
+        for size in TestSqliteBulkBinding.SIZES:
+            # 3 * size distinct uint64 values, top half >= 2^63
+            pool = np.unique(rng.integers(
+                0, 1 << 64, size=3 * size + 64, dtype=np.uint64
+            ))[: 3 * size]
+            pool = rng.permutation(pool)
+            base, fresh, absent = np.split(pool, 3)
+            name = f"n{size}"
+            half = size // 2
+            script.append(("create", name, base))
+            script.append((
+                "apply", name,
+                np.concatenate([base[:half], fresh[: size - half]]),
+                np.concatenate([base[half:], absent[:half]]),
+            ))
+            script.append(("apply", name, fresh[: size - half], absent))
+        edges = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1]
+        script.append(("create", "edges", edges))
+        script.append(("apply", "edges", edges, [1 << 62, 1 << 63]))
+        return script
+
+    @staticmethod
+    def _run(store, script) -> list:
+        """Every step's return value."""
+        results = []
+        for step in script:
+            if step[0] == "create":
+                results.append(store.create(step[1], step[2]))
+            else:
+                results.append(
+                    store.apply_diff(step[1], add=step[2], remove=step[3])
+                )
+        return results
+
+    def test_every_batch_boundary_matches_the_journal_and_set_store(
+        self, tmp_path
+    ):
+        script = self._script(seed=5)
+        memory = SetStore()
+        expected_results = self._run(memory, script)
+        # each size's first diff changes exactly its fresh adds and its
+        # present removes; the no-op diff changes nothing
+        sizes = self.SIZES
+        changed = expected_results[1 : 3 * len(sizes) : 3]
+        assert changed == [2 * (size - size // 2) for size in sizes]
+        assert expected_results[2 : 3 * len(sizes) : 3] == [0] * len(sizes)
+        expected = _contents(memory.items())
+        for name in BACKEND_NAMES:
+            backend = open_backend(name, tmp_path / name)
+            store = backend.open_store()
+            assert self._run(store, script) == expected_results, name
+            backend.close()
+            assert _contents(_committed(name, tmp_path / name)) == expected
+        # an n-value set's version: 1 for the changing diff, 0 for the
+        # no-op, so the durable bump rule held at every size
+        versions = {name: version for name, _, version in expected}
+        assert versions["n0"] == 0
+        assert all(versions[f"n{size}"] == 1 for size in sizes if size)
+
+    def test_stage_round_trips_every_batch_boundary(self, tmp_path):
+        memory = SetStore()
+        self._run(memory, self._script(seed=6))
+        entries = memory.items()
+        SqliteBackend.stage(tmp_path, entries)
+        assert _contents(_committed("sqlite", tmp_path)) == _contents(entries)
+
+    def test_diff_on_a_missing_set_persists_nothing(self, tmp_path):
+        backend = SqliteBackend(tmp_path)
+        backend.record_create("s", range(1, 1200))
+        wide = np.arange(5000, 6500, dtype=np.uint64)
+        with pytest.raises(UnknownSetError):
+            backend.record_diff("ghost", add=wide, remove=wide[:700])
+        conn = backend._conn
+        assert conn.execute(
+            "SELECT COUNT(*) FROM elements WHERE set_name = 'ghost'"
+        ).fetchone() == (0,)
+        backend.close()
+        assert _contents(_committed("sqlite", tmp_path)) == [
+            ("s", set(range(1, 1200)), 0)
+        ]
 
 
 class TestStorageMismatch:
