@@ -39,9 +39,8 @@ class ClusterConfig:
     """Everything that shapes a :class:`~repro.cluster.router.ClusterStore`.
 
     Grouped by concern — topology (``shards``, ``vnodes``), storage
-    (``storage`` backend name plus the tuning knobs forwarded to it),
-    and execution (``executor`` and the worker knobs).  ``None`` tuning
-    values mean "the backend's default"."""
+    (``storage`` backend name and ``fsync``), execution (``executor``
+    and the worker knobs) and replication."""
 
     # -- topology --
     shards: int = 1
@@ -49,10 +48,6 @@ class ClusterConfig:
     # -- storage --
     storage: str = "journal"
     fsync: bool = False
-    compact_min_bytes: int | None = None
-    compact_factor: int | None = None
-    #: LRU cap on materialized sets per shard (sqlite backend only)
-    cache_sets: int | None = None
     # -- execution --
     executor: str = "inline"
     #: each worker's decode-coalescing window (0 = decode each
@@ -111,23 +106,6 @@ class ClusterConfig:
             raise ValueError(
                 f"promote_after must be >= 1, got {self.promote_after}"
             )
-
-    def storage_kwargs(self) -> dict:
-        """The tuning kwargs for :func:`repro.cluster.storage.open_backend`
-        (``None`` values omitted so backend defaults apply)."""
-        kwargs = {"fsync": self.fsync}
-        for key in ("compact_min_bytes", "compact_factor", "cache_sets"):
-            value = getattr(self, key)
-            if value is not None:
-                kwargs[key] = value
-        return kwargs
-
-    def replace(self, **changes) -> "ClusterConfig":
-        """A copy with ``changes`` applied (dataclasses.replace, spelled
-        as a method so call sites don't import it)."""
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)
 
 
 def open_cluster(data_dir=None, config: ClusterConfig | None = None):

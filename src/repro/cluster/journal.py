@@ -44,7 +44,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.storage import StorageBackend, StorageCorruptError
+from repro.cluster.storage import (
+    StorageBackend,
+    StorageCorruptError,
+    compaction_due,
+)
 from repro.core.checksum import set_checksum
 from repro.core.elements import element_array
 from repro.errors import ReproError
@@ -71,11 +75,6 @@ _HEADER = struct.Struct("!II")
 #: Upper bound on one record's payload — a corrupt length prefix must not
 #: make replay attempt a multi-gigabyte read.
 MAX_RECORD_BYTES = 1 << 28
-
-#: Compaction policy: rewrite the snapshot once the journal outgrows
-#: ``max(COMPACT_MIN_BYTES, COMPACT_FACTOR * len(snapshot))``.
-COMPACT_MIN_BYTES = 1 << 16
-COMPACT_FACTOR = 4
 
 
 class JournalCorruptError(StorageCorruptError):
@@ -244,7 +243,6 @@ class JournalBackend(StorageBackend):
     name = "journal"
     concurrent_writes = True
     compact_from_entries = True
-    TUNING = frozenset({"fsync", "compact_min_bytes", "compact_factor"})
     #: every epoch's ``snapshot-eN.bin`` / ``journal-eN.log`` variants
     FILE_PREFIXES = ("snapshot", "journal")
 
@@ -252,8 +250,6 @@ class JournalBackend(StorageBackend):
         self,
         directory: str | Path,
         fsync: bool = False,
-        compact_min_bytes: int = COMPACT_MIN_BYTES,
-        compact_factor: int = COMPACT_FACTOR,
         epoch: int = 0,
         create: bool = True,
     ) -> None:
@@ -266,8 +262,6 @@ class JournalBackend(StorageBackend):
         self.snapshot_path = self.directory / snapshot_filename(epoch)
         self.journal_path = self.directory / journal_filename(epoch)
         self.fsync = fsync
-        self.compact_min_bytes = compact_min_bytes
-        self.compact_factor = compact_factor
         self._journal_file = None
         self._journal_bytes = 0
         self._snapshot_bytes = 0
@@ -282,15 +276,9 @@ class JournalBackend(StorageBackend):
 
     # -- StorageBackend protocol ----------------------------------------------
     def open_store(self) -> SetStore:
-        """Recover snapshot-then-journal into a fresh live store.
-
-        Replay runs with the persistence hook unset (recovered records
-        must not be re-journaled); the hook is wired afterwards so any
-        direct ``store.apply_diff`` / ``store.create`` is journal-first.
-        """
+        """Recover snapshot-then-journal into a fresh live store."""
         store = SetStore()
         self.recover(store)
-        store.persistence = self
         return store
 
     def record_create(self, name: str, values, version: int = 0) -> None:
@@ -401,10 +389,7 @@ class JournalBackend(StorageBackend):
         self.records_appended += 1
 
     def should_compact(self) -> bool:
-        threshold = max(
-            self.compact_min_bytes, self.compact_factor * self._snapshot_bytes
-        )
-        return self._journal_bytes > threshold
+        return compaction_due(self._journal_bytes, self._snapshot_bytes)
 
     def compact(self, entries) -> None:
         """Rewrite the snapshot from ``(name, values, version)`` entries

@@ -79,7 +79,7 @@ import signal
 import struct
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bch.codec import BCHCodec
 from repro.cluster.worker import ShardWorker
@@ -182,9 +182,7 @@ class WorkerConfig:
     shard_dir: str | None      #: storage directory (None = in-memory shard)
     epoch: int = 0             #: layout epoch of the shard's files
     storage: str = "journal"   #: storage backend name (see cluster.storage)
-    #: backend tuning (:meth:`~repro.cluster.config.ClusterConfig.
-    #: storage_kwargs`)
-    storage_kwargs: dict = field(default_factory=dict)
+    fsync: bool = False        #: fsync every durable write
     #: worker-local decode-coalescer window (0 = decode each session
     #: separately)
     window_s: float = DEFAULT_WINDOW_S
@@ -231,9 +229,7 @@ def worker_main(config: WorkerConfig) -> int:
 
 async def _worker_async(cfg: WorkerConfig) -> int:
     try:
-        worker = ShardWorker(
-            cfg.storage, cfg.shard_dir, cfg.epoch, cfg.storage_kwargs
-        )
+        worker = ShardWorker(cfg.storage, cfg.shard_dir, cfg.epoch, cfg.fsync)
     except (ReproError, OSError) as exc:
         # one line, not a traceback: the supervisor retries a dead
         # shard, and the parent's spawn error already carries the code
@@ -632,25 +628,28 @@ class WorkerSupervisor:
         self,
         window_s: float = DEFAULT_WINDOW_S,
         storage: str = "journal",
-        storage_kwargs: dict | None = None,
+        fsync: bool = False,
     ) -> None:
         self.storage = storage
-        self.storage_kwargs = dict(storage_kwargs or {})
+        self.fsync = fsync
         self.window_s = window_s
         self.token = secrets.token_bytes(32)
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
+        #: a store starts its shards' spawns concurrently: they all
+        #: wait here for the one listener the first of them opens
+        self._listening = asyncio.Lock()
         self._generation = 0
         #: generation -> future resolving to (reader, writer, entries, stats)
         self._waiting: dict[int, asyncio.Future] = {}
 
     async def start(self) -> None:
-        if self._server is not None:
-            return
-        self._server = await asyncio.start_server(
-            self._accept, "127.0.0.1", 0
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        async with self._listening:
+            if self._server is None:
+                self._server = await asyncio.start_server(
+                    self._accept, "127.0.0.1", 0
+                )
+                self.port = self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
         if self._server is not None:
@@ -728,7 +727,7 @@ class WorkerSupervisor:
             shard_dir=str(shard_dir) if shard_dir is not None else None,
             epoch=epoch,
             storage=self.storage,
-            storage_kwargs=self.storage_kwargs,
+            fsync=self.fsync,
             window_s=self.window_s,
             role=role,
             log_level=log_level,

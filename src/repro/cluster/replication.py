@@ -286,7 +286,7 @@ class Follower:
         #: is discarded and redone (its snapshot may predate the event
         #: that made the resync necessary)
         self._gen = 0
-        self._fsync = bool(repl.storage_kwargs.get("fsync", False))
+        self._fsync = applier.fsync
 
     def start(self) -> None:
         self.task = asyncio.ensure_future(self._run())
@@ -436,7 +436,6 @@ class ShardReplication:
     def __init__(
         self, shard_id: int, replicas: int, mode: str,
         entries_fn, active_replica: int = 0, seq0: int = 0,
-        storage_kwargs: dict | None = None,
         backoff_s: float = FOLLOWER_BACKOFF_S,
         quorum_timeout_s: float = QUORUM_TIMEOUT_S,
     ) -> None:
@@ -446,7 +445,6 @@ class ShardReplication:
         self.entries_fn = entries_fn
         self.active_replica = active_replica
         self.seq = seq0
-        self.storage_kwargs = dict(storage_kwargs or {})
         self.backoff_s = backoff_s
         self.quorum_timeout_s = quorum_timeout_s
         self.quorum = (

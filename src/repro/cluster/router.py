@@ -154,7 +154,6 @@ class ClusterStore:
         #: RETRY hint the server sends for sessions hitting a shard whose
         #: worker is down (a restart is usually one backoff away)
         self.unavailable_retry_after_s = config.restart_backoff_s
-        self._storage_kwargs = config.storage_kwargs()
         self._shards = [_Shard(shard_id=i) for i in range(config.shards)]
         #: the committed layout (set by :meth:`start` when journaling)
         self.manifest: ClusterManifest | None = None
@@ -365,7 +364,6 @@ class ClusterStore:
                 self.manifest.cursors[shard.shard_id]
                 if seq0 is None else seq0
             ),
-            storage_kwargs=self._storage_kwargs,
             backoff_s=self.config.restart_backoff_s,
         )
         repl.promotions = promotions
@@ -500,13 +498,13 @@ class ClusterStore:
         child dies; ``role`` tags follower children)."""
         if self.executor == "inline":
             return LocalHandle(ShardWorker(
-                self.config.storage, directory, epoch, self._storage_kwargs
+                self.config.storage, directory, epoch, self.config.fsync
             ))
         if self._supervisor is None:
             self._supervisor = WorkerSupervisor(
                 window_s=self.config.worker_window_s,
                 storage=self.config.storage,
-                storage_kwargs=self._storage_kwargs,
+                fsync=self.config.fsync,
             )
         return await self._supervisor.spawn(
             shard_id, directory, epoch, on_death, role=role
@@ -667,10 +665,7 @@ class ClusterStore:
     async def snapshot(self, name: str, create_missing: bool = False) -> Snapshot:
         """Freeze one set for a session (creating it, durably, if asked)."""
         shard = self._shard(name)
-        if name not in shard.store:
-            if not create_missing:
-                # raises UnknownSetError with the standard message
-                return shard.store.snapshot(name, create_missing=False)
+        if create_missing and name not in shard.store:
             await self._submit(shard, "create", (name, (), 0))
         return shard.store.snapshot(name)
 

@@ -46,11 +46,12 @@ step (``executemany``) took twice as long: ~12 ms against ~6 ms per
 committed 10^4-element create on a 2-vCPU host.
 
 ``sqlite3`` connections refuse cross-thread use, so this backend
-declares ``concurrent_writes=False``: durable writes happen inline on
-the event loop through the store's persistence hook (see
-:mod:`repro.cluster.storage`), not on the thread pool.  Compaction is a
-``wal_checkpoint(TRUNCATE)`` — it folds the WAL back into the main file
-from SQLite's own durable state and never materializes the store.
+declares ``concurrent_writes=False``:
+:func:`~repro.cluster.storage.apply_mutation` commits inline on the
+event loop, not on the thread pool, after it has loaded the target set
+into the store's cache.  Compaction is a ``wal_checkpoint(TRUNCATE)`` —
+it folds the WAL back into the main file from SQLite's own durable
+state and never materializes the store.
 """
 
 from __future__ import annotations
@@ -61,12 +62,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.journal import COMPACT_FACTOR, COMPACT_MIN_BYTES
-from repro.cluster.storage import StorageBackend, StorageCorruptError
+from repro.cluster.storage import (
+    StorageBackend,
+    StorageCorruptError,
+    compaction_due,
+)
 from repro.core.elements import element_array
 from repro.service.store import SetStore, UnknownSetError, _NamedSet
 
-#: Default LRU cap on materialized sets per shard.  Sized for "many
+#: LRU cap on materialized sets per shard.  Sized for "many
 #: small-to-medium sets": the hot working set stays resident, the long
 #: tail stays on disk.
 DEFAULT_CACHE_SETS = 1024
@@ -128,9 +132,6 @@ class SqliteBackend(StorageBackend):
     name = "sqlite"
     concurrent_writes = False
     compact_from_entries = False
-    TUNING = frozenset(
-        {"fsync", "compact_min_bytes", "compact_factor", "cache_sets"}
-    )
     #: every epoch's ``store[-eN].sqlite`` plus the WAL/SHM sidecars
     FILE_PREFIXES = ("store",)
 
@@ -138,9 +139,6 @@ class SqliteBackend(StorageBackend):
         self,
         directory: str | Path,
         fsync: bool = False,
-        compact_min_bytes: int = COMPACT_MIN_BYTES,
-        compact_factor: int = COMPACT_FACTOR,
-        cache_sets: int = DEFAULT_CACHE_SETS,
         epoch: int = 0,
         create: bool = True,
     ) -> None:
@@ -152,9 +150,6 @@ class SqliteBackend(StorageBackend):
         self.epoch = epoch
         self.db_path = self.directory / db_filename(epoch)
         self.fsync = fsync
-        self.compact_min_bytes = compact_min_bytes
-        self.compact_factor = compact_factor
-        self.cache_sets = cache_sets
         self._conn: sqlite3.Connection | None = None
         # -- counters for stats() (journal-compatible keys) --
         self.records_appended = 0
@@ -201,7 +196,7 @@ class SqliteBackend(StorageBackend):
     def open_store(self) -> SetStore:
         """The live store: a lazy, LRU-bounded view over this database."""
         self._require_conn()
-        return LazySetStore(self, cache_sets=self.cache_sets)
+        return LazySetStore(self)
 
     def record_create(self, name: str, values, version: int = 0) -> None:
         conn = self._require_conn()
@@ -324,10 +319,7 @@ class SqliteBackend(StorageBackend):
             return 0
 
     def should_compact(self) -> bool:
-        threshold = max(
-            self.compact_min_bytes, self.compact_factor * self._db_bytes()
-        )
-        return self._wal_bytes() > threshold
+        return compaction_due(self._wal_bytes(), self._db_bytes())
 
     def compact(self, entries=None) -> None:
         """Fold the WAL back into the main file (``entries`` unused —
@@ -411,14 +403,14 @@ class SqliteBackend(StorageBackend):
 class LazySetStore(SetStore):
     """A :class:`SetStore` whose truth lives in a :class:`SqliteBackend`.
 
-    The ``_sets`` dict becomes a bounded LRU *cache* of materialized
-    sets: reads fault a set in from the database on first touch, writes
-    go through the inherited persistence hook (durable first, then the
-    cached copy), and eviction is always safe because every committed
-    mutation is already in the database — an evicted set re-faults
-    bit-for-bit.  Only the per-set ``reconciles`` session counter is
-    cache-resident (it is not durable under the journal backend either:
-    a restart zeroes it there too).
+    The ``_sets`` dict becomes a bounded LRU *cache* of at most
+    :data:`DEFAULT_CACHE_SETS` materialized sets: reads fault a set in
+    from the database on first touch, and eviction is always safe
+    because :func:`~repro.cluster.storage.apply_mutation` commits every
+    mutation to the database before it changes the cached copy — an
+    evicted set re-faults bit-for-bit.  Only the per-set ``reconciles``
+    session counter is cache-resident (it is not durable under the
+    journal backend either: a restart zeroes it there too).
 
     ``items()`` still materializes everything (the proc executor's READY
     dump and the journal-style compaction path want full listings);
@@ -426,11 +418,9 @@ class LazySetStore(SetStore):
     WAL-checkpoint compaction, which never calls ``items()``.
     """
 
-    def __init__(self, backend: SqliteBackend,
-                 cache_sets: int = DEFAULT_CACHE_SETS) -> None:
-        super().__init__(persistence=backend)
+    def __init__(self, backend: SqliteBackend) -> None:
+        super().__init__()
         self._backend = backend
-        self._cache_sets = max(1, int(cache_sets))
         self.cache_hits = 0
         self.cache_faults = 0
         self.cache_evictions = 0
@@ -442,7 +432,7 @@ class LazySetStore(SetStore):
             self._sets[name] = entry
 
     def _evict(self) -> None:
-        while len(self._sets) > self._cache_sets:
+        while len(self._sets) > DEFAULT_CACHE_SETS:
             self._sets.pop(next(iter(self._sets)))
             self.cache_evictions += 1
 
@@ -469,9 +459,8 @@ class LazySetStore(SetStore):
     def __contains__(self, name: str) -> bool:
         return name in self._sets or self._backend.has_set(name)
 
-    def create(self, name: str, values=(), version: int = 0,
-               persisted: bool = False) -> None:
-        super().create(name, values, version=version, persisted=persisted)
+    def create(self, name: str, values=(), version: int = 0) -> None:
+        super().create(name, values, version=version)
         self._touch(name)
         self._evict()
 
@@ -480,12 +469,12 @@ class LazySetStore(SetStore):
 
     def cache_stats(self) -> dict:
         """LRU effectiveness for the metrics endpoint: a hit rate near 1
-        means the working set fits ``cache_sets``; a low rate with high
+        means the working set fits the cache; a low rate with high
         evictions means reads are faulting sets back in from SQLite."""
         lookups = self.cache_hits + self.cache_faults
         return {
             "resident": len(self._sets),
-            "capacity": self._cache_sets,
+            "capacity": DEFAULT_CACHE_SETS,
             "hits": self.cache_hits,
             "faults": self.cache_faults,
             "evictions": self.cache_evictions,

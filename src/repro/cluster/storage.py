@@ -29,19 +29,16 @@ PR 3: **a mutation is durable before it is visible**.  Concretely:
   recovery finds every acknowledged mutation or a clean prefix of them
   (journal: torn-tail truncation; SQLite: WAL recovery).
 
-There are two ways a backend wires into that protocol, declared by
-:attr:`StorageBackend.concurrent_writes`:
+:func:`apply_mutation` is the one place that ordering lives: it is the
+only caller of ``record_*`` on a live shard, and the store it mutates
+afterwards (:class:`repro.service.store.SetStore`) is memory only.
+:attr:`StorageBackend.concurrent_writes` says only *where* the durable
+write runs: in the default thread-pool executor (journal), so appends
+commit in parallel across shards, or inline on the event loop (SQLite,
+whose connections are bound to their opening thread).
 
-* ``True`` (journal): the durable write is handed to the default
-  thread-pool executor by :func:`apply_mutation` so appends commit in
-  parallel across shards; the store then mutates with
-  ``persisted=True`` so its own persistence hook stays quiet.
-* ``False`` (SQLite — connections are bound to their opening thread):
-  the store's injected persistence hook (see
-  :class:`repro.service.store.SetStore`) performs the durable write
-  inline, on the event loop, immediately before the in-memory apply.
-
-Both routes end at the same place: durable first, visible second.
+Two module constants set compaction, :data:`COMPACT_MIN_BYTES` and
+:data:`COMPACT_FACTOR`; the one storage setting is ``fsync``.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
+from repro.core.elements import element_array
 from repro.errors import ReproError
 from repro.obs.logs import get_logger, slow_op_threshold_s
 from repro.obs.metrics import REGISTRY, STORAGE_COMMIT
@@ -64,6 +62,18 @@ log = get_logger("storage")
 
 #: Registered backend names, in the order the CLI offers them.
 BACKEND_NAMES = ("journal", "sqlite")
+
+#: Compaction policy, shared by every backend: fold the log (journal,
+#: WAL) into the base state (snapshot, database file) once the log
+#: outgrows ``max(COMPACT_MIN_BYTES, COMPACT_FACTOR * base bytes)``.
+COMPACT_MIN_BYTES = 1 << 16
+COMPACT_FACTOR = 4
+
+
+def compaction_due(log_bytes: int, base_bytes: int) -> bool:
+    """Whether a log of ``log_bytes`` over a base of ``base_bytes`` has
+    outgrown the compaction threshold."""
+    return log_bytes > max(COMPACT_MIN_BYTES, COMPACT_FACTOR * base_bytes)
 
 
 class StorageCorruptError(ReproError):
@@ -78,11 +88,8 @@ class StorageCorruptError(ReproError):
 class StorageBackend(ABC):
     """One shard's durable state behind a narrow, swappable API.
 
-    Concrete backends are constructed as ``Backend(directory, epoch=...,
-    create=..., **tuning)`` where ``tuning`` is the subset of
-    :attr:`TUNING` keys the caller wants to override — use
-    :func:`open_backend` rather than constructing directly so unknown
-    keys are validated and irrelevant ones dropped.
+    Concrete backends are constructed as ``Backend(directory, fsync=...,
+    epoch=..., create=...)``, by name through :func:`open_backend`.
 
     There is exactly one writing owner per shard directory at a time
     (the shard's :class:`~repro.cluster.worker.ShardWorker`, in the
@@ -97,8 +104,8 @@ class StorageBackend(ABC):
     name: ClassVar[str]
 
     #: Whether ``record_*`` may be called from a worker thread while the
-    #: event loop keeps serving (journal: yes).  ``False`` backends are
-    #: driven inline through the store's persistence hook instead.
+    #: event loop keeps serving (journal: yes).  :func:`apply_mutation`
+    #: writes to ``False`` backends inline, on the loop.
     concurrent_writes: ClassVar[bool]
 
     #: Whether :meth:`compact` needs the full ``(name, values, version)``
@@ -106,9 +113,6 @@ class StorageBackend(ABC):
     #: durable state (SQLite WAL checkpoint) — the latter never
     #: materializes the whole store in memory.
     compact_from_entries: ClassVar[bool]
-
-    #: Constructor tuning keys this backend understands.
-    TUNING: ClassVar[frozenset]
 
     #: File-name prefixes of every durable file this backend may write
     #: in a shard directory, across *all* epochs (``data_filenames`` is
@@ -127,11 +131,9 @@ class StorageBackend(ABC):
     def open_store(self) -> SetStore:
         """Recover the committed state and return the live store.
 
-        The returned store is wired for write-through persistence: its
-        ``persistence`` attribute is this backend, so direct
-        ``store.apply_diff`` / ``store.create`` calls are durable before
-        they are visible (recovery itself replays with the hook unset).
-        Must be called exactly once, before any ``record_*`` call."""
+        The store is memory only: :func:`apply_mutation` records each
+        mutation here before it mutates the store.  Must be called
+        exactly once, before any ``record_*`` call."""
 
     @abstractmethod
     def close(self) -> None:
@@ -168,7 +170,7 @@ class StorageBackend(ABC):
     @abstractmethod
     def should_compact(self) -> bool:
         """Whether the reclaimable log (journal / WAL) has outgrown the
-        backend's compaction threshold."""
+        compaction threshold (:func:`compaction_due`)."""
 
     @abstractmethod
     def compact(self, entries=None) -> None:
@@ -240,26 +242,13 @@ def backend_class(name: str) -> type:
 
 
 def open_backend(
-    name: str, directory, epoch: int = 0, create: bool = True, **tuning
+    name: str, directory, epoch: int = 0, create: bool = True,
+    fsync: bool = False,
 ) -> StorageBackend:
-    """Construct the named backend, validating tuning keys.
-
-    Keys no registered backend understands raise; keys another backend
-    understands but this one does not (``cache_sets`` on journal) are
-    dropped, so one :class:`repro.cluster.config.ClusterConfig` can
-    carry the union of every backend's tuning."""
-    cls = backend_class(name)
-    known = frozenset().union(
-        *(backend_class(n).TUNING for n in BACKEND_NAMES)
+    """Construct the backend registered under ``name``."""
+    return backend_class(name)(
+        directory, fsync=fsync, epoch=epoch, create=create
     )
-    unknown = set(tuning) - known
-    if unknown:
-        raise ReproError(
-            f"unknown storage tuning keys {sorted(unknown)} for "
-            f"backend {name!r}"
-        )
-    kwargs = {k: v for k, v in tuning.items() if k in cls.TUNING}
-    return cls(directory, epoch=epoch, create=create, **kwargs)
 
 
 # -- the shared durable-first mutation protocol --------------------------------
@@ -287,12 +276,9 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
       replacement, then replace the set.
     * ``sync`` — a no-op ordering barrier.
 
-    For ``concurrent_writes`` backends the durable write runs in the
-    default thread-pool executor so commits proceed in parallel across
-    shards; same-thread backends persist inline through the store's own
-    hook.  Either way the write completes *before* the store mutates: a
-    failed write leaves the store untouched, and no concurrent snapshot
-    can observe state a crash recovery would roll back.
+    The durable write completes *before* the store mutates: a failed
+    write leaves the store untouched, and no concurrent snapshot can
+    observe state a crash recovery would roll back.
     """
     durable = storage is not None and (
         op == "create"
@@ -327,52 +313,42 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
 
 async def _mutate(store: SetStore, storage: StorageBackend | None,
                   op: str, args: tuple):
-    loop = asyncio.get_running_loop()
-    offload = storage is not None and storage.concurrent_writes
     if op == "apply":
         name, add, remove = args
-        if not offload:
-            # memory-only, or the store's persistence hook commits inline
-            # repro: ignore[blocking-call-in-async] -- same-thread
-            # backend contract: sqlite connections are thread-bound, so
-            # the single-transaction commit runs inline by design
-            return store.apply_diff(name, add=add, remove=remove)
-        if name not in store:
-            # raise the store's own error *before* the durable write
-            # repro: ignore[blocking-call-in-async] -- no persistence
-            # hook fires here: the call only raises UnknownSetError
-            store.apply_diff(name)
-        if len(add) or len(remove):
-            await loop.run_in_executor(
-                None, storage.record_diff, name, add, remove
-            )
-            # repro: ignore[blocking-call-in-async] -- persisted=True:
-            # the durable write already ran in the executor above; this
-            # is the in-memory apply only
-            return store.apply_diff(
-                name, add=add, remove=remove, persisted=True
-            )
-        # repro: ignore[blocking-call-in-async] -- empty diff: the
-        # persistence hook only fires for non-empty diffs, so this is
-        # a pure in-memory reconcile-counter bump
+        add, remove = element_array(add), element_array(remove)
+        if storage is not None and (len(add) or len(remove)):
+            # raises UnknownSetError before the write; on SQLite it also
+            # loads an uncached set, so the apply below counts against
+            # the contents the diff was not yet part of
+            store.version(name)
+            await _persist(storage, storage.record_diff, name, add, remove)
+        # repro: ignore[blocking-call-in-async] -- the store is memory
+        # only; the durable write, if any, returned above
         return store.apply_diff(name, add=add, remove=remove)
     if op == "create":
         name, values, version = args
-        if not offload:
-            # repro: ignore[blocking-call-in-async] -- same-thread
-            # backend contract: inline commit (see apply above)
-            store.create(name, values, version=version)
-            return None
-        await loop.run_in_executor(
-            None, storage.record_create, name, values, version
-        )
-        # repro: ignore[blocking-call-in-async] -- persisted=True: the
-        # durable write already ran in the executor above
-        store.create(name, values, version=version, persisted=True)
+        values = element_array(values)
+        if storage is not None:
+            await _persist(storage, storage.record_create, name, values,
+                           version)
+        # repro: ignore[blocking-call-in-async] -- the store is memory
+        # only; the durable write returned above
+        store.create(name, values, version=version)
         return None
     if op == "sync":
         return None
     raise ReproError(f"unknown shard mutation op {op!r}")
+
+
+async def _persist(storage: StorageBackend, record, *args) -> None:
+    """Run one ``record_*`` call: in the default thread-pool executor
+    for ``concurrent_writes`` backends, so commits proceed in parallel
+    across shards, else inline (SQLite connections are bound to their
+    opening thread, so the one-transaction commit runs on the loop)."""
+    if storage.concurrent_writes:
+        await asyncio.get_running_loop().run_in_executor(None, record, *args)
+    else:
+        record(*args)
 
 
 async def compact_if_due(store: SetStore,

@@ -41,17 +41,16 @@ class ShardWorker:
     """
 
     def __init__(self, storage: str, shard_dir, epoch: int = 0,
-                 storage_kwargs: dict | None = None) -> None:
+                 fsync: bool = False) -> None:
         self.storage = None
         if shard_dir is None:
             self.store = SetStore()
         else:
             self.storage = open_backend(
-                storage, shard_dir, epoch=epoch, **(storage_kwargs or {})
+                storage, shard_dir, epoch=epoch, fsync=fsync
             )
             try:
-                # recovery defines the state; the returned store is
-                # wired for write-through persistence
+                # recovery defines the state
                 self.store = self.storage.open_store()
             except BaseException:
                 self.storage.close()

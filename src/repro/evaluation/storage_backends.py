@@ -72,6 +72,7 @@ def _child_main(argv) -> None:
     import time
 
     from repro.cluster.storage import open_backend
+    from repro.core.elements import element_array
 
     backend_name, directory, phase, n_sets, set_size = (
         argv[0], argv[1], argv[2], int(argv[3]), int(argv[4]),
@@ -82,16 +83,27 @@ def _child_main(argv) -> None:
     if phase == "populate":
         backend = open_backend(backend_name, directory)
         store = backend.open_store()
+
+        def apply(name, add, remove):
+            # durable first, as a shard worker applies it; the lookup
+            # loads a SQLite set the cache evicted before the write
+            add, remove = element_array(add), element_array(remove)
+            store.version(name)
+            backend.record_diff(name, add, remove)
+            store.apply_diff(name, add=add, remove=remove)
+
         for i in range(n_sets):
-            store.create(f"set-{i:05d}", _values(i, set_size))
+            values = element_array(_values(i, set_size))
+            backend.record_create(f"set-{i:05d}", values)
+            store.create(f"set-{i:05d}", values)
         for i in range(TOUCH_SETS):          # a round of real apply-diffs
-            store.apply_diff(
+            apply(
                 f"set-{i:05d}",
                 add=_values(n_sets + i, 16),
-                remove=list(_values(i, 8)),
+                remove=_values(i, 8),
             )
         for i in range(REPLAY_TAIL):         # the replay tail
-            store.apply_diff(
+            apply(
                 "set-00000",
                 add=[_tail(n_sets, i)],
                 remove=[_tail(n_sets, i - 1)] if i else [],

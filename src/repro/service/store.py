@@ -17,7 +17,10 @@ copies the set into Python objects.  Arrays are never written in
 place, which is what keeps an older snapshot frozen.
 
 Every :class:`~repro.cluster.router.ClusterStore` shard holds one; the
-server reaches it only through the cluster.  The store is designed for a
+server reaches it only through the cluster.  The store is memory only:
+a shard's mutations reach it through
+:func:`repro.cluster.storage.apply_mutation`, which records each one in
+the shard's storage backend first.  The store is designed for a
 single-threaded asyncio server: methods are plain synchronous functions
 (no awaits inside), which on one event loop is already atomic.  A
 per-set monotonically increasing ``version`` lets clients detect that a
@@ -105,25 +108,10 @@ class Snapshot:
 
 
 class SetStore:
-    """Registry of named element sets with snapshot/apply semantics.
+    """Registry of named element sets with snapshot/apply semantics."""
 
-    ``persistence`` injects durability: when set (to a
-    :class:`repro.cluster.storage.StorageBackend`), every mutating call
-    records itself durably *before* the in-memory state changes — if the
-    durable write raises, the live set is untouched.  Callers that have
-    already persisted a mutation themselves (the cluster's
-    thread-offloaded journal appends, recovery replay) pass
-    ``persisted=True`` to keep the hook quiet; recovery instead replays
-    into a store whose hook is not wired yet.  This hook is the single
-    home of the durable-write ordering that ``router.py`` and
-    ``proc.py`` used to duplicate around the store.
-    """
-
-    def __init__(self, persistence=None) -> None:
+    def __init__(self) -> None:
         self._sets: dict[str, _NamedSet] = {}
-        #: optional write-through durability hook (StorageBackend-like:
-        #: ``record_create`` / ``record_diff``)
-        self.persistence = persistence
 
     # -- registry -------------------------------------------------------------
     def names(self) -> list[str]:
@@ -132,17 +120,14 @@ class SetStore:
     def __contains__(self, name: str) -> bool:
         return name in self._sets
 
-    def create(self, name: str, values=(), version: int = 0,
-               persisted: bool = False) -> None:
+    def create(self, name: str, values=(), version: int = 0) -> None:
         """Create (or replace) a named set from an iterable of elements.
 
         ``version`` seeds the mutation counter — journal recovery uses it
         to restore a set at the exact version it had when snapshotted.
         """
-        values = element_array(values)
-        if self.persistence is not None and not persisted:
-            self.persistence.record_create(name, values, version=version)
-        self._sets[name] = _NamedSet(base=values, version=version)
+        self._sets[name] = _NamedSet(base=element_array(values),
+                                     version=version)
 
     def items(self) -> list[tuple[str, np.ndarray, int]]:
         """``(name, values, version)`` for every set (snapshot compaction)."""
@@ -162,37 +147,19 @@ class SetStore:
         return self._require(name).version
 
     # -- session lifecycle -----------------------------------------------------
-    def snapshot(self, name: str, create_missing: bool = False) -> Snapshot:
+    def snapshot(self, name: str) -> Snapshot:
         """Freeze one set for a reconciliation session."""
-        if name not in self:
-            if not create_missing:
-                raise UnknownSetError(f"no such set: {name!r}")
-            self.create(name)
         entry = self._require(name)
         return Snapshot(name=name, version=entry.version, values=entry.values())
 
-    def apply_diff(self, name: str, add=(), remove=(),
-                   persisted: bool = False, trace=None) -> int:
+    def apply_diff(self, name: str, add=(), remove=()) -> int:
         """Fold a completed session's difference into the live set.
 
         Returns how many elements actually changed (an element both added
         by this session and already added by a concurrent one counts 0).
-        The persistence hook fires before the first in-memory change and
-        only for non-empty diffs (converged re-sync passes log nothing).
-        ``trace`` is accepted (and ignored) so the server can thread a
-        span context uniformly; the cluster store's override parents its
-        storage-commit span on it.
         """
         entry = self._require(name)
-        add = element_array(add)
-        remove = element_array(remove)
-        if (
-            (len(add) or len(remove))
-            and self.persistence is not None
-            and not persisted
-        ):
-            self.persistence.record_diff(name, add=add, remove=remove)
-        changed = entry.apply(add, remove)
+        changed = entry.apply(element_array(add), element_array(remove))
         if changed:
             entry.version += 1
         entry.reconciles += 1

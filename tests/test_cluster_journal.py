@@ -152,10 +152,10 @@ class TestShardStorage:
         assert storage2.recovered_sets == 1       # from the snapshot
         assert storage2.recovered_records == 1    # the post-compact diff
 
-    def test_should_compact_threshold(self, tmp_path):
-        storage = JournalBackend(
-            tmp_path / "shard", compact_min_bytes=64, compact_factor=2
-        )
+    def test_should_compact_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.cluster.storage.COMPACT_MIN_BYTES", 64)
+        monkeypatch.setattr("repro.cluster.storage.COMPACT_FACTOR", 2)
+        storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
         assert not storage.should_compact()

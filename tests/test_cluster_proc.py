@@ -15,6 +15,7 @@ lifetime.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import random
@@ -23,6 +24,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +559,26 @@ class TestWorkerProcesses:
         assert report["children"] == report["workers"]
         assert report["after_close"] == []
         assert report["multiprocessing"] == []
+
+    def test_a_proc_store_lifetime_leaks_no_socket(self):
+        """A store spawns its workers concurrently, and they must share
+        the supervisor's one RPC listener, the one its close() closes:
+        a 4-shard proc store's lifetime leaves no socket for the
+        garbage collector to find."""
+
+        async def lifetime():
+            async with _cluster(4, executor="subprocess") as store:
+                await store.create("s", [1, 2, 3])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            asyncio.run(lifetime())
+            gc.collect()
+        leaks = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ]
+        assert leaks == []
 
 
 class TestServeProcessSignals:

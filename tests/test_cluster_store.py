@@ -202,11 +202,11 @@ class TestRecovery:
 
 class TestCompactionUnderLoad:
     def test_auto_compaction_triggers_and_preserves_state(
-        self, tmp_path, make_cluster
+        self, tmp_path, make_cluster, monkeypatch
     ):
-        store = make_cluster(
-            1, tmp_path, compact_min_bytes=256, compact_factor=1
-        )
+        monkeypatch.setattr("repro.cluster.storage.COMPACT_MIN_BYTES", 256)
+        monkeypatch.setattr("repro.cluster.storage.COMPACT_FACTOR", 1)
+        store = make_cluster(1, tmp_path)
 
         async def inner():
             async with store:
@@ -256,6 +256,76 @@ class TestDurableFirstOrdering:
                 assert again.get("s") == {1, 2, 3, 999}
 
         asyncio.run(inner())
+
+    @pytest.mark.parametrize("via", ["create", "snapshot"])
+    def test_failed_durable_create_leaves_store_unmutated(
+        self, tmp_path, make_cluster, via
+    ):
+        """A create whose durable write fails — an explicit one, or the
+        one a session's snapshot of a missing set makes — leaves both
+        the replaced set and the missing one as they were."""
+
+        async def inner():
+            async with make_cluster(1, tmp_path) as store:
+                await store.create("s", {1, 2, 3})
+                await store.apply_diff("s", add=[4])
+                storage = store._shards[0].worker.worker.storage
+
+                def exploding_record_create(name, values, version=0):
+                    raise OSError("no space left on device")
+
+                storage.record_create = exploding_record_create
+                with pytest.raises(OSError):
+                    if via == "create":
+                        await store.create("s", {7})
+                    else:
+                        await store.snapshot("fresh", create_missing=True)
+                with pytest.raises(OSError):
+                    await store.create("new", {8})
+                assert store.names() == ["s"]
+                assert store.get("s") == {1, 2, 3, 4}
+                assert store.version("s") == 1
+            async with make_cluster(1, tmp_path) as again:
+                assert again.names() == ["s"]
+                assert again.get("s") == {1, 2, 3, 4}
+                assert again.version("s") == 1
+
+        asyncio.run(inner())
+
+    def test_first_diff_to_an_uncached_sqlite_set(self, tmp_path):
+        """A SQLite set the LRU cache does not hold is loaded before its
+        diff is written: the apply counts what the diff changed, and the
+        version moves once, in memory and on disk alike."""
+        from repro.cluster.sqlite import SqliteBackend
+        from repro.cluster.storage import apply_mutation
+
+        async def inner():
+            backend = SqliteBackend(tmp_path)
+            store = backend.open_store()
+            await apply_mutation(
+                store, backend, "create", ("s", [1, 2, 3], 5)
+            )
+            backend.close()
+            backend = SqliteBackend(tmp_path)
+            store = backend.open_store()           # an empty cache
+            changed = await apply_mutation(
+                store, backend, "apply", ("s", [3, 4, 5], [1, 9])
+            )
+            resident = store.cache_stats()["resident"]
+            version = store.version("s")
+            backend.close()
+            return changed, resident, version
+
+        changed, resident, version = asyncio.run(inner())
+        assert changed == 3                        # +4, +5, -1
+        assert resident == 1
+        assert version == 6
+        backend = SqliteBackend(tmp_path, create=False)
+        assert [
+            (name, sorted(int(v) for v in values), v)
+            for name, values, v in backend.iter_sets()
+        ] == [("s", [2, 3, 4, 5], 6)]
+        backend.close()
 
 
 class TestCloseSemantics:

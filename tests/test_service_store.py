@@ -3,6 +3,7 @@ check of the element-array representation across storage backends."""
 
 from __future__ import annotations
 
+import asyncio
 import shutil
 import tempfile
 from pathlib import Path
@@ -18,8 +19,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cluster import sqlite
 from repro.cluster.journal import JournalBackend
 from repro.cluster.sqlite import SqliteBackend
+from repro.cluster.storage import apply_mutation
 from repro.service.store import (
     OVERLAY_FRACTION,
     SetStore,
@@ -50,12 +53,7 @@ class TestRegistry:
         with pytest.raises(UnknownSetError):
             store.get("nope")
         with pytest.raises(UnknownSetError):
-            store.snapshot("nope", create_missing=False)
-
-    def test_create_missing_on_snapshot(self, store):
-        snap = store.snapshot("fresh", create_missing=True)
-        assert len(snap) == 0
-        assert "fresh" in store
+            store.snapshot("nope")
 
 
 class TestSnapshotSemantics:
@@ -133,27 +131,24 @@ _MODEL_ELEMENTS = st.one_of(
 _NAMES = st.sampled_from(["a", "b", "c"])
 
 
-class _Exploding:
-    """A persistence hook whose durable write always fails."""
-
-    def record_create(self, name, values, version=0):
-        raise OSError("disk full")
-
-    def record_diff(self, name, add=(), remove=()):
-        raise OSError("disk full")
+def _exploding(*args, **kwargs):
+    """A durable write that always fails."""
+    raise OSError("disk full")
 
 
 class StoreModel(RuleBasedStateMachine):
     """``SetStore`` against a dict of Python sets.
 
-    Three stores take every mutation: a plain in-memory store, a
-    journal-backed one (closed and reopened at random) and SQLite's
-    lazy store with a 2-set cache.  After every step each must equal the
-    model, every array it hands out must be a sorted, distinct,
-    read-only element array, and every snapshot taken earlier must still
-    hold the contents it was taken with.  The plain store is checked
-    through its overlay without folding it, so diffs pile up there
-    across steps until a read, a snapshot or the overlay cap folds them.
+    Three stores take every mutation: a plain in-memory store and two
+    durable ones written through :func:`apply_mutation`, as a shard
+    worker writes them — a journal-backed store (closed and reopened at
+    random) and SQLite's lazy store with a 2-set cache.  After every
+    step each must equal the model, every array it hands out must be a
+    sorted, distinct, read-only element array, and every snapshot taken
+    earlier must still hold the contents it was taken with.  The plain
+    store is checked through its overlay without folding it, so diffs
+    pile up there across steps until a read, a snapshot or the overlay
+    cap folds them.
     """
 
     def __init__(self) -> None:
@@ -161,27 +156,43 @@ class StoreModel(RuleBasedStateMachine):
         self.tmp = Path(tempfile.mkdtemp(prefix="store-model-"))
         self.model: dict[str, tuple[set[int], int]] = {}
         self.snapshots: list[tuple[Snapshot, list[int], int]] = []
+        self.loop = asyncio.new_event_loop()
+        self.cache_sets = sqlite.DEFAULT_CACHE_SETS
+        sqlite.DEFAULT_CACHE_SETS = 2     # 3 names: sets get evicted
         self.plain = SetStore()
         self.journal = JournalBackend(self.tmp / "journal")
         self.journal_store = self.journal.open_store()
-        self.sqlite = SqliteBackend(self.tmp / "sqlite", cache_sets=2)
+        self.sqlite = SqliteBackend(self.tmp / "sqlite")
         self.sqlite_store = self.sqlite.open_store()
 
     def teardown(self) -> None:
+        sqlite.DEFAULT_CACHE_SETS = self.cache_sets
         self.journal.close()
         self.sqlite.close()
+        self.loop.run_until_complete(self.loop.shutdown_default_executor())
+        self.loop.close()
         shutil.rmtree(self.tmp, ignore_errors=True)
 
     @property
-    def stores(self) -> list[SetStore]:
-        return [self.plain, self.journal_store, self.sqlite_store]
+    def durable(self) -> list:
+        """``(store, backend)`` for each store a backend persists."""
+        return [
+            (self.journal_store, self.journal),
+            (self.sqlite_store, self.sqlite),
+        ]
+
+    def _mutate(self, store, backend, op, args):
+        return self.loop.run_until_complete(
+            apply_mutation(store, backend, op, args)
+        )
 
     # -- rules ---------------------------------------------------------------
     @rule(name=_NAMES, version=st.integers(0, 3),
           values=st.lists(_MODEL_ELEMENTS, min_size=80, max_size=160))
     def create(self, name, values, version):
-        for store in self.stores:
-            store.create(name, values, version=version)
+        self.plain.create(name, values, version=version)
+        for store, backend in self.durable:
+            self._mutate(store, backend, "create", (name, values, version))
         self.model[name] = (set(values), version)
 
     @precondition(lambda self: self.model)
@@ -216,15 +227,18 @@ class StoreModel(RuleBasedStateMachine):
     @rule(data=st.data(), add=st.lists(_MODEL_ELEMENTS, min_size=1,
                                        max_size=4))
     def failed_durable_write(self, data, add):
+        # the invariants then find every store still equal to the model
         name = data.draw(st.sampled_from(sorted(self.model)))
-        self.plain.persistence = _Exploding()
-        try:
-            with pytest.raises(OSError):
-                self.plain.apply_diff(name, add=add, remove=add[:1])
-            with pytest.raises(OSError):
-                self.plain.create(name, add)
-        finally:
-            self.plain.persistence = None
+        for store, backend in self.durable:
+            backend.record_diff = backend.record_create = _exploding
+            try:
+                with pytest.raises(OSError):
+                    self._mutate(store, backend, "apply",
+                                 (name, add, add[:1]))
+                with pytest.raises(OSError):
+                    self._mutate(store, backend, "create", (name, add, 0))
+            finally:
+                del backend.record_diff, backend.record_create
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -245,9 +259,11 @@ class StoreModel(RuleBasedStateMachine):
         changed += len(set(remove) & values)
         values = values - set(remove)
         self.model[name] = (values, version + (1 if changed else 0))
-        for store in self.stores:
-            assert store.apply_diff(
-                name, add=np.array(add, dtype=np.uint64), remove=remove
+        add = np.array(add, dtype=np.uint64)
+        assert self.plain.apply_diff(name, add=add, remove=remove) == changed
+        for store, backend in self.durable:
+            assert self._mutate(
+                store, backend, "apply", (name, add, remove)
             ) == changed
         return changed
 

@@ -68,21 +68,25 @@ class TestFollowerCompaction:
     def test_followers_compact_like_primaries(self, tmp_path, executor):
         """A follower applies through the same worker loop as a primary,
         so it compacts under the same rule: its journal stays bounded
-        instead of growing with every shipped op."""
+        instead of growing with every shipped op.  The diffs journal
+        ~126 KB, past the 64 KiB compaction threshold (worker children
+        see the module default, so the test writes past it)."""
         from repro.cluster import ClusterConfig, open_cluster
 
         async def inner():
             store = open_cluster(tmp_path, ClusterConfig(
                 executor=executor, replicas=1, storage="journal",
-                compact_min_bytes=4096,
             ))
             async with store:
                 await store.create("s", range(1, 50))
-                for i in range(1600):
-                    await store.apply_diff("s", add=[1000 + i])
+                for i in range(300):
+                    start = 1000 + 50 * i
+                    await store.apply_diff("s", add=range(start, start + 50))
                 await _until(lambda: _converged(store), what="convergence")
+                follower = store._shards[0].repl.followers[0]
+                return follower.applier.handle.stats()["compactions"]
 
-        asyncio.run(inner())
+        assert asyncio.run(inner()) >= 1
         primary, follower = (
             replica_dir(tmp_path, 0, replica) for replica in (0, 1)
         )
@@ -214,6 +218,13 @@ def _script(seed: int, sets: int = 5, rounds: int = 8, per_round: int = 40):
     return out
 
 
+def _base(i: int) -> range:
+    """Set ``s{i}``'s initial contents: 2,000 elements clear of the
+    script's values, so the five creates journal ~80 KB, past the
+    64 KiB compaction threshold."""
+    return range(10_000 * (i + 1), 10_000 * (i + 1) + 2_000)
+
+
 class TestReplicatedEquivalence:
     """The replicated drill on every executor x backend: one seeded
     script of concurrent applies and follower kills must leave every
@@ -230,7 +241,7 @@ class TestReplicatedEquivalence:
         script = _script(self.SEED)
         reference = SetStore()
         for i in range(5):
-            reference.create(f"s{i}", [i])
+            reference.create(f"s{i}", _base(i))
         for batch in script:
             for step in batch:
                 if step is not None:
@@ -240,7 +251,7 @@ class TestReplicatedEquivalence:
         async def drill():
             store = make_cluster(
                 1, tmp_path, executor=executor, replicas=1,
-                replication="quorum", compact_min_bytes=4096,
+                replication="quorum",
             )
 
             async def kill():
@@ -249,7 +260,7 @@ class TestReplicatedEquivalence:
 
             async with store:
                 for i in range(5):
-                    await store.create(f"s{i}", [i])
+                    await store.create(f"s{i}", _base(i))
                 for batch in script:
                     await asyncio.gather(*[
                         kill() if step is None
@@ -259,8 +270,9 @@ class TestReplicatedEquivalence:
                         for step in batch
                     ])
                 await _until(lambda: _converged(store), what="convergence")
+                return store.cluster_stats()["per_shard"][0]["compactions"]
 
-        asyncio.run(drill())
+        assert asyncio.run(drill()) >= 1
         want = sorted(
             (name, tuple(int(v) for v in values), version)
             for name, values, version in reference.items()

@@ -13,6 +13,7 @@ suite does not depend on a pytest-asyncio plugin being installed.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from repro.cluster import (
     rebalance,
 )
 from repro.cluster.sqlite import DEFAULT_CACHE_SETS, db_filename
+from repro.cluster.storage import apply_mutation
 from repro.errors import ReproError
 from repro.service.store import SetStore, UnknownSetError
 
@@ -52,6 +54,28 @@ def _entries(seed: int, n: int = 8):
         )
         for i in range(n)
     ]
+
+
+class _Shard:
+    """A backend's live store, mutated the one way a shard mutates:
+    through :func:`apply_mutation`, durable first.  Reads go to the
+    store."""
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
+        self.store = backend.open_store()
+
+    def __getattr__(self, attr):
+        return getattr(self.store, attr)
+
+    def create(self, name: str, values=(), version: int = 0) -> None:
+        self._mutate("create", (name, values, version))
+
+    def apply_diff(self, name: str, add=(), remove=()) -> int:
+        return self._mutate("apply", (name, add, remove))
+
+    def _mutate(self, op: str, args: tuple):
+        return asyncio.run(apply_mutation(self.store, self.backend, op, args))
 
 
 def _committed(name: str, directory) -> list:
@@ -79,14 +103,12 @@ class TestBackendContract:
         for name in BACKEND_NAMES:
             cls = backend_class(name)
             assert cls.name == name
-            assert isinstance(cls.TUNING, frozenset)
         with pytest.raises(ReproError, match="unknown storage backend"):
             backend_class("bogus")
 
     def test_roundtrip_create_diff_reopen(self, tmp_path, storage_backend):
         backend = open_backend(storage_backend, tmp_path)
-        store = backend.open_store()
-        assert store.persistence is backend      # write-through wiring
+        store = _Shard(backend)
         store.create("a", {1, 2, 3})
         store.create("b", {10})
         assert store.apply_diff("a", add=[4], remove=[1]) == 2
@@ -108,7 +130,7 @@ class TestBackendContract:
         self, tmp_path, storage_backend, monkeypatch
     ):
         backend = open_backend(storage_backend, tmp_path)
-        store = backend.open_store()
+        store = _Shard(backend)
         store.create("s", {1, 2})
 
         def exploding(name, add=(), remove=()):
@@ -129,7 +151,7 @@ class TestBackendContract:
         self, tmp_path, storage_backend
     ):
         backend = open_backend(storage_backend, tmp_path)
-        store = backend.open_store()
+        store = _Shard(backend)
         with pytest.raises(UnknownSetError):
             store.apply_diff("ghost", add=[1])
         backend.close()
@@ -162,7 +184,7 @@ class TestBackendContract:
 
     def test_stats_report_the_contract_keys(self, tmp_path, storage_backend):
         backend = open_backend(storage_backend, tmp_path)
-        store = backend.open_store()
+        store = _Shard(backend)
         store.create("s", {1})
         store.apply_diff("s", add=[2])
         stats = backend.stats()
@@ -179,7 +201,7 @@ class TestBackendContract:
         self, tmp_path, storage_backend
     ):
         backend = open_backend(storage_backend, tmp_path)
-        store = backend.open_store()
+        store = _Shard(backend)
         store.create("s", range(1, 200))
         for i in range(30):
             store.apply_diff("s", add=[1000 + i], remove=[1 + i])
@@ -189,15 +211,12 @@ class TestBackendContract:
         backend.close()
         assert _contents(_committed(storage_backend, tmp_path)) == [expected]
 
-    def test_tuning_keys_are_validated_and_filtered(self, tmp_path):
-        # a key another backend owns is silently dropped ...
-        backend = open_backend("journal", tmp_path / "j", cache_sets=5)
-        assert not hasattr(backend, "cache_sets")
+    def test_fsync_is_the_only_setting(self, tmp_path, storage_backend):
+        backend = open_backend(storage_backend, tmp_path / "a", fsync=True)
+        assert backend.fsync is True
         backend.close()
-        # ... a key nobody owns is an error on every backend
-        for name in BACKEND_NAMES:
-            with pytest.raises(ReproError, match="tuning"):
-                open_backend(name, tmp_path / "x", wibble=1)
+        with pytest.raises(TypeError):
+            open_backend(storage_backend, tmp_path / "b", cache_sets=5)
 
     def test_readonly_open_never_creates_files(
         self, tmp_path, storage_backend
@@ -230,7 +249,7 @@ class TestCrossBackendEquivalence:
         states = {}
         for name in BACKEND_NAMES:
             backend = open_backend(name, tmp_path / name)
-            store = backend.open_store()
+            store = _Shard(backend)
             for step in script:
                 if step[0] == "create":
                     store.create(step[1], step[2])
@@ -261,16 +280,19 @@ class TestSqliteSpecific:
         half of the range must survive the two's-complement mapping."""
         values = {0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1}
         backend = SqliteBackend(tmp_path)
-        store = backend.open_store()
+        store = _Shard(backend)
         store.create("wide", values)
         store.apply_diff("wide", remove=[1 << 63])
         backend.close()
         [(_, committed, _)] = _contents(_committed("sqlite", tmp_path))
         assert committed == values - {1 << 63}
 
-    def test_lazy_store_faults_and_evicts_under_cache_cap(self, tmp_path):
-        backend = SqliteBackend(tmp_path, cache_sets=4)
-        store = backend.open_store()
+    def test_lazy_store_faults_and_evicts_under_cache_cap(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.cluster.sqlite.DEFAULT_CACHE_SETS", 4)
+        backend = SqliteBackend(tmp_path)
+        store = _Shard(backend)
         for i in range(12):
             store.create(f"s{i}", {i, i + 100})
         assert len(store._sets) <= 4          # write path already bounded
@@ -284,10 +306,10 @@ class TestSqliteSpecific:
         # the registry is the database, not the cache
         assert store.names() == sorted(f"s{i}" for i in range(12))
         assert len(store.stats()) == 12
+        assert store.cache_stats()["capacity"] == 4
         backend.close()
 
     def test_cache_default_is_generous(self):
-        assert ClusterConfig().cache_sets is None     # backend default
         assert DEFAULT_CACHE_SETS >= 256
 
     def test_sigkilled_writer_loses_nothing_acknowledged(self, tmp_path):
@@ -297,15 +319,23 @@ class TestSqliteSpecific:
         tolerance)."""
         script = textwrap.dedent(
             """
-            import os, signal, sys
+            import asyncio, os, signal, sys
             from repro.cluster.sqlite import SqliteBackend
+            from repro.cluster.storage import apply_mutation
 
-            backend = SqliteBackend(sys.argv[1])
-            store = backend.open_store()
-            store.create("crash", range(1, 100))
-            for i in range(25):
-                store.apply_diff("crash", add=[1000 + i])
-            os.kill(os.getpid(), signal.SIGKILL)   # no close, no checkpoint
+            async def main():
+                backend = SqliteBackend(sys.argv[1])
+                store = backend.open_store()
+                await apply_mutation(
+                    store, backend, "create", ("crash", range(1, 100), 0)
+                )
+                for i in range(25):
+                    await apply_mutation(
+                        store, backend, "apply", ("crash", [1000 + i], [])
+                    )
+                os.kill(os.getpid(), signal.SIGKILL)   # no close, no checkpoint
+
+            asyncio.run(main())
             """
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -320,9 +350,10 @@ class TestSqliteSpecific:
         assert values == set(range(1, 100)) | {1000 + i for i in range(25)}
         assert version == 25
 
-    def test_compact_truncates_the_wal(self, tmp_path):
-        backend = SqliteBackend(tmp_path, compact_min_bytes=1024)
-        store = backend.open_store()
+    def test_compact_truncates_the_wal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.cluster.storage.COMPACT_MIN_BYTES", 1024)
+        backend = SqliteBackend(tmp_path)
+        store = _Shard(backend)
         store.create("s", range(1, 2000))
         for i in range(50):
             store.apply_diff("s", add=[100_000 + i])
@@ -337,7 +368,7 @@ class TestSqliteSpecific:
 
     def test_corrupt_database_is_a_storage_corrupt_error(self, tmp_path):
         backend = SqliteBackend(tmp_path)
-        store = backend.open_store()
+        store = _Shard(backend)
         store.create("s", {1})
         backend.close()
         (tmp_path / db_filename()).write_bytes(b"\xff" * 512)
@@ -408,7 +439,7 @@ class TestSqliteBulkBinding:
         expected = _contents(memory.items())
         for name in BACKEND_NAMES:
             backend = open_backend(name, tmp_path / name)
-            store = backend.open_store()
+            store = _Shard(backend)
             assert self._run(store, script) == expected_results, name
             backend.close()
             assert _contents(_committed(name, tmp_path / name)) == expected
@@ -601,20 +632,12 @@ class TestClusterConfigApi:
         with pytest.raises(ValueError, match="vnodes"):
             ClusterConfig(vnodes=0)
 
-    def test_storage_kwargs_omit_unset_tuning(self):
-        assert ClusterConfig().storage_kwargs() == {"fsync": False}
-        full = ClusterConfig(
-            fsync=True, compact_min_bytes=64, cache_sets=9
-        ).storage_kwargs()
-        assert full == {"fsync": True, "compact_min_bytes": 64,
-                        "cache_sets": 9}
-
     def test_replace_returns_a_validated_copy(self):
         config = ClusterConfig(shards=2)
-        grown = config.replace(shards=4)
+        grown = dataclasses.replace(config, shards=4)
         assert (config.shards, grown.shards) == (2, 4)
         with pytest.raises(ValueError):
-            config.replace(storage="wibble")
+            dataclasses.replace(config, storage="wibble")
 
     def test_config_is_the_only_way_to_set_knobs(self, tmp_path):
         """``ClusterStore(data_dir, config)``: a knob passed as a keyword
@@ -633,9 +656,14 @@ class TestClusterConfigApi:
         asyncio.run(inner())
         assert load_manifest(tmp_path).shards == 2
 
-    def test_open_store_wires_persistence(self, tmp_path, storage_backend):
+    def test_open_store_returns_a_memory_only_store(
+        self, tmp_path, storage_backend
+    ):
         backend = open_backend(storage_backend, tmp_path)
         store = backend.open_store()
         assert isinstance(store, SetStore)
-        assert store.persistence is backend
+        store.create("s", {1})              # no write reaches the backend
+        assert store.apply_diff("s", add=[2]) == 1
+        assert backend.stats()["records_appended"] == 0
         backend.close()
+        assert _committed(storage_backend, tmp_path) == []
