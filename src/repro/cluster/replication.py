@@ -286,7 +286,6 @@ class Follower:
         #: is discarded and redone (its snapshot may predate the event
         #: that made the resync necessary)
         self._gen = 0
-        self._fsync = applier.fsync
 
     def start(self) -> None:
         self.task = asyncio.ensure_future(self._run())
@@ -402,7 +401,7 @@ class Follower:
     async def _write_cursor(self, seq: int) -> None:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
-            None, write_cursor, self.directory, seq, self._fsync
+            None, write_cursor, self.directory, seq, self.applier.fsync
         )
 
     def stats(self) -> dict:

@@ -436,7 +436,7 @@ class LazySetStore(SetStore):
             self._sets.pop(next(iter(self._sets)))
             self.cache_evictions += 1
 
-    def _require(self, name: str) -> _NamedSet:
+    def entry(self, name: str) -> _NamedSet:
         entry = self._sets.get(name)
         if entry is not None:
             self.cache_hits += 1

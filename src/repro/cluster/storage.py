@@ -316,15 +316,13 @@ async def _mutate(store: SetStore, storage: StorageBackend | None,
     if op == "apply":
         name, add, remove = args
         add, remove = element_array(add), element_array(remove)
+        # the mutation's one store lookup, before the write: it raises
+        # UnknownSetError, and on SQLite it loads an uncached set, so
+        # the apply counts against contents the diff is not yet part of
+        target = store.entry(name)
         if storage is not None and (len(add) or len(remove)):
-            # raises UnknownSetError before the write; on SQLite it also
-            # loads an uncached set, so the apply below counts against
-            # the contents the diff was not yet part of
-            store.version(name)
             await _persist(storage, storage.record_diff, name, add, remove)
-        # repro: ignore[blocking-call-in-async] -- the store is memory
-        # only; the durable write, if any, returned above
-        return store.apply_diff(name, add=add, remove=remove)
+        return target.apply(add, remove)
     if op == "create":
         name, values, version = args
         values = element_array(values)

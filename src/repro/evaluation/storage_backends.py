@@ -83,31 +83,20 @@ def _child_main(argv) -> None:
     if phase == "populate":
         backend = open_backend(backend_name, directory)
         store = backend.open_store()
-
-        def apply(name, add, remove):
-            # durable first, as a shard worker applies it; the lookup
-            # loads a SQLite set the cache evicted before the write
-            add, remove = element_array(add), element_array(remove)
-            store.version(name)
-            backend.record_diff(name, add, remove)
-            store.apply_diff(name, add=add, remove=remove)
-
-        for i in range(n_sets):
+        for i in range(n_sets):              # durable first, then memory
             values = element_array(_values(i, set_size))
             backend.record_create(f"set-{i:05d}", values)
             store.create(f"set-{i:05d}", values)
         for i in range(TOUCH_SETS):          # a round of real apply-diffs
-            apply(
-                f"set-{i:05d}",
-                add=_values(n_sets + i, 16),
-                remove=_values(i, 8),
-            )
+            add = element_array(_values(n_sets + i, 16))
+            remove = element_array(_values(i, 8))
+            backend.record_diff(f"set-{i:05d}", add, remove)
+            store.apply_diff(f"set-{i:05d}", add=add, remove=remove)
         for i in range(REPLAY_TAIL):         # the replay tail
-            apply(
-                "set-00000",
-                add=[_tail(n_sets, i)],
-                remove=[_tail(n_sets, i - 1)] if i else [],
-            )
+            add = element_array([_tail(n_sets, i)])
+            remove = element_array([_tail(n_sets, i - 1)] if i else [])
+            backend.record_diff("set-00000", add, remove)
+            store.apply_diff("set-00000", add=add, remove=remove)
         if not backend.compact_from_entries:
             backend.compact()                # checkpoint the WAL
         backend.close()

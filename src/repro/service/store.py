@@ -71,7 +71,8 @@ class _NamedSet:
         return self.base
 
     def apply(self, add: np.ndarray, remove: np.ndarray) -> int:
-        """Add, then remove; returns how many elements changed."""
+        """Add, then remove, as one session's mutation; returns how many
+        elements changed (the version moves only when some did)."""
         changed = 0
         if len(add):
             in_base = contains(self.base, add)
@@ -92,6 +93,9 @@ class _NamedSet:
         overlay = len(self.added) + len(self.removed)
         if overlay > len(self.base) // OVERLAY_FRACTION:
             self.values()
+        if changed:
+            self.version += 1
+        self.reconciles += 1
         return changed
 
 
@@ -138,18 +142,18 @@ class SetStore:
 
     def get(self, name: str) -> set[int]:
         """The live set as a Python ``set`` (a copy, off the hot path)."""
-        return set(self._require(name).values().tolist())
+        return set(self.entry(name).values().tolist())
 
     def size(self, name: str) -> int:
-        return len(self._require(name))
+        return len(self.entry(name))
 
     def version(self, name: str) -> int:
-        return self._require(name).version
+        return self.entry(name).version
 
     # -- session lifecycle -----------------------------------------------------
     def snapshot(self, name: str) -> Snapshot:
         """Freeze one set for a reconciliation session."""
-        entry = self._require(name)
+        entry = self.entry(name)
         return Snapshot(name=name, version=entry.version, values=entry.values())
 
     def apply_diff(self, name: str, add=(), remove=()) -> int:
@@ -158,12 +162,8 @@ class SetStore:
         Returns how many elements actually changed (an element both added
         by this session and already added by a concurrent one counts 0).
         """
-        entry = self._require(name)
-        changed = entry.apply(element_array(add), element_array(remove))
-        if changed:
-            entry.version += 1
-        entry.reconciles += 1
-        return changed
+        return self.entry(name).apply(element_array(add),
+                                      element_array(remove))
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> dict:
@@ -177,7 +177,10 @@ class SetStore:
             for name, entry in sorted(self._sets.items())
         }
 
-    def _require(self, name: str) -> _NamedSet:
+    def entry(self, name: str) -> _NamedSet:
+        """The live set itself, for a caller that must look it up before
+        it mutates it (see :func:`~repro.cluster.storage.apply_mutation`);
+        raises :class:`UnknownSetError`."""
         try:
             return self._sets[name]
         except KeyError:

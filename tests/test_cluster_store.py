@@ -311,14 +311,16 @@ class TestDurableFirstOrdering:
             changed = await apply_mutation(
                 store, backend, "apply", ("s", [3, 4, 5], [1, 9])
             )
-            resident = store.cache_stats()["resident"]
+            cache = store.cache_stats()
             version = store.version("s")
             backend.close()
-            return changed, resident, version
+            return changed, cache, version
 
-        changed, resident, version = asyncio.run(inner())
+        changed, cache, version = asyncio.run(inner())
         assert changed == 3                        # +4, +5, -1
-        assert resident == 1
+        assert cache["resident"] == 1
+        # the apply's one lookup is the fault that loaded the set
+        assert (cache["faults"], cache["hits"]) == (1, 0)
         assert version == 6
         backend = SqliteBackend(tmp_path, create=False)
         assert [
@@ -326,6 +328,27 @@ class TestDurableFirstOrdering:
             for name, values, v in backend.iter_sets()
         ] == [("s", [2, 3, 4, 5], 6)]
         backend.close()
+
+    def test_one_cache_lookup_per_durable_sqlite_apply(self, tmp_path):
+        """A durable apply looks its set up once, before the write, so
+        the SQLite cache counters behind ``set_cache`` in /metrics count
+        operations: N applies to a resident set are N hits."""
+        from repro.cluster.sqlite import SqliteBackend
+        from repro.cluster.storage import apply_mutation
+
+        async def inner():
+            backend = SqliteBackend(tmp_path)
+            store = backend.open_store()
+            await apply_mutation(store, backend, "create", ("s", [1], 0))
+            for i in range(10):
+                await apply_mutation(
+                    store, backend, "apply", ("s", [100 + i], [])
+                )
+            backend.close()
+            return store.cache_stats()
+
+        cache = asyncio.run(inner())
+        assert (cache["hits"], cache["faults"]) == (10, 0)
 
 
 class TestCloseSemantics:

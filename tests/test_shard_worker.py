@@ -202,15 +202,17 @@ class TestQuorumWaitOutsideTheLoop:
 def _script(seed: int, sets: int = 5, rounds: int = 8, per_round: int = 40):
     """Seeded rounds of concurrent applies across ``sets`` sets; a
     ``None`` step kills the follower right there, between applies that
-    are already in flight and applies not yet submitted."""
+    are already in flight and applies not yet submitted.  A diff moves
+    ~60 elements, so the script journals ~157 KB and crosses the 64 KiB
+    compaction threshold in its middle rounds."""
     rng = random.Random(seed)
     out = []
     for _ in range(rounds):
         batch = []
         for _ in range(per_round):
             name = f"s{rng.randrange(sets)}"
-            add = rng.sample(range(1, 3000), rng.randrange(0, 5))
-            remove = rng.sample(range(1, 3000), rng.randrange(0, 3))
+            add = rng.sample(range(1, 3000), rng.randrange(0, 80))
+            remove = rng.sample(range(1, 3000), rng.randrange(0, 40))
             batch.append((name, add, remove))
         for _ in range(rng.randrange(3)):
             batch.insert(rng.randrange(per_round), None)
@@ -218,30 +220,28 @@ def _script(seed: int, sets: int = 5, rounds: int = 8, per_round: int = 40):
     return out
 
 
-def _base(i: int) -> range:
-    """Set ``s{i}``'s initial contents: 2,000 elements clear of the
-    script's values, so the five creates journal ~80 KB, past the
-    64 KiB compaction threshold."""
-    return range(10_000 * (i + 1), 10_000 * (i + 1) + 2_000)
-
-
 class TestReplicatedEquivalence:
     """The replicated drill on every executor x backend: one seeded
     script of concurrent applies and follower kills must leave every
     replica directory with the same versioned state, and that state is
     the one a plain ``SetStore`` reaches by applying the script in
-    order — so the executors agree with each other, too."""
+    order — so the executors agree with each other, too.  The primary
+    compacts in the middle of the drill, while applies and kills are in
+    flight: worker children once, under the 64 KiB default the script's
+    diffs cross, and in-process workers, patched to a 4 KiB threshold,
+    several times."""
 
     SEED = 0x5EED
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_replicas_match_under_concurrent_applies_and_kills(
-        self, tmp_path, make_cluster, executor
+        self, tmp_path, make_cluster, monkeypatch, executor
     ):
+        monkeypatch.setattr("repro.cluster.storage.COMPACT_MIN_BYTES", 4096)
         script = _script(self.SEED)
         reference = SetStore()
         for i in range(5):
-            reference.create(f"s{i}", _base(i))
+            reference.create(f"s{i}", [i])
         for batch in script:
             for step in batch:
                 if step is not None:
@@ -258,9 +258,15 @@ class TestReplicatedEquivalence:
                 # a forced re-bootstrap from the primary's read view
                 store._shards[0].repl.followers[0].mark_dead("injected kill")
 
+            def compactions():
+                return store.cluster_stats()["per_shard"][0]["compactions"]
+
             async with store:
                 for i in range(5):
-                    await store.create(f"s{i}", _base(i))
+                    await store.create(f"s{i}", [i])
+                # the flush acks after any compaction the creates made due
+                await store.flush()
+                before = compactions()
                 for batch in script:
                     await asyncio.gather(*[
                         kill() if step is None
@@ -270,9 +276,11 @@ class TestReplicatedEquivalence:
                         for step in batch
                     ])
                 await _until(lambda: _converged(store), what="convergence")
-                return store.cluster_stats()["per_shard"][0]["compactions"]
+                await store.flush()
+                return before, compactions()
 
-        assert asyncio.run(drill()) >= 1
+        before, after = asyncio.run(drill())
+        assert after > before, (before, after)
         want = sorted(
             (name, tuple(int(v) for v in values), version)
             for name, values, version in reference.items()
