@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.cluster import open_cluster
-from repro.service import ReconciliationServer, sync_with_server
+from repro.cluster.config import open_cluster
+from repro.service.client import sync_with_server
+from repro.service.server import ReconciliationServer
 
 
 async def main() -> None:

@@ -14,31 +14,3 @@
 * :mod:`repro.analysis.overhead` — analytic communication-overhead formulas
   for PBS, PinSketch(/WP) and D.Digest (Formula (1), §8.3).
 """
-
-from repro.analysis.balls_bins import (
-    prob_ideal,
-    prob_some_even_bin,
-    prob_some_odd_bin_ge3,
-)
-from repro.analysis.markov import transition_matrix
-from repro.analysis.optimizer import OptimalParams, optimize_params, sweep_round_targets
-from repro.analysis.piecewise import expected_round_proportions
-from repro.analysis.success import (
-    group_success_probability,
-    overall_lower_bound,
-    prob_reconcile_within,
-)
-
-__all__ = [
-    "prob_ideal",
-    "prob_some_even_bin",
-    "prob_some_odd_bin_ge3",
-    "transition_matrix",
-    "prob_reconcile_within",
-    "group_success_probability",
-    "overall_lower_bound",
-    "OptimalParams",
-    "optimize_params",
-    "sweep_round_targets",
-    "expected_round_proportions",
-]

@@ -12,17 +12,3 @@ sketch of at most t elements recovers those elements:
 3. root finding (vectorized Chien search over table fields; the Berlekamp
    trace algorithm, or candidate evaluation, over GF(2^32)).
 """
-
-from repro.bch.berlekamp_massey import berlekamp_massey
-from repro.bch.codec import BCHCodec
-from repro.bch.roots import chien_roots, trace_roots
-from repro.bch.syndromes import expand_syndromes, syndromes_of
-
-__all__ = [
-    "BCHCodec",
-    "berlekamp_massey",
-    "chien_roots",
-    "trace_roots",
-    "syndromes_of",
-    "expand_syndromes",
-]

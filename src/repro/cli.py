@@ -568,7 +568,8 @@ def cmd_check(argv: list[str]) -> int:
 def cmd_rebalance(argv: list[str]) -> int:
     import json as _json
 
-    from repro.cluster import DEFAULT_VNODES, rebalance
+    from repro.cluster.rebalance import rebalance
+    from repro.cluster.ring import DEFAULT_VNODES
     from repro.errors import ReproError
 
     args = build_rebalance_parser().parse_args(argv)
@@ -601,12 +602,9 @@ def cmd_rebalance(argv: list[str]) -> int:
 
 
 def cmd_serve(argv: list[str]) -> int:
-    from repro.cluster import (
-        AdmissionController,
-        ClusterConfig,
-        open_cluster,
-        rebalance,
-    )
+    from repro.cluster.admission import AdmissionController
+    from repro.cluster.config import ClusterConfig, open_cluster
+    from repro.cluster.rebalance import rebalance
     from repro.errors import ReproError
     from repro.obs.admin import AdminServer
     from repro.obs.logs import (
@@ -616,8 +614,8 @@ def cmd_serve(argv: list[str]) -> int:
     )
     from repro.obs.metrics import SloTracker, WindowedMetrics
     from repro.obs.trace import configure_tracing
-    from repro.service import ReconciliationServer
     from repro.service.metrics import merged_histograms
+    from repro.service.server import ReconciliationServer
 
     args = build_serve_parser().parse_args(argv)
     configure_logging(args.log_level, args.log_json)
@@ -928,8 +926,8 @@ def cmd_serve(argv: list[str]) -> int:
 
 def cmd_sync(argv: list[str]) -> int:
     from repro.errors import ReproError
-    from repro.service import ClientConnection, ServerBusy
-    from repro.service.wire import backoff_or_raise
+    from repro.service.client import ClientConnection
+    from repro.service.wire import ServerBusy, backoff_or_raise
 
     args = build_sync_parser().parse_args(argv)
     if args.trace_dir is not None:

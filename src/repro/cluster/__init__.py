@@ -35,9 +35,9 @@ Pieces (bottom up):
   for the store's lifetime; a 1-shard memory cluster is what plain
   ``repro serve`` runs);
 * :mod:`repro.cluster.proc` — the ``subprocess`` shard executor: shard
-  workers in child processes speaking the service framing as an
-  internal RPC, so BCH decode CPU scales across cores
-  (``repro serve --workers proc``);
+  workers in child processes speaking the service framing over their
+  own stdin and stdout as an internal RPC, so BCH decode CPU scales
+  across cores (``repro serve --workers proc``);
 * :mod:`repro.cluster.replication` — per-shard follower replicas fed by
   logical-op log shipping with optional quorum acks
   (``repro serve --replicas R --replication quorum``), durable replica
@@ -46,119 +46,3 @@ Pieces (bottom up):
 * :mod:`repro.cluster.admission` — per-shard session/decode caps that
   shed overload with the service's RETRY frame.
 """
-
-from repro.cluster.admission import (
-    DEFAULT_RETRY_AFTER_S,
-    AdmissionController,
-    retry_delay,
-)
-from repro.cluster.config import (
-    EXECUTORS,
-    REPLICATION_MODES,
-    ClusterConfig,
-    open_cluster,
-)
-from repro.cluster.journal import (
-    JournalBackend,
-    JournalCorruptError,
-    Record,
-    encode_create,
-    encode_diff,
-    journal_filename,
-    read_records,
-    replay_shard,
-    snapshot_filename,
-    write_snapshot,
-)
-from repro.cluster.manifest import (
-    MANIFEST_NAME,
-    ClusterManifest,
-    ManifestError,
-    StorageMismatchError,
-    TopologyMismatchError,
-    load_manifest,
-    write_manifest,
-)
-from repro.cluster.proc import (
-    DEFAULT_RESTART_BACKOFF_S,
-    WorkerSupervisor,
-    WorkerUnavailableError,
-    fork_safe_cpu_count,
-)
-from repro.cluster.rebalance import (
-    RebalanceAborted,
-    RebalanceResult,
-    rebalance,
-)
-from repro.cluster.replication import (
-    QuorumTimeoutError,
-    ReplicationError,
-    ShardReplication,
-    elect_replica,
-    probe_replica,
-    quorum_size,
-    read_cursor,
-    write_cursor,
-)
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.cluster.router import ClusterStore
-from repro.cluster.sqlite import SqliteBackend
-from repro.cluster.storage import (
-    BACKEND_NAMES,
-    StorageBackend,
-    StorageCorruptError,
-    backend_class,
-    open_backend,
-)
-
-__all__ = [
-    "AdmissionController",
-    "BACKEND_NAMES",
-    "ClusterConfig",
-    "ClusterManifest",
-    "ClusterStore",
-    "DEFAULT_RESTART_BACKOFF_S",
-    "DEFAULT_RETRY_AFTER_S",
-    "DEFAULT_VNODES",
-    "EXECUTORS",
-    "HashRing",
-    "JournalBackend",
-    "JournalCorruptError",
-    "MANIFEST_NAME",
-    "ManifestError",
-    "QuorumTimeoutError",
-    "REPLICATION_MODES",
-    "RebalanceAborted",
-    "RebalanceResult",
-    "Record",
-    "ReplicationError",
-    "ShardReplication",
-    "SqliteBackend",
-    "StorageBackend",
-    "StorageCorruptError",
-    "StorageMismatchError",
-    "TopologyMismatchError",
-    "WorkerSupervisor",
-    "WorkerUnavailableError",
-    "backend_class",
-    "elect_replica",
-    "encode_create",
-    "encode_diff",
-    "fork_safe_cpu_count",
-    "journal_filename",
-    "load_manifest",
-    "open_backend",
-    "open_cluster",
-    "probe_replica",
-    "quorum_size",
-    "read_cursor",
-    "read_records",
-    "rebalance",
-    "replay_shard",
-    "retry_delay",
-    "snapshot_filename",
-    "write_cursor",
-    "write_manifest",
-    "write_snapshot",
-]
-

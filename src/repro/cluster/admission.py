@@ -10,7 +10,8 @@ hot shard must not be able to starve the rest):
 * ``max_sessions`` — concurrent reconciliation sessions on one shard.
   A session over the cap is *shed at HELLO time* with a RETRY frame
   carrying a server-suggested delay; the client backs off (with jitter,
-  see :func:`retry_delay`) and tries again instead of queueing invisibly.
+  see :func:`~repro.service.wire.retry_delay`) and tries again instead
+  of queueing invisibly.
 * ``max_decode_queue`` — decode submissions a shard may have waiting in
   the coalescer.  Hitting this cap applies backpressure (the session
   awaits a slot) rather than shedding, because mid-session RETRY would
@@ -27,12 +28,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 
-# Re-exported for convenience: the client-side backoff helper lives with
-# the RETRY frame in the service wire module (the service layer must not
-# depend on the cluster layer).
-from repro.service.wire import retry_delay
-
-__all__ = ["AdmissionController", "DEFAULT_RETRY_AFTER_S", "retry_delay"]
+__all__ = ["AdmissionController", "DEFAULT_RETRY_AFTER_S"]
 
 #: Default server-suggested delay before a shed client should retry —
 #: a couple of coalescer windows, enough for a session slot to turn over.

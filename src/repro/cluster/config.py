@@ -4,7 +4,7 @@
 single validated, frozen dataclass, and :func:`open_cluster` is the
 front door::
 
-    from repro.cluster import ClusterConfig, open_cluster
+    from repro.cluster.config import ClusterConfig, open_cluster
 
     config = ClusterConfig(shards=4, storage="sqlite", fsync=True)
     async with open_cluster(data_dir, config) as store:

@@ -5,22 +5,23 @@ ShardWorker` runs on the server's event loop — correct, simple, and
 bounded by **one core**: the batched BCH decode engine saturates a
 single CPU no matter how many shards are configured.  This module is
 the ``subprocess`` executor: each worker (primary or follower) runs in a
-child process, and the router drives it over a local socket speaking
-the service's own length-prefixed framing (:mod:`repro.service.wire`)
-as an internal RPC — the same ``ShardWorker`` and mutation loop, plus
-*decode work*.  Decode CPU then scales across cores: every child runs
-its own :class:`~repro.service.scheduler.DecodeCoalescer`, so sessions
-routed to the same shard still merge into shared BCH batches *within*
-that worker.
+child process, and the router drives it over the child's own stdin and
+stdout, speaking the service's length-prefixed framing
+(:mod:`repro.service.wire`) as an internal RPC — the same
+``ShardWorker`` and mutation loop, plus *decode work*.  Decode CPU then
+scales across cores: every child runs its own
+:class:`~repro.service.scheduler.DecodeCoalescer`, so sessions routed to
+the same shard still merge into shared BCH batches *within* that
+worker.
 
 Topology of one proc-mode cluster::
 
     parent (server process)                     children (one per worker)
-    ┌────────────────────────────┐   loopback   ┌───────────────────────┐
-    │ ClusterStore               │   socket     │ worker_main(shard 0)  │
-    │  ├─ WorkerHandle / worker ─┼<───framing──>│  ShardWorker          │
+    ┌────────────────────────────┐ child's own  ┌───────────────────────┐
+    │ ClusterStore               │ stdin/stdout │ worker_main(shard 0)  │
+    │  ├─ WorkerHandle (shard 0)─┼<───framing──>│  ShardWorker          │
     │  │   └─ mirror SetStore    │              │  DecodeCoalescer      │
-    │  └─ WorkerSupervisor       │<───framing──>│ worker_main(shard 1)  │
+    │  └─ WorkerHandle (shard 1)─┼<───framing──>│ worker_main(shard 1)  │
     └────────────────────────────┘              └───────────────────────┘
 
 Design decisions, in the order they matter:
@@ -37,34 +38,39 @@ Design decisions, in the order they matter:
   state dump whenever a worker (re)starts; a follower's READY carries
   none, since nothing reads a follower.
 * **Crash containment.**  A worker death fails only its own in-flight
-  RPCs; the supervisor respawns it after a backoff, the child replays
+  RPCs; the cluster store respawns it after a backoff, the child replays
   snapshot-then-journal, and the new handle's mirror is the replayed
   state.  While a shard is down, new sessions for it are shed
   with RETRY (see ``ReconciliationServer``) and restarts are counted in
   ``cluster_stats``.  A mutation that was journaled but not yet acked
   when the worker died simply reappears after replay — the standard
   at-least-once WAL story.
-* **Same trust domain.**  Workers are children of the server process:
-  the RPC listener binds to 127.0.0.1 and every child must present a
-  per-supervisor random token in its first frame before anything else
-  is processed.  Payloads after authentication are pickled — exactly
-  the trust model of :mod:`multiprocessing`'s own pipes.
+* **Same trust domain.**  Workers are children of the server process,
+  and the RPC runs over a pipe pair only the parent and that child
+  hold: no other process can reach it, so nothing needs to
+  authenticate, and payloads are pickled — exactly the trust model of
+  :mod:`multiprocessing`'s own pipes.
 
 Each child is a fresh ``sys.executable`` started with
 :func:`asyncio.create_subprocess_exec`, never a fork: the parent runs an
 asyncio loop and executor threads (journal appends), and forking a
 threaded interpreter is a deadlock lottery.  Its command line is a
 short bootstrap plus the worker's name (``repro-shard-N`` or
-``repro-shard-N-follower-KK``, visible in ``ps``); the parent's
-``sys.path`` and the pickled :class:`WorkerConfig` follow on its stdin.
-The child imports this module and what it needs, nothing of the
-parent's ``__main__``, and no :mod:`multiprocessing` machinery (no
-resource tracker) starts on either side.  Children ignore SIGINT
-(terminal Ctrl-C goes to the whole process group; shutdown is the
-parent's CLOSE RPC, which flushes and closes the journal first) and
-exit on EOF when the parent dies, so a killed server leaves no orphans.
-A child that cannot open its shard logs one ``repro.cluster`` error line
-and exits 1.
+``repro-shard-N-follower-KK``, visible in ``ps``).  Its stdin carries
+the parent's ``sys.path`` and the pickled :class:`WorkerConfig`, then
+the parent's RPC frames; its stdout carries READY and the replies.
+The bootstrap keeps a private copy of the stdout pipe for frames and
+points fd 1 at stderr before anything can print, so a stray ``print``
+lands in the server's log instead of corrupting a frame.  The child
+imports this module and what it needs, nothing of the parent's
+``__main__``, and no :mod:`multiprocessing` machinery (no resource
+tracker) starts on either side.  Children ignore SIGINT (terminal
+Ctrl-C goes to the whole process group; shutdown is the parent's CLOSE
+RPC, which flushes and closes the journal first).  A child's death is
+EOF on its stdout, and the parent's death is EOF on the child's stdin,
+on which the child drains and exits, so a killed server leaves no
+orphans.  A child that cannot open its shard logs one ``repro.cluster``
+error line and exits 1.
 """
 
 from __future__ import annotations
@@ -74,7 +80,6 @@ import enum
 import functools
 import os
 import pickle
-import secrets
 import signal
 import struct
 import sys
@@ -98,9 +103,9 @@ from repro.service.scheduler import DEFAULT_WINDOW_S, DecodeCoalescer
 from repro.service.store import SetStore
 from repro.service.wire import encode_frame, read_frame
 
-#: How long the parent waits for a spawned child to connect back and
-#: authenticate before declaring the spawn failed (numpy import plus
-#: journal replay; generous because CI machines are slow).
+#: How long the parent waits for a spawned child's READY before
+#: declaring the spawn failed (numpy import plus journal replay;
+#: generous because CI machines are slow).
 SPAWN_TIMEOUT_S = 60.0
 
 #: Default pause before respawning a dead worker.  Long enough that a
@@ -114,21 +119,23 @@ JOIN_TIMEOUT_S = 10.0
 
 _RID = struct.Struct("!I")
 
-#: Frame-body cap for the internal RPC.  Same-host, token-authenticated
-#: traffic between a server and its own children: a recovered shard's
-#: READY state dump (or a large diff) may far exceed the client
-#: protocol's abuse cap, so the RPC allows up to the length field's
-#: practical limit.  Shards bigger than this need the worker-side
-#: snapshot-read follow-on (ROADMAP) before proc mode can carry them.
+#: Frame-body cap for the internal RPC.  Pipe traffic between a server
+#: and its own children: a recovered shard's READY state dump (or a
+#: large diff) may far exceed the client protocol's abuse cap, so the
+#: RPC allows up to the length field's practical limit.  Shards bigger
+#: than this need the worker-side snapshot-read follow-on (ROADMAP)
+#: before proc mode can carry them.
 RPC_MAX_FRAME_BYTES = (1 << 31) - 1
 
-#: A worker child's whole program (``python -c``): take the parent's
-#: import path, then the config, both pickled on stdin — the path as
-#: plain strings, so reading it imports nothing of this package.
+#: A worker child's whole program (``python -c``): keep a private copy
+#: of stdout for frames and point fd 1 at stderr, then take the parent's
+#: import path and the config, both pickled on stdin — the path as plain
+#: strings, so reading it imports nothing of this package.
 _CHILD_BOOT = (
-    "import pickle, sys; sys.path[:] = pickle.load(sys.stdin.buffer); "
+    "import os, pickle, sys; rpc_fd = os.dup(1); os.dup2(2, 1); "
+    "sys.path[:] = pickle.load(sys.stdin.buffer); "
     "from repro.cluster.proc import worker_main; "
-    "sys.exit(worker_main(pickle.load(sys.stdin.buffer)))"
+    "sys.exit(worker_main(pickle.load(sys.stdin.buffer), rpc_fd))"
 )
 
 log = get_logger("cluster")
@@ -137,9 +144,9 @@ log = get_logger("cluster")
 class RpcType(enum.IntEnum):
     """Discriminator byte of one internal-RPC frame (disjoint from the
     client protocol's :class:`~repro.service.wire.FrameType` values so a
-    frame from the wrong socket can never be mistaken for valid)."""
+    frame from the wrong stream can never be mistaken for valid)."""
 
-    READY = 32      #: child -> parent: token + recovered state dump
+    READY = 32      #: child -> parent: recovered state dump + stats
     APPLY = 33      #: parent -> child: journal + apply one diff
     CREATE = 34     #: parent -> child: journal + create one set
     SYNC = 36       #: parent -> child: mutation-queue barrier
@@ -176,9 +183,6 @@ class WorkerConfig:
     """Everything a spawned child needs, as plain picklable fields."""
 
     shard_id: int
-    port: int                  #: parent's loopback RPC listener
-    token: bytes               #: supervisor secret the child must present
-    generation: int            #: spawn counter (stale children don't match)
     shard_dir: str | None      #: storage directory (None = in-memory shard)
     epoch: int = 0             #: layout epoch of the shard's files
     storage: str = "journal"   #: storage backend name (see cluster.storage)
@@ -199,8 +203,11 @@ class WorkerConfig:
 
 # -- the child process ---------------------------------------------------------
 
-def worker_main(config: WorkerConfig) -> int:
-    """Run one shard worker child to its end; the process exit code."""
+def worker_main(config: WorkerConfig, rpc_fd: int) -> int:
+    """Run one shard worker child to its end; the process exit code.
+
+    RPC frames arrive on stdin and leave through ``rpc_fd``, the
+    bootstrap's copy of the stdout pipe."""
     # Ctrl-C in a terminal signals the whole foreground process group;
     # shutdown must stay the parent's CLOSE RPC so the journal is closed
     # after the last acked append, never mid-mutation.
@@ -220,18 +227,19 @@ def worker_main(config: WorkerConfig) -> int:
             max_bytes=config.trace_max_bytes,
         )
     try:
-        return asyncio.run(_worker_async(config))
+        with open(rpc_fd, "wb", buffering=0) as rpc_out:
+            return asyncio.run(_worker_async(config, rpc_out))
     except (ConnectionError, EOFError, asyncio.IncompleteReadError):
         # parent vanished mid-exchange; recovery already has everything
         # the parent acked, so a quiet exit is the correct behavior
         return 0
 
 
-async def _worker_async(cfg: WorkerConfig) -> int:
+async def _worker_async(cfg: WorkerConfig, rpc_out) -> int:
     try:
         worker = ShardWorker(cfg.storage, cfg.shard_dir, cfg.epoch, cfg.fsync)
     except (ReproError, OSError) as exc:
-        # one line, not a traceback: the supervisor retries a dead
+        # one line, not a traceback: the cluster store retries a dead
         # shard, and the parent's spawn error already carries the code
         role = cfg.role or "primary"
         log.error(
@@ -240,13 +248,25 @@ async def _worker_async(cfg: WorkerConfig) -> int:
             extra={"shard": cfg.shard_id, "role": role},
         )
         return 1
-    reader, writer = await asyncio.open_connection("127.0.0.1", cfg.port)
+    loop = asyncio.get_running_loop()
+    reader = asyncio.StreamReader()
+    # stdin has carried only the two boot pickles so far, and the parent
+    # writes no frame before READY: the buffered read of the pickles
+    # holds no frame bytes, so asyncio can take fd 0 over from here
+    stdin, _ = await loop.connect_read_pipe(
+        lambda: asyncio.StreamReaderProtocol(reader), sys.stdin.buffer
+    )
+    transport, protocol = await loop.connect_write_pipe(
+        lambda: asyncio.StreamReaderProtocol(None), rpc_out
+    )
+    writer = asyncio.StreamWriter(transport, protocol, None, loop)
     try:
         await _RpcServer(cfg, worker, reader, writer).run()
     finally:
         # also when the parent went away: queued mutations still apply
         # and the storage closes cleanly
         await worker.close()
+        stdin.close()
         try:
             writer.close()
             await writer.wait_closed()
@@ -273,17 +293,7 @@ class _RpcServer:
         # a follower's parent keeps no mirror, so its READY carries no
         # state dump (a SQLite store would read every set to build one)
         entries = None if self.cfg.role else self.worker.store.items()
-        # the raw 32-byte token leads the READY payload so the parent
-        # can authenticate on plain bytes *before* unpickling anything
-        ready = self.cfg.token + _pack(
-            0,
-            (self.cfg.shard_id, self.cfg.generation, entries,
-             self.worker.stats()),
-        )
-        self.writer.write(
-            encode_frame(RpcType.READY, ready, max_bytes=RPC_MAX_FRAME_BYTES)
-        )
-        await self.writer.drain()
+        self._send(RpcType.READY, 0, (entries, self.worker.stats()))
         while True:
             try:
                 ftype, payload = await read_frame(
@@ -324,8 +334,8 @@ class _RpcServer:
 
     # -- plumbing --------------------------------------------------------------
     def _send(self, ftype: RpcType, rid: int, body) -> None:
-        # no drain: whole frames hit the socket buffer in call order,
-        # and the parent's reader task consumes them continuously
+        # no drain: whole frames hit the pipe in call order, and the
+        # parent's reader task consumes them continuously
         self.writer.write(
             encode_frame(ftype, _pack(rid, body),
                          max_bytes=RPC_MAX_FRAME_BYTES)
@@ -386,12 +396,10 @@ class WorkerHandle:
     ``None`` for a follower child (nothing reads a follower).
     """
 
-    def __init__(self, shard_id, process, reader, writer, on_death,
-                 entries=None, stats=None) -> None:
+    def __init__(self, shard_id, process, on_death, entries=None,
+                 stats=None) -> None:
         self.shard_id = shard_id
         self.process = process
-        self.reader = reader
-        self.writer = writer
         self.pid: int = process.pid
         self.alive = True
         #: why the reader stopped: "" while alive, "eof" for a clean
@@ -447,12 +455,12 @@ class WorkerHandle:
                 )
 
         future.add_done_callback(_observe)
-        self.writer.write(
+        self.process.stdin.write(
             encode_frame(ftype, _pack(rid, body),
                          max_bytes=RPC_MAX_FRAME_BYTES)
         )
-        # no drain await: writes must hit the socket buffer in call
-        # order, and the loopback buffer dwarfs any plausible backlog
+        # no drain await: writes must reach the pipe in call order, and
+        # the transport buffers whatever the pipe cannot take yet
         return future
 
     def submit(self, op: str, args: tuple, trace=None,
@@ -517,7 +525,7 @@ class WorkerHandle:
         try:
             while True:
                 ftype, payload = await read_frame(
-                    self.reader, frame_enum=RpcType,
+                    self.process.stdout, frame_enum=RpcType,
                     max_bytes=RPC_MAX_FRAME_BYTES,
                 )
                 rid, body = _unpack(payload)
@@ -542,7 +550,8 @@ class WorkerHandle:
                     if not future.done():
                         future.set_result(body)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            self.death_reason = "eof"
+            if not self._expected_close:
+                self.death_reason = "eof"
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -565,10 +574,10 @@ class WorkerHandle:
 
     async def close(self, graceful: bool = True) -> None:
         """Stop the worker: CLOSE RPC (drains + closes the journal; the
-        child's final counters stay readable in :meth:`stats`), then
-        reap the process — escalating to terminate/kill if the child
-        does not exit in :data:`JOIN_TIMEOUT_S`.  Idempotent: a second
-        close returns immediately."""
+        child's final counters stay readable in :meth:`stats`), then EOF
+        on its stdin and reap the process — escalating to terminate/kill
+        if the child does not exit in :data:`JOIN_TIMEOUT_S`.
+        Idempotent: a second close returns immediately."""
         if self._closed:
             return
         self._closed = True
@@ -582,17 +591,16 @@ class WorkerHandle:
                     OSError):
                 pass
         self.alive = False
+        # EOF on its stdin tells the child to drain and exit; the reader
+        # keeps consuming its stdout meanwhile, so no late reply can
+        # stall the pipe and, with it, the child's exit
+        self.process.stdin.close()
+        await _reap(self.process, JOIN_TIMEOUT_S)
         self._reader_task.cancel()
         try:
             await self._reader_task
         except asyncio.CancelledError:
             pass
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        await _reap(self.process, JOIN_TIMEOUT_S)
 
 
 async def _reap(process: asyncio.subprocess.Process, grace_s: float) -> None:
@@ -615,179 +623,81 @@ async def _reap(process: asyncio.subprocess.Process, grace_s: float) -> None:
             pass
 
 
-class WorkerSupervisor:
-    """Spawns shard workers and matches their loopback connections.
+async def spawn_worker(
+    shard_id: int, shard_dir: str | None, epoch: int, on_death, *,
+    storage: str = "journal", fsync: bool = False,
+    window_s: float = DEFAULT_WINDOW_S, role: str = "",
+) -> WorkerHandle:
+    """Start one worker child and wait for its READY.
 
-    One supervisor serves one :class:`ClusterStore`: it owns the
-    127.0.0.1 RPC listener, the shared authentication token, and the
-    spawn-generation counter that keeps a straggler child from a failed
-    earlier spawn from being mistaken for the current one.
+    The returned handle's ``store`` is the mirror seeded from the
+    child's post-recovery state dump (``None`` for a follower, whose
+    READY carries none) and its ``stats()`` the recovery counters.
+    ``on_death`` fires with ``shard_id`` if the child dies unexpectedly.
+    ``role`` tags replica children (``"follower-01"``): the child's
+    command line ends in ``repro-shard-N-follower-01`` (a primary's in
+    ``repro-shard-N``), so primaries and followers are distinguishable
+    in ``ps`` output, and its trace file is named for it.
     """
-
-    def __init__(
-        self,
-        window_s: float = DEFAULT_WINDOW_S,
-        storage: str = "journal",
-        fsync: bool = False,
-    ) -> None:
-        self.storage = storage
-        self.fsync = fsync
-        self.window_s = window_s
-        self.token = secrets.token_bytes(32)
-        self.port: int | None = None
-        self._server: asyncio.AbstractServer | None = None
-        #: a store starts its shards' spawns concurrently: they all
-        #: wait here for the one listener the first of them opens
-        self._listening = asyncio.Lock()
-        self._generation = 0
-        #: generation -> future resolving to (reader, writer, entries, stats)
-        self._waiting: dict[int, asyncio.Future] = {}
-
-    async def start(self) -> None:
-        async with self._listening:
-            if self._server is None:
-                self._server = await asyncio.start_server(
-                    self._accept, "127.0.0.1", 0
-                )
-                self.port = self._server.sockets[0].getsockname()[1]
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for future in self._waiting.values():
-            if not future.done():
-                future.set_exception(ReproError("supervisor closed"))
-        self._waiting.clear()
-
-    async def _accept(self, reader, writer) -> None:
-        """Authenticate one child: first frame must be READY + token.
-
-        The frame is consumed in two stages: first only the 5-byte
-        header plus the 32-byte raw token, then — exclusively for an
-        authenticated peer — the state-dump remainder.  An unrelated
-        local process connecting to the loopback port can thus neither
-        drive the pickle machinery nor make the server buffer more than
-        a few dozen bytes before being dropped.
-        """
+    # snapshot the parent's observability posture at spawn time so a
+    # respawned worker comes back logging and tracing like its peers
+    log_level, log_json = logging_config()
+    trc = tracer()
+    cfg = WorkerConfig(
+        shard_id=shard_id,
+        shard_dir=str(shard_dir) if shard_dir is not None else None,
+        epoch=epoch,
+        storage=storage,
+        fsync=fsync,
+        window_s=window_s,
+        role=role,
+        log_level=log_level,
+        log_json=log_json,
+        slow_op_s=slow_op_threshold_s(),
+        trace_dir=str(trc.trace_dir) if trc.enabled else None,
+        trace_max_bytes=trc.max_bytes,
+    )
+    name = f"repro-shard-{shard_id}"
+    if role:
+        name = f"{name}-{role}"
+    # a fresh interpreter, not a fork: the parent runs executor threads
+    # (journal appends) and forking a threaded interpreter can deadlock
+    # the child inside inherited locks.  ``name`` only labels the
+    # command line for ``ps``.
+    process = await asyncio.create_subprocess_exec(
+        sys.executable, "-c", _CHILD_BOOT, name,
+        stdin=asyncio.subprocess.PIPE, stdout=asyncio.subprocess.PIPE,
+    )
+    try:
+        process.stdin.write(
+            pickle.dumps(sys.path) + pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)
+        )
         try:
-            prefix = await asyncio.wait_for(
-                reader.readexactly(5 + len(self.token)), SPAWN_TIMEOUT_S
-            )
-            (body_len,) = struct.unpack_from("!I", prefix)
-            authentic = (
-                prefix[4] == RpcType.READY
-                and 1 + len(self.token) <= body_len <= RPC_MAX_FRAME_BYTES
-                and secrets.compare_digest(prefix[5:], self.token)
-            )
-            if not authentic:
-                raise ReproError("unexpected or unauthenticated worker")
-            rest = await asyncio.wait_for(
-                reader.readexactly(body_len - 1 - len(self.token)),
+            _, payload = await asyncio.wait_for(
+                read_frame(process.stdout, frame_enum=RpcType,
+                           max_bytes=RPC_MAX_FRAME_BYTES),
                 SPAWN_TIMEOUT_S,
             )
-            _, body = _unpack(rest)
-            shard_id, generation, entries, stats = body
-            waiter = self._waiting.get(generation)
-            if waiter is None or waiter.done():
-                raise ReproError("no spawn waiting for this worker")
-        except Exception:
-            writer.close()
-            return
-        waiter.set_result((reader, writer, entries, stats))
-
-    async def spawn(
-        self, shard_id: int, shard_dir: str | None, epoch: int, on_death,
-        *, role: str = "",
-    ) -> WorkerHandle:
-        """Start one worker child and wait for its authenticated READY.
-
-        The returned handle's ``store`` is the mirror seeded from the
-        child's post-recovery state dump (``None`` for a follower,
-        whose READY carries none) and its ``stats()`` the recovery
-        counters.  ``role`` tags replica children (``"follower-01"``):
-        the child's command line ends in ``repro-shard-N-follower-01``
-        (a primary's in ``repro-shard-N``), so primaries and followers
-        are distinguishable in ``ps`` output, and its trace file is
-        named for it.
-        """
-        await self.start()
-        self._generation += 1
-        generation = self._generation
-        # snapshot the parent's observability posture at spawn time so a
-        # respawned worker comes back logging and tracing like its peers
-        log_level, log_json = logging_config()
-        trc = tracer()
-        cfg = WorkerConfig(
-            shard_id=shard_id,
-            port=self.port,
-            token=self.token,
-            generation=generation,
-            shard_dir=str(shard_dir) if shard_dir is not None else None,
-            epoch=epoch,
-            storage=self.storage,
-            fsync=self.fsync,
-            window_s=self.window_s,
-            role=role,
-            log_level=log_level,
-            log_json=log_json,
-            slow_op_s=slow_op_threshold_s(),
-            trace_dir=str(trc.trace_dir) if trc.enabled else None,
-            trace_max_bytes=trc.max_bytes,
-        )
-        waiter: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiting[generation] = waiter
-        name = f"repro-shard-{shard_id}"
-        if role:
-            name = f"{name}-{role}"
-        # a fresh interpreter, not a fork: the parent runs executor
-        # threads (journal appends) and forking a threaded interpreter
-        # can deadlock the child inside inherited locks.  ``name`` only
-        # labels the command line for ``ps``.
-        process = await asyncio.create_subprocess_exec(
-            sys.executable, "-c", _CHILD_BOOT, name,
-            stdin=asyncio.subprocess.PIPE,
-        )
-        # race READY against child death: a worker that crashes during
-        # startup (say, a corrupt shard journal) must fail the spawn
-        # immediately with its exit code, not burn the whole timeout
-        exited = asyncio.ensure_future(process.wait())
-        try:
-            process.stdin.write(
-                pickle.dumps(sys.path)
-                + pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)
-            )
-            process.stdin.close()
-            await asyncio.wait(
-                {waiter, exited},
-                timeout=SPAWN_TIMEOUT_S,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if waiter.done():
-                reader, writer, entries, stats = waiter.result()
-            elif exited.done():
-                raise ReproError(
-                    f"shard {shard_id} worker (pid {process.pid}) exited "
-                    f"with code {process.returncode} before READY — see "
-                    f"its stderr for the recovery error"
-                )
-            else:
-                raise ReproError(
-                    f"shard {shard_id} worker (pid {process.pid}) did not "
-                    f"come up within {SPAWN_TIMEOUT_S:.0f}s"
-                )
-        except BaseException:
-            await _reap(process, 0.0)
-            raise
-        finally:
-            exited.cancel()
-            self._waiting.pop(generation, None)
-            if not waiter.done():
-                waiter.cancel()
-        return WorkerHandle(
-            shard_id, process, reader, writer, on_death, entries, stats
-        )
+        except asyncio.IncompleteReadError:
+            # EOF before READY: the child died during startup (say, a
+            # corrupt shard journal), so fail now with its exit code
+            # rather than burn the whole timeout
+            await _reap(process, JOIN_TIMEOUT_S)
+            raise ReproError(
+                f"shard {shard_id} worker (pid {process.pid}) exited "
+                f"with code {process.returncode} before READY — see "
+                f"its stderr for the recovery error"
+            ) from None
+        except asyncio.TimeoutError:
+            raise ReproError(
+                f"shard {shard_id} worker (pid {process.pid}) did not "
+                f"come up within {SPAWN_TIMEOUT_S:.0f}s"
+            ) from None
+        _, (entries, stats) = _unpack(payload)
+    except BaseException:
+        await _reap(process, 0.0)
+        raise
+    return WorkerHandle(shard_id, process, on_death, entries, stats)
 
 
 def fork_safe_cpu_count() -> int:

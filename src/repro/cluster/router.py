@@ -59,7 +59,7 @@ import functools
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.cluster.config import EXECUTORS, ClusterConfig
+from repro.cluster.config import ClusterConfig
 from repro.cluster.manifest import (
     ClusterManifest,
     load_or_init,
@@ -68,8 +68,8 @@ from repro.cluster.manifest import (
 )
 from repro.cluster.proc import (
     WorkerHandle,
-    WorkerSupervisor,
     WorkerUnavailableError,
+    spawn_worker,
 )
 from repro.cluster.replication import (
     FollowerApplier,
@@ -87,7 +87,7 @@ from repro.errors import ReproError
 from repro.obs.logs import get_logger
 from repro.service.store import SetStore, Snapshot
 
-__all__ = ["EXECUTORS", "ClusterStore"]
+__all__ = ["ClusterStore"]
 
 log = get_logger("cluster")
 
@@ -145,7 +145,7 @@ class ClusterStore:
     ) -> None:
         """``data_dir`` names *which* durable state the cluster owns;
         ``config`` says *how* it behaves (default: ``ClusterConfig()``).
-        :func:`repro.cluster.open_cluster` is the same call."""
+        :func:`repro.cluster.config.open_cluster` is the same call."""
         config = config if config is not None else ClusterConfig()
         self.config = config
         self.ring = HashRing(range(config.shards), vnodes=config.vnodes)
@@ -160,7 +160,6 @@ class ClusterStore:
         self._started = False
         self._closing = False
         self._close_done: asyncio.Event | None = None
-        self._supervisor: WorkerSupervisor | None = None
         self._restart_tasks: set[asyncio.Task] = set()
 
     # -- lifecycle -------------------------------------------------------------
@@ -218,14 +217,15 @@ class ClusterStore:
             # partial start (e.g. one corrupt shard): close the workers
             # that did come up so nothing outlives the error — including
             # any replacement a death-during-start restart may have
-            # already installed on a shard
+            # already installed on a shard, or be spawning now
+            self._closing = True
+            await self._cancel_restarts()
             for result in results:
                 if not isinstance(result, BaseException):
                     await result.close(graceful=False)
             for shard in self._shards:
                 if shard.worker is not None and shard.worker.alive:
                     await shard.worker.close(graceful=False)
-            await self._close_supervisor()
             raise failure
         for shard, handle in zip(self._shards, results):
             if shard.worker is not None and shard.worker.alive:
@@ -262,27 +262,22 @@ class ClusterStore:
         self._close_done = asyncio.Event()
         self._closing = True
         try:
-            for task in list(self._restart_tasks):
-                task.cancel()
-            if self._restart_tasks:
-                await asyncio.gather(
-                    *self._restart_tasks, return_exceptions=True
-                )
-                self._restart_tasks.clear()
+            await self._cancel_restarts()
             for shard in self._shards:
                 await shard.worker.close()
             # after the primaries: their final acks have shipped by now,
             # so a graceful follower drain catches everything
             await self._stop_replication()
-            await self._close_supervisor()
             self._started = False
         finally:
             self._close_done.set()
 
-    async def _close_supervisor(self) -> None:
-        if self._supervisor is not None:
-            await self._supervisor.close()
-            self._supervisor = None
+    async def _cancel_restarts(self) -> None:
+        for task in list(self._restart_tasks):
+            task.cancel()
+        if self._restart_tasks:
+            await asyncio.gather(*self._restart_tasks, return_exceptions=True)
+            self._restart_tasks.clear()
 
     # -- replication -----------------------------------------------------------
     def _prepare_replication_sync(self) -> None:
@@ -500,14 +495,10 @@ class ClusterStore:
             return LocalHandle(ShardWorker(
                 self.config.storage, directory, epoch, self.config.fsync
             ))
-        if self._supervisor is None:
-            self._supervisor = WorkerSupervisor(
-                window_s=self.config.worker_window_s,
-                storage=self.config.storage,
-                fsync=self.config.fsync,
-            )
-        return await self._supervisor.spawn(
-            shard_id, directory, epoch, on_death, role=role
+        return await spawn_worker(
+            shard_id, directory, epoch, on_death,
+            storage=self.config.storage, fsync=self.config.fsync,
+            window_s=self.config.worker_window_s, role=role,
         )
 
     def _on_worker_death(self, shard_id: int) -> None:
@@ -519,7 +510,7 @@ class ClusterStore:
         or its shard would shed sessions forever.  Only a closing store
         lets deaths lie.
         """
-        if self._closing or self._supervisor is None:
+        if self._closing:
             return
         shard = self._shards[shard_id]
         task = asyncio.create_task(
@@ -540,7 +531,7 @@ class ClusterStore:
         failures = 0
         while True:
             await asyncio.sleep(backoff)
-            if self._closing or self._supervisor is None or shard.worker.alive:
+            if self._closing or shard.worker.alive:
                 return
             # reap the condemned handle before its successor opens the
             # same journal: close() terminates the old child if it is
@@ -801,11 +792,13 @@ class ClusterStore:
         return out
 
     def _shard_stats(self, shard: _Shard) -> dict:
-        store = shard.store
+        # the per-set summary, not size() per name: a SQLite shard
+        # answers it from the database without loading any set
+        sets = shard.store.stats()
         entry = {
             "shard": shard.shard_id,
-            "sets": len(store.names()),
-            "elements": sum(store.size(n) for n in store.names()),
+            "sets": len(sets),
+            "elements": sum(s["size"] for s in sets.values()),
             "applies": shard.applies,
             "creates": shard.creates,
             "compact_error": "",

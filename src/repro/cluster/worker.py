@@ -11,8 +11,8 @@ Both executors run this one worker, for primaries and followers alike:
 
 * ``inline`` — in the server process, behind a direct-call
   :class:`LocalHandle` (this module);
-* ``subprocess`` — in a child process, behind the loopback RPC of
-  :mod:`repro.cluster.proc`, whose parent-side
+* ``subprocess`` — in a child process, behind the stdin/stdout pipe
+  RPC of :mod:`repro.cluster.proc`, whose parent-side
   :class:`~repro.cluster.proc.WorkerHandle` offers the same surface.
 
 A handle exposes ``store`` (the shard's read view), ``alive``,

@@ -18,8 +18,3 @@ Layering (bottom-up):
 * :mod:`repro.core.params` — parameter selection (optimal (n, t) via the
   analytical framework, §5.1).
 """
-
-from repro.core.params import PBSParams
-from repro.core.protocol import PBSProtocol, reconcile_pbs
-
-__all__ = ["PBSParams", "PBSProtocol", "reconcile_pbs"]

@@ -1,7 +1,1 @@
 """Set-difference cardinality estimators (§6, Appendices A and B)."""
-
-from repro.estimators.minwise import MinWiseEstimator
-from repro.estimators.strata import StrataEstimator
-from repro.estimators.tow import ToWEstimator
-
-__all__ = ["ToWEstimator", "StrataEstimator", "MinWiseEstimator"]

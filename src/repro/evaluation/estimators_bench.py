@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.estimators import MinWiseEstimator, StrataEstimator, ToWEstimator
+from repro.estimators.minwise import MinWiseEstimator
+from repro.estimators.strata import StrataEstimator
+from repro.estimators.tow import ToWEstimator
 from repro.evaluation.harness import ExperimentTable, instances, scaled
 from repro.utils.seeds import derive_seed
 

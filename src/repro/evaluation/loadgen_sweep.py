@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.cluster import open_cluster
+from repro.cluster.config import open_cluster
 from repro.cluster.admission import AdmissionController
 from repro.evaluation.harness import ExperimentTable, scaled
 from repro.loadgen.driver import CONVERGENCE, LoadgenConfig, LoadGenerator

@@ -24,7 +24,7 @@ import asyncio
 import time
 from tempfile import TemporaryDirectory
 
-from repro.cluster import ClusterConfig, open_cluster
+from repro.cluster.config import ClusterConfig, open_cluster
 from repro.obs.histogram import LatencyHistogram
 from repro.evaluation.harness import ExperimentTable, scaled
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.cluster import ClusterConfig, open_cluster
+from repro.cluster.config import ClusterConfig, open_cluster
 from repro.evaluation.harness import ExperimentTable, scaled
 from repro.obs.histogram import LatencyHistogram
 from repro.service.server import ReconciliationServer

@@ -28,17 +28,3 @@ on: spans are no-ops without a configured trace dir, the admin server
 only exists under ``--admin-port``, and histogram recording is a few
 arithmetic ops on already-coarse events (sessions, batches, commits).
 """
-
-from repro.obs.histogram import LatencyHistogram
-from repro.obs.metrics import REGISTRY, MetricsRegistry
-from repro.obs.trace import TraceContext, Tracer, configure_tracing, tracer
-
-__all__ = [
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "TraceContext",
-    "Tracer",
-    "configure_tracing",
-    "tracer",
-]

@@ -17,37 +17,3 @@ Layers (bottom up):
   ``ClusterStore``) and client (one AliceSession), also reachable as
   ``repro serve`` / ``repro sync``.
 """
-
-from repro.service.client import ClientConnection, sync_once, sync_with_server
-from repro.service.metrics import ServiceMetrics, SessionMetrics
-from repro.service.scheduler import CoalescerStats, DecodeCoalescer
-from repro.service.server import ReconciliationServer
-from repro.service.store import SetStore, Snapshot, UnknownSetError
-from repro.service.wire import (
-    FramedChannel,
-    FramedStream,
-    FrameType,
-    Retry,
-    ServerBusy,
-    retry_delay,
-)
-
-__all__ = [
-    "ClientConnection",
-    "CoalescerStats",
-    "DecodeCoalescer",
-    "FramedChannel",
-    "FramedStream",
-    "FrameType",
-    "ReconciliationServer",
-    "Retry",
-    "ServerBusy",
-    "ServiceMetrics",
-    "SessionMetrics",
-    "SetStore",
-    "Snapshot",
-    "UnknownSetError",
-    "retry_delay",
-    "sync_once",
-    "sync_with_server",
-]

@@ -389,7 +389,7 @@ class Retry:
     Sent instead of WELCOME when the target shard is at its session or
     decode-queue cap, then the connection closes.  ``retry_after_s`` is
     the server's suggested minimum delay; clients add jitter on top
-    (:func:`repro.cluster.admission.retry_delay`).
+    (:func:`retry_delay`).
     """
 
     retry_after_s: float

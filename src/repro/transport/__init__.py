@@ -1,6 +1,1 @@
 """Transport: byte-accounting message channel and protocol runner."""
-
-from repro.transport.channel import Channel, Direction
-from repro.transport.runner import ReconciliationResult
-
-__all__ = ["Channel", "Direction", "ReconciliationResult"]

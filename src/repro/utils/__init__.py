@@ -1,6 +1,1 @@
 """Small shared utilities: bit-level I/O and seed derivation."""
-
-from repro.utils.bitio import BitReader, BitWriter
-from repro.utils.seeds import derive_seed, spawn_rng
-
-__all__ = ["BitReader", "BitWriter", "derive_seed", "spawn_rng"]

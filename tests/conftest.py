@@ -52,12 +52,12 @@ def make_cluster(storage_backend):
     """A ClusterStore factory bound to the parametrized storage backend.
 
     ``make_cluster(shards, data_dir, **config_overrides)`` builds the
-    store through :class:`repro.cluster.ClusterConfig` /
-    :func:`repro.cluster.open_cluster` (the supported construction
+    store through :class:`repro.cluster.config.ClusterConfig` /
+    :func:`repro.cluster.config.open_cluster` (the supported construction
     path); the chosen backend name is available as
     ``make_cluster.storage`` for tests that need to reach the files.
     """
-    from repro.cluster import ClusterConfig, open_cluster
+    from repro.cluster.config import ClusterConfig, open_cluster
 
     def factory(shards=1, data_dir=None, **overrides):
         overrides.setdefault("storage", storage_backend)
@@ -100,7 +100,7 @@ def bch_engine():
 
 @contextlib.asynccontextmanager
 async def _memory_cluster(sets=None, **config):
-    from repro.cluster import ClusterConfig, open_cluster
+    from repro.cluster.config import ClusterConfig, open_cluster
 
     async with open_cluster(None, ClusterConfig(**config)) as store:
         for name, values in (sets or {}).items():

@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bch import (
-    BCHCodec,
-    berlekamp_massey,
-    chien_roots,
-    expand_syndromes,
-    syndromes_of,
-    trace_roots,
-)
-from repro.bch.roots import candidate_roots
+from repro.bch.berlekamp_massey import berlekamp_massey
+from repro.bch.codec import BCHCodec
+from repro.bch.roots import candidate_roots, chien_roots, trace_roots
+from repro.bch.syndromes import expand_syndromes, syndromes_of
 from repro.errors import DecodeFailure, ParameterError
 from repro.gf import CarrylessField, field_for
 from repro.gf import polynomial as P

@@ -106,7 +106,7 @@ class TestServeAndSync:
 
     @pytest.fixture()
     def server(self, memory_cluster):
-        from repro.service import ReconciliationServer
+        from repro.service.server import ReconciliationServer
 
         stack = contextlib.AsyncExitStack()
 

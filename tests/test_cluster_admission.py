@@ -7,12 +7,10 @@ import random
 
 import pytest
 
-from repro.cluster import AdmissionController, retry_delay
-from repro.service import (
-    ReconciliationServer,
-    ServerBusy,
-    sync_with_server,
-)
+from repro.cluster.admission import AdmissionController
+from repro.service.client import sync_with_server
+from repro.service.server import ReconciliationServer
+from repro.service.wire import ServerBusy, retry_delay
 from repro.workloads import SetPairGenerator
 
 
@@ -232,7 +230,7 @@ class TestIdleConnectionsDoNotPinCapacity:
     def test_slot_released_between_passes_and_reacquired(
         self, memory_cluster
     ):
-        from repro.service import ClientConnection
+        from repro.service.client import ClientConnection
 
         base = set(range(1, 600))
 

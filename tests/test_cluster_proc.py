@@ -30,18 +30,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterStore,
-    WorkerUnavailableError,
-    backend_class,
-    open_cluster,
-    rebalance,
-)
 from repro.cluster import proc
-from repro.cluster.proc import WorkerSupervisor
+from repro.cluster.config import ClusterConfig, open_cluster
+from repro.cluster.proc import WorkerUnavailableError, spawn_worker
+from repro.cluster.rebalance import rebalance
+from repro.cluster.router import ClusterStore
+from repro.cluster.storage import backend_class
 from repro.errors import ReproError
-from repro.service import ReconciliationServer, ServerBusy, sync_with_server
+from repro.service.client import sync_with_server
+from repro.service.server import ReconciliationServer
+from repro.service.wire import ServerBusy
 
 
 def _cluster(shards: int, data_dir=None, **overrides) -> ClusterStore:
@@ -338,13 +336,10 @@ class TestWorkerCrashDrill:
         capfd.readouterr()
 
         async def spawn():
-            supervisor = WorkerSupervisor(storage=storage_backend)
-            try:
-                await supervisor.spawn(
-                    3, shard_dir, 0, None, role="follower-02"
-                )
-            finally:
-                await supervisor.close()
+            await spawn_worker(
+                3, shard_dir, 0, None, storage=storage_backend,
+                role="follower-02",
+            )
 
         with pytest.raises(ReproError, match="exited with code 1 before"):
             asyncio.run(spawn())
@@ -476,6 +471,70 @@ def _argv(pid: int) -> list[bytes]:
     return Path(f"/proc/{pid}/cmdline").read_bytes().split(b"\0")[:-1]
 
 
+def _src_env() -> dict:
+    """This process's environment with the repo's ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[1] / "src")
+        + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    return env
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live process (not gone, not a zombie)?"""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _listening_socket_inodes() -> set[str]:
+    """Inodes of this process's TCP sockets in state LISTEN."""
+    ours = set()
+    for fd in Path("/proc/self/fd").iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:
+            continue   # closed meanwhile
+        if target.startswith("socket:["):
+            ours.add(target[len("socket:["):-1])
+    listening = set()
+    for table in ("tcp", "tcp6"):
+        path = Path(f"/proc/self/net/{table}")
+        if not path.exists():
+            continue
+        for row in path.read_text().splitlines()[1:]:
+            fields = row.split()
+            if fields[3] == "0A":     # TCP_LISTEN
+                listening.add(fields[9])
+    return ours & listening
+
+
+def test_worker_module_imports_only_what_a_worker_runs():
+    """A worker child imports :mod:`repro.cluster.proc`; that must not
+    load the router, replication, rebalance, admission, the server, the
+    client or the protocol sessions, none of which a worker runs."""
+    probe = (
+        "import json, sys, repro.cluster.proc; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('repro')]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_src_env(),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded = set(json.loads(out.stdout))
+    assert "repro.cluster.worker" in loaded
+    unwanted = {
+        "repro.cluster.router", "repro.cluster.replication",
+        "repro.cluster.rebalance", "repro.cluster.admission",
+        "repro.service.server", "repro.service.client",
+        "repro.core.sessions", "repro.core.protocol",
+    }
+    assert loaded & unwanted == set()
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 class TestWorkerProcesses:
     def test_children_are_named_for_their_shard_and_role(self):
@@ -483,18 +542,13 @@ class TestWorkerProcesses:
         primaries and followers apart."""
 
         async def inner():
-            supervisor = WorkerSupervisor()
+            primary = await spawn_worker(2, None, 0, None)
+            follower = await spawn_worker(2, None, 0, None, role="follower-01")
             try:
-                primary = await supervisor.spawn(2, None, 0, None)
-                follower = await supervisor.spawn(
-                    2, None, 0, None, role="follower-01"
-                )
-                argv = [_argv(handle.pid) for handle in (primary, follower)]
+                return [_argv(handle.pid) for handle in (primary, follower)]
+            finally:
                 await primary.close()
                 await follower.close()
-                return argv
-            finally:
-                await supervisor.close()
 
         primary, follower = asyncio.run(inner())
         assert primary[0] == follower[0] == os.fsencode(sys.executable)
@@ -505,12 +559,15 @@ class TestWorkerProcesses:
         """A fresh interpreter running a 2-shard subprocess store has
         exactly the two worker children (no resource tracker or other
         helper process), found by a ppid scan of /proc as the ledger
-        does it, and never loads :mod:`multiprocessing`."""
+        does it, and never loads :mod:`multiprocessing`.  With
+        ResourceWarnings on (the children inherit ``PYTHONWARNINGS``),
+        the lifetime prints none: each child closes both of its pipe
+        transports."""
         probe = textwrap.dedent(
             """
             import asyncio, json, os, sys
             from pathlib import Path
-            from repro.cluster import ClusterConfig, open_cluster
+            from repro.cluster.config import ClusterConfig, open_cluster
 
             def children():
                 out = []
@@ -544,11 +601,7 @@ class TestWorkerProcesses:
             }))
             """
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(Path(__file__).resolve().parents[1] / "src")
-            + os.pathsep + env.get("PYTHONPATH", "")
-        )
+        env = {**_src_env(), "PYTHONWARNINGS": "always::ResourceWarning"}
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env=env, capture_output=True, text=True, timeout=120,
@@ -559,12 +612,12 @@ class TestWorkerProcesses:
         assert report["children"] == report["workers"]
         assert report["after_close"] == []
         assert report["multiprocessing"] == []
+        assert "ResourceWarning" not in out.stderr, out.stderr
 
     def test_a_proc_store_lifetime_leaks_no_socket(self):
-        """A store spawns its workers concurrently, and they must share
-        the supervisor's one RPC listener, the one its close() closes:
-        a 4-shard proc store's lifetime leaves no socket for the
-        garbage collector to find."""
+        """A store spawns its workers concurrently, each over its own
+        pipes: a 4-shard proc store's lifetime leaves no socket, pipe or
+        process transport for the garbage collector to find."""
 
         async def lifetime():
             async with _cluster(4, executor="subprocess") as store:
@@ -579,6 +632,86 @@ class TestWorkerProcesses:
             if issubclass(w.category, ResourceWarning)
         ]
         assert leaks == []
+
+    def test_a_proc_store_listens_on_no_port(self):
+        """The RPC runs over each child's own stdin and stdout, so a
+        proc store opens no TCP listener that another local process
+        could dial."""
+
+        async def lifetime():
+            before = _listening_socket_inodes()
+            async with _cluster(2, executor="subprocess") as store:
+                await store.create("s", [1, 2, 3])
+                return _listening_socket_inodes() - before
+
+        assert asyncio.run(lifetime()) == set()
+
+    def test_a_workers_stdout_is_the_servers_stderr(self):
+        """A worker's fd 1 is the server's stderr, not the RPC pipe, so a
+        stray print lands in the log instead of corrupting a frame; the
+        RPC itself rides pipes."""
+
+        async def inner():
+            handle = await spawn_worker(0, None, 0, None)
+            try:
+                fds = Path(f"/proc/{handle.pid}/fd")
+                stdout = os.stat(fds / "1")
+                stdin = os.readlink(fds / "0")
+                await handle.submit("create", ("s", [1, 2], 0))
+                return stdout, stdin, handle.store.get("s")
+            finally:
+                await handle.close()
+
+        stdout, stdin, contents = asyncio.run(inner())
+        stderr = os.fstat(2)
+        assert (stdout.st_dev, stdout.st_ino) == (stderr.st_dev, stderr.st_ino)
+        assert stdin.startswith("pipe:")
+        assert contents == {1, 2}
+
+    def test_a_killed_server_leaves_no_orphans(self):
+        """SIGKILL the process holding a 2-shard proc store: each worker
+        sees EOF on its stdin and exits, so within 10 s neither worker
+        is alive (gone, or a zombie awaiting its reaper)."""
+        probe = textwrap.dedent(
+            """
+            import asyncio, json
+            from repro.cluster.config import ClusterConfig, open_cluster
+
+            async def main():
+                config = ClusterConfig(shards=2, executor="subprocess")
+                async with open_cluster(None, config) as store:
+                    await store.create("s", [1, 2, 3])
+                    pids = [shard.worker.pid for shard in store._shards]
+                    print(json.dumps(pids), flush=True)
+                    await asyncio.sleep(3600)
+
+            asyncio.run(main())
+            """
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-c", probe], env=_src_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        workers: list[int] = []
+        try:
+            workers = json.loads(server.stdout.readline())
+            assert len(workers) == 2 and all(map(_running, workers))
+            server.kill()
+            server.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stdout.close()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestServeProcessSignals:

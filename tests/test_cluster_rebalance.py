@@ -23,23 +23,19 @@ import random
 
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    HashRing,
-    ManifestError,
-    RebalanceAborted,
-    TopologyMismatchError,
-    load_manifest,
-    open_cluster,
-    rebalance,
-)
+from repro.cluster.config import ClusterConfig, open_cluster
 from repro.cluster.manifest import (
     ClusterManifest,
+    ManifestError,
+    TopologyMismatchError,
+    load_manifest,
     load_or_init,
     manifest_path,
     shard_dirname,
     write_manifest,
 )
+from repro.cluster.rebalance import RebalanceAborted, rebalance
+from repro.cluster.ring import HashRing
 
 
 def _cluster(shards, data_dir=None, **overrides):
@@ -283,7 +279,7 @@ class TestRebalanceProperty:
         """A set planted on a shard the ring never routed it to (file
         surgery) is reported via ``healed`` and moved to its true target
         when the target differs from where it sits."""
-        from repro.cluster import encode_create
+        from repro.cluster.journal import encode_create
 
         _populate(tmp_path, 2, _random_sets(seed=21, n_sets=6))
         old_ring = HashRing(range(2))
@@ -549,7 +545,7 @@ class TestRebalanceCLI:
         assert not missing.exists()
 
     def test_replay_shard_does_not_create_missing_directories(self, tmp_path):
-        from repro.cluster import replay_shard
+        from repro.cluster.journal import replay_shard
 
         missing = tmp_path / "shard-07"
         store, stats = replay_shard(missing)

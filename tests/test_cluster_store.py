@@ -15,9 +15,11 @@ import asyncio
 
 import pytest
 
-from repro.cluster import EXECUTORS, ClusterConfig, ClusterStore, open_cluster
+from repro.cluster.config import EXECUTORS, ClusterConfig, open_cluster
 from repro.cluster.journal import encode_diff
-from repro.service import ReconciliationServer, sync_with_server
+from repro.cluster.router import ClusterStore
+from repro.service.client import sync_with_server
+from repro.service.server import ReconciliationServer
 from repro.service.store import UnknownSetError
 from repro.workloads import SetPairGenerator
 
@@ -175,7 +177,8 @@ class TestRecovery:
         of them — those sets recovered *empty*.  The manifest turns that
         silent data loss into a fail-fast refusal; a rebalance then makes
         the same restart recover every set bit-for-bit."""
-        from repro.cluster import TopologyMismatchError, rebalance
+        from repro.cluster.manifest import TopologyMismatchError
+        from repro.cluster.rebalance import rebalance
 
         store = make_cluster(2, tmp_path)
         snap = _populate(store)
@@ -488,7 +491,7 @@ class TestStartFailureCleanup:
     def test_partial_recovery_failure_unwinds_started_shards(
         self, tmp_path, make_cluster, corrupt_shard
     ):
-        from repro.cluster import StorageCorruptError
+        from repro.cluster.storage import StorageCorruptError
 
         # lay down two healthy shards, then corrupt shard 1's base state
         store = make_cluster(2, tmp_path)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.estimators import MinWiseEstimator, StrataEstimator, ToWEstimator
+from repro.estimators.minwise import MinWiseEstimator
+from repro.estimators.strata import StrataEstimator
+from repro.estimators.tow import ToWEstimator
 from repro.hashing.families import _TILE
 
 

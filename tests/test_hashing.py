@@ -6,17 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import (
-    FourWiseHash,
+from repro.hashing.families import (
     SaltedHash,
+    bucket_many,
     bucket_of,
     mix64,
     mix64_vec,
-    mulmod_p61,
-    mulmod_p61_vec,
 )
-from repro.hashing.families import bucket_many
-from repro.hashing.fourwise import P61
+from repro.hashing.fourwise import P61, FourWiseHash, mulmod_p61, mulmod_p61_vec
 
 
 class TestMix64:

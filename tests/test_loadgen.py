@@ -30,7 +30,7 @@ from repro.loadgen import (
 )
 from repro.loadgen.driver import CONVERGENCE
 from repro.obs.metrics import SESSION_DURATION
-from repro.service import ReconciliationServer
+from repro.service.server import ReconciliationServer
 from repro.service.wire import ServerBusy
 
 

@@ -211,7 +211,7 @@ class TestWireTracePropagation:
         """A v3 peer sketches with the pre-bit-sliced ToW family, so its
         estimates would silently disagree: the server answers its HELLO
         with an ERROR frame naming the version, and serves nothing."""
-        from repro.service import ReconciliationServer
+        from repro.service.server import ReconciliationServer
         from repro.service.wire import (
             Error, FrameType, encode_frame, read_frame,
         )
@@ -250,7 +250,8 @@ class TestWireTracePropagation:
     ):
         """Client and server spans of one session share the client's
         trace id, with the server session parented on the client span."""
-        from repro.service import ClientConnection, ReconciliationServer
+        from repro.service.client import ClientConnection
+        from repro.service.server import ReconciliationServer
 
         configure_tracing(tmp_path, role="test")
 
@@ -302,7 +303,8 @@ class TestWireTracePropagation:
         """A peer that sends no trace id (v2, or v3 with tracing off)
         still yields server-side spans — rooted fresh, parentless."""
         import repro.service.client as client_mod
-        from repro.service import ReconciliationServer, sync_with_server
+        from repro.service.client import sync_with_server
+        from repro.service.server import ReconciliationServer
 
         # the client shares this process's global tracer; pin the client
         # module to a disabled one so its HELLO carries trace_id=0 while
@@ -784,8 +786,9 @@ class TestProcTraceTree:
         """The acceptance drill: a proc-mode session emits spans from
         the client/server process *and* the shard-worker subprocesses,
         all sharing one trace id with intact parent/child links."""
-        from repro.cluster import ClusterConfig, open_cluster
-        from repro.service import ClientConnection, ReconciliationServer
+        from repro.cluster.config import ClusterConfig, open_cluster
+        from repro.service.client import ClientConnection
+        from repro.service.server import ReconciliationServer
 
         trace_dir = tmp_path / "traces"
         configure_tracing(trace_dir, role="server")

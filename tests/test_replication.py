@@ -20,21 +20,19 @@ import time
 
 import pytest
 
-from repro.cluster import (
-    EXECUTORS,
+from repro.cluster.config import EXECUTORS
+from repro.cluster.manifest import load_manifest, replica_dir
+from repro.cluster.proc import WorkerUnavailableError
+from repro.cluster.rebalance import rebalance
+from repro.cluster.replication import (
     QuorumTimeoutError,
-    WorkerUnavailableError,
-    backend_class,
+    ReplicationError,
     elect_replica,
-    load_manifest,
-    open_backend,
     quorum_size,
     read_cursor,
-    rebalance,
     write_cursor,
 )
-from repro.cluster.manifest import replica_dir
-from repro.cluster.replication import ReplicationError
+from repro.cluster.storage import backend_class, open_backend
 from repro.errors import ReproError
 
 async def _until(predicate, timeout=60.0, interval=0.05, what="condition"):

@@ -12,11 +12,8 @@ import json
 import pytest
 
 from repro.errors import SerializationError
-from repro.service import (
-    ClientConnection,
-    ReconciliationServer,
-    sync_with_server,
-)
+from repro.service.client import ClientConnection, sync_with_server
+from repro.service.server import ReconciliationServer
 from repro.workloads import SetPairGenerator
 
 

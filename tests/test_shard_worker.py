@@ -21,14 +21,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    EXECUTORS,
-    WorkerSupervisor,
-    backend_class,
-    open_backend,
-)
+from repro.cluster.config import EXECUTORS
 from repro.cluster.manifest import replica_dir
+from repro.cluster.proc import spawn_worker
 from repro.cluster.replication import FollowerApplier
+from repro.cluster.storage import backend_class, open_backend
 from repro.service.store import SetStore
 
 
@@ -71,7 +68,7 @@ class TestFollowerCompaction:
         instead of growing with every shipped op.  The diffs journal
         ~126 KB, past the 64 KiB compaction threshold (worker children
         see the module default, so the test writes past it)."""
-        from repro.cluster import ClusterConfig, open_cluster
+        from repro.cluster.config import ClusterConfig, open_cluster
 
         async def inner():
             store = open_cluster(tmp_path, ClusterConfig(
@@ -114,15 +111,14 @@ class TestWorkerReady:
         empty = np.array([], dtype=np.uint64)
 
         async def inner():
-            supervisor = WorkerSupervisor(storage=storage_backend)
+            primary = await spawn_worker(
+                0, tmp_path / "primary", 0, None, storage=storage_backend
+            )
+            follower = await spawn_worker(
+                0, tmp_path / "follower-01", 0, None,
+                storage=storage_backend, role="follower-01",
+            )
             try:
-                primary = await supervisor.spawn(
-                    0, tmp_path / "primary", 0, None
-                )
-                follower = await supervisor.spawn(
-                    0, tmp_path / "follower-01", 0, None,
-                    role="follower-01",
-                )
                 mirrored = sorted(
                     (name, [int(v) for v in vals], version)
                     for name, vals, version in primary.store.items()
@@ -131,11 +127,10 @@ class TestWorkerReady:
                 changed = await follower.submit(
                     "apply", ("a", values, empty)
                 )
-                await primary.close()
-                await follower.close()
                 return mirrored, follower.store, recovered, changed
             finally:
-                await supervisor.close()
+                await primary.close()
+                await follower.close()
 
         mirrored, follower_store, recovered, changed = asyncio.run(inner())
         assert mirrored == entries
@@ -154,7 +149,7 @@ class TestQuorumWaitOutsideTheLoop:
         complete (the diff is applied and visible) while the first
         mutation's follower apply is stalled; both ack once the follower
         catches up."""
-        from repro.cluster import ClusterConfig, open_cluster
+        from repro.cluster.config import ClusterConfig, open_cluster
 
         real_apply = FollowerApplier.apply
 

@@ -25,21 +25,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cluster import (
+from repro.cluster.config import ClusterConfig, open_cluster
+from repro.cluster.manifest import StorageMismatchError, load_manifest
+from repro.cluster.rebalance import rebalance
+from repro.cluster.router import ClusterStore
+from repro.cluster.sqlite import DEFAULT_CACHE_SETS, SqliteBackend, db_filename
+from repro.cluster.storage import (
     BACKEND_NAMES,
-    ClusterConfig,
-    ClusterStore,
-    SqliteBackend,
     StorageCorruptError,
-    StorageMismatchError,
+    apply_mutation,
     backend_class,
-    load_manifest,
     open_backend,
-    open_cluster,
-    rebalance,
 )
-from repro.cluster.sqlite import DEFAULT_CACHE_SETS, db_filename
-from repro.cluster.storage import apply_mutation
 from repro.errors import ReproError
 from repro.service.store import SetStore, UnknownSetError
 
@@ -308,6 +305,29 @@ class TestSqliteSpecific:
         assert len(store.stats()) == 12
         assert store.cache_stats()["capacity"] == 4
         backend.close()
+
+    def test_cluster_stats_loads_no_set(self, tmp_path, monkeypatch):
+        """``cluster_stats()`` (every metrics scrape) counts an inline
+        SQLite shard's sets and elements from the database's per-set
+        summary: the same totals, and not one set hit, faulted in or
+        evicted on the way."""
+        monkeypatch.setattr("repro.cluster.sqlite.DEFAULT_CACHE_SETS", 4)
+        sizes = {f"s{i:02d}": i + 1 for i in range(12)}
+
+        async def inner():
+            config = ClusterConfig(storage="sqlite")
+            async with open_cluster(tmp_path, config) as store:
+                for name, size in sizes.items():
+                    await store.create(name, range(1, size + 1))
+                lazy = store._shards[0].store
+                before = lazy.cache_stats()
+                [shard] = store.cluster_stats()["per_shard"]
+                return shard, before, lazy.cache_stats()
+
+        shard, before, after = asyncio.run(inner())
+        assert (shard["sets"], shard["elements"]) == (12, sum(sizes.values()))
+        for key in ("hits", "faults", "evictions"):
+            assert after[key] == before[key], key
 
     def test_cache_default_is_generous(self):
         assert DEFAULT_CACHE_SETS >= 256
