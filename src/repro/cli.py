@@ -831,8 +831,16 @@ def cmd_serve(argv: list[str]) -> int:
         # bind or preload still drains the shard workers and closes the
         # journals instead of abandoning them to loop teardown
         try:
-            for name, values in preload:
-                await store.create(name, values)
+            # all at once, so each shard commits its creates in batches;
+            # every create is awaited, and the first failure in --set
+            # order is the one reported
+            created = await asyncio.gather(
+                *[store.create(name, values) for name, values in preload],
+                return_exceptions=True,
+            )
+            for outcome in created:
+                if isinstance(outcome, BaseException):
+                    raise outcome
             await server.start()
             print(
                 f"# serving on {server.host}:{server.port} "

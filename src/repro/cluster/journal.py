@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,8 +232,9 @@ class JournalBackend(StorageBackend):
     store's executor.
 
     Lifecycle: :meth:`open_store` (replay + open for appends), then any
-    number of :meth:`record_diff` / :meth:`record_create` /
-    :meth:`compact` calls, then :meth:`close` (idempotent).
+    number of :meth:`record_diff` / :meth:`record_create` (alone, or
+    grouped by :meth:`commit`) and :meth:`compact` calls, then
+    :meth:`close` (idempotent).
     :meth:`replay` is the read-only half used by offline tooling
     (:func:`replay_shard`, the rebalance).  Durable writes are
     ``concurrent_writes`` (appends run on worker threads while the event
@@ -265,8 +267,10 @@ class JournalBackend(StorageBackend):
         self._journal_file = None
         self._journal_bytes = 0
         self._snapshot_bytes = 0
+        self._pending: int | None = None   #: the open commit's records
         # -- counters for stats() --
         self.records_appended = 0
+        self.commits = 0
         self.compactions = 0
         self.recovered_sets = 0
         self.recovered_records = 0
@@ -280,6 +284,34 @@ class JournalBackend(StorageBackend):
         store = SetStore()
         self.recover(store)
         return store
+
+    @contextmanager
+    def commit(self):
+        """Append every record of the block, then flush and (under
+        ``fsync``) fsync the journal once.  An error inside the block
+        truncates the journal back to where the commit began, so the
+        next commit never follows a partial one."""
+        if self._pending is not None:
+            yield      # joins the enclosing commit
+            return
+        assert self._journal_file is not None, "recover() before append()"
+        start = self._journal_bytes
+        self._pending = 0
+        try:
+            yield
+            self._journal_file.flush()
+            if self.fsync and self._pending:
+                os.fsync(self._journal_file.fileno())
+        except BaseException:
+            self._journal_bytes = start
+            with suppress(OSError):
+                self._journal_file.truncate(start)
+            raise
+        finally:
+            records, self._pending = self._pending, None
+        if records:
+            self.records_appended += records
+            self.commits += 1
 
     def record_create(self, name: str, values, version: int = 0) -> None:
         """Durably append one full-state CREATE record."""
@@ -379,14 +411,12 @@ class JournalBackend(StorageBackend):
 
     # -- writes ----------------------------------------------------------------
     def append(self, record: bytes) -> None:
-        """Durably append one encoded record (caller serializes)."""
-        assert self._journal_file is not None, "recover() before append()"
-        self._journal_file.write(record)
-        self._journal_file.flush()
-        if self.fsync:
-            os.fsync(self._journal_file.fileno())
-        self._journal_bytes += len(record)
-        self.records_appended += 1
+        """Durably append one encoded record, with the enclosing
+        :meth:`commit` if any (caller serializes)."""
+        with self.commit():
+            self._journal_file.write(record)
+            self._journal_bytes += len(record)
+            self._pending += 1
 
     def should_compact(self) -> bool:
         return compaction_due(self._journal_bytes, self._snapshot_bytes)
@@ -431,6 +461,7 @@ class JournalBackend(StorageBackend):
             "journal_bytes": self._journal_bytes,
             "snapshot_bytes": self._snapshot_bytes,
             "records_appended": self.records_appended,
+            "commits": self.commits,
             "compactions": self.compactions,
             "recovered_sets": self.recovered_sets,
             "recovered_records": self.recovered_records,

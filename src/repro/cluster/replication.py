@@ -262,10 +262,11 @@ class Follower:
     Lifecycle: constructed dead (``alive=False``); the driver's first
     act is a snapshot bootstrap.  Any failure — bootstrap, apply, or
     the worker process dying — marks it dead again, and the driver
-    retries the wipe-and-bootstrap with exponential backoff.  The ack
-    ordering inside :meth:`_apply_one` (durable apply, then durable
-    cursor, then count the ack) is what :func:`elect_replica` relies
-    on."""
+    retries the wipe-and-bootstrap with exponential backoff.  The
+    driver hands every op queued for it to the worker at once, so they
+    commit as one batch, and writes the cursor once per batch.  Its ack
+    ordering (durable apply of the whole batch, then durable cursor,
+    then count the ack) is what :func:`elect_replica` relies on."""
 
     def __init__(self, repl: "ShardReplication", replica: int,
                  directory: Path, applier) -> None:
@@ -364,39 +365,46 @@ class Follower:
                 delay = 0.0
                 self._repl._on_ack()
                 continue
-            item = await self.queue.get()
-            kind, op, args, seq = item
-            if kind == "stop":
+            items = [await self.queue.get()]
+            while not self.queue.empty():
+                items.append(self.queue.get_nowait())
+            # a re-shipped prefix after a bootstrap is skipped; a wake
+            # left this follower dead, and the bootstrap it now runs
+            # covers every op already queued
+            ops = [
+                (op, args, seq) for kind, op, args, seq in items
+                if kind == "op" and seq > self.acked_seq
+            ]
+            if ops and self.alive:
+                seq = ops[-1][2]
+                try:
+                    # every op at once, so the worker commits them as
+                    # one batch; durable apply first, durable cursor
+                    # second, ack third — the cursor must never
+                    # overstate the replica's applied prefix
+                    await asyncio.gather(*[
+                        self.applier.apply(op, args) for op, args, _ in ops
+                    ])
+                    await self._write_cursor(seq)
+                except Exception as exc:
+                    if self._stopping:
+                        return
+                    self.alive = False
+                    self.last_error = f"{type(exc).__name__}: {exc}"
+                    delay = self._repl.backoff_s
+                    log.warning(
+                        "follower apply failed; re-bootstrapping",
+                        extra={
+                            "shard": self._repl.shard_id,
+                            "replica": self.replica,
+                            "error": self.last_error,
+                        },
+                    )
+                else:
+                    self.acked_seq = seq
+                    self._repl._on_ack()
+            if items[-1][0] == "stop":
                 return
-            if kind == "wake":
-                continue
-            if seq <= self.acked_seq:
-                continue  # re-shipped prefix after a bootstrap
-            try:
-                await self._apply_one(op, args, seq)
-            except Exception as exc:
-                if self._stopping:
-                    return
-                self.alive = False
-                self.last_error = f"{type(exc).__name__}: {exc}"
-                delay = self._repl.backoff_s
-                log.warning(
-                    "follower apply failed; re-bootstrapping",
-                    extra={
-                        "shard": self._repl.shard_id,
-                        "replica": self.replica,
-                        "error": self.last_error,
-                    },
-                )
-                continue
-            self.acked_seq = seq
-            self._repl._on_ack()
-
-    async def _apply_one(self, op: str, args: tuple, seq: int) -> None:
-        # durable apply first, durable cursor second, ack third — the
-        # cursor must never overstate the replica's applied prefix
-        await self.applier.apply(op, args)
-        await self._write_cursor(seq)
 
     async def _write_cursor(self, seq: int) -> None:
         loop = asyncio.get_running_loop()

@@ -29,13 +29,15 @@ Sets are versioned rows::
     sets(name TEXT PRIMARY KEY, version INTEGER NOT NULL)
     elements(set_name TEXT, value INTEGER, PRIMARY KEY(set_name, value))
 
-One apply-diff is one transaction (adds inserted, removes deleted, the
-version bumped iff any row actually changed) so the durable version
-arithmetic is bit-for-bit the in-memory
-:meth:`repro.service.store.SetStore.apply_diff` arithmetic — the
-cross-backend equivalence the tests assert.  Element values are 64-bit
-unsigned; SQLite INTEGERs are signed, so values round-trip through a
-two's-complement mapping: an element array viewed as ``int64``.
+One commit is one transaction, of one record or of a whole batch
+(:meth:`~repro.cluster.storage.StorageBackend.commit`).  An apply-diff
+inserts its adds, deletes its removes, and bumps the version iff any
+row actually changed, so the durable version arithmetic is bit-for-bit
+the in-memory :meth:`repro.service.store.SetStore.apply_diff`
+arithmetic — the cross-backend equivalence the tests assert.  Element
+values are 64-bit unsigned; SQLite INTEGERs are signed, so values
+round-trip through a two's-complement mapping: an element array viewed
+as ``int64``.
 
 Elements are bound in bulk: up to :data:`BULK_VALUES` values per
 statement, ``INSERT OR IGNORE ... SELECT ?, column1 FROM (VALUES (?),
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -151,8 +154,10 @@ class SqliteBackend(StorageBackend):
         self.db_path = self.directory / db_filename(epoch)
         self.fsync = fsync
         self._conn: sqlite3.Connection | None = None
+        self._pending: int | None = None   #: the open commit's records
         # -- counters for stats() (journal-compatible keys) --
         self.records_appended = 0
+        self.commits = 0
         self.compactions = 0
         self.recovered_sets = 0
         self.tail_error = ""
@@ -198,26 +203,45 @@ class SqliteBackend(StorageBackend):
         self._require_conn()
         return LazySetStore(self)
 
-    def record_create(self, name: str, values, version: int = 0) -> None:
+    @contextmanager
+    def commit(self):
+        """Run every record of the block in one transaction: committed
+        (under ``fsync``, with one fsync) when the block exits, rolled
+        back whole on an error inside it."""
         conn = self._require_conn()
-        with conn:
+        if self._pending is not None:
+            yield      # joins the enclosing commit
+            return
+        self._pending = 0
+        try:
+            with conn:
+                yield
+            if self._pending:
+                self.records_appended += self._pending
+                self.commits += 1
+        finally:
+            self._pending = None
+
+    def record_create(self, name: str, values, version: int = 0) -> None:
+        with self.commit():
+            conn = self._conn
             conn.execute(
                 "INSERT OR REPLACE INTO sets (name, version) VALUES (?, ?)",
                 (name, int(version)),
             )
             conn.execute("DELETE FROM elements WHERE set_name = ?", (name,))
             _bulk(conn, _INSERT, "(?)", name, values)
-        self.records_appended += 1
+            self._pending += 1
 
     def record_diff(self, name: str, add=(), remove=()) -> None:
-        """One transaction; the version bumps iff a row really changed.
+        """The version bumps iff a row really changed.
 
         ``total_changes`` counts exactly the inserts that were not
         already present and the deletes that were — the same quantity
         the in-memory arithmetic calls ``changed``, which is what keeps
         the two version counters in lock-step."""
-        conn = self._require_conn()
-        with conn:
+        with self.commit():
+            conn = self._conn
             row = conn.execute(
                 "SELECT 1 FROM sets WHERE name = ?", (name,)
             ).fetchone()
@@ -232,7 +256,7 @@ class SqliteBackend(StorageBackend):
                     "UPDATE sets SET version = version + 1 WHERE name = ?",
                     (name,),
                 )
-        self.records_appended += 1
+            self._pending += 1
 
     def iter_sets(self):
         """``(name, values, version)`` straight from the database,
@@ -260,17 +284,6 @@ class SqliteBackend(StorageBackend):
             is not None
         )
 
-    def set_names(self) -> list[str]:
-        conn = self._conn
-        if conn is None:
-            return []
-        return [
-            name
-            for (name,) in conn.execute(
-                "SELECT name FROM sets ORDER BY name"
-            )
-        ]
-
     def load_set(self, name: str) -> tuple[np.ndarray, int] | None:
         """One set's committed ``(values, version)``, or ``None``."""
         conn = self._conn
@@ -286,20 +299,24 @@ class SqliteBackend(StorageBackend):
         ))
         return values, int(row[0])
 
-    def summary_rows(self) -> list[tuple[str, int, int]]:
-        """``(name, size, version)`` for every set without materializing
-        any elements (the metrics endpoint at scale)."""
+    def versions(self) -> list[tuple[str, int]]:
+        """``(name, version)`` for every set, from the ``sets`` table
+        alone (no element row is read)."""
         conn = self._conn
         if conn is None:
             return []
         return [
-            (name, int(size), int(version))
-            for name, size, version in conn.execute(
-                "SELECT s.name, COUNT(e.value), s.version"
-                " FROM sets s LEFT JOIN elements e ON e.set_name = s.name"
-                " GROUP BY s.name ORDER BY s.name"
+            (name, int(version))
+            for name, version in conn.execute(
+                "SELECT name, version FROM sets ORDER BY name"
             )
         ]
+
+    def count(self, name: str) -> int:
+        """One set's committed size: a scan of its primary-key prefix."""
+        return self._require_conn().execute(
+            "SELECT COUNT(*) FROM elements WHERE set_name = ?", (name,)
+        ).fetchone()[0]
 
     # -- compaction ------------------------------------------------------------
     def _wal_bytes(self) -> int:
@@ -340,6 +357,7 @@ class SqliteBackend(StorageBackend):
             "db_bytes": self._db_bytes(),
             "wal_bytes": self._wal_bytes(),
             "records_appended": self.records_appended,
+            "commits": self.commits,
             "compactions": self.compactions,
             "recovered_sets": self.recovered_sets,
             "tail_error": self.tail_error,
@@ -421,6 +439,11 @@ class LazySetStore(SetStore):
     def __init__(self, backend: SqliteBackend) -> None:
         super().__init__()
         self._backend = backend
+        #: ``(size, version)`` of sets not in the cache, remembered at
+        #: eviction or counted once.  Only a resident set mutates, so a
+        #: size goes stale only when a batch evicts a set between
+        #: loading it and applying its diff — which bumps the version
+        self._sizes: dict[str, tuple[int, int]] = {}
         self.cache_hits = 0
         self.cache_faults = 0
         self.cache_evictions = 0
@@ -433,7 +456,9 @@ class LazySetStore(SetStore):
 
     def _evict(self) -> None:
         while len(self._sets) > DEFAULT_CACHE_SETS:
-            self._sets.pop(next(iter(self._sets)))
+            name = next(iter(self._sets))
+            entry = self._sets.pop(name)
+            self._sizes[name] = (len(entry), entry.version)
             self.cache_evictions += 1
 
     def entry(self, name: str) -> _NamedSet:
@@ -454,7 +479,7 @@ class LazySetStore(SetStore):
 
     # -- registry overrides (the database is the registry) ---------------------
     def names(self) -> list[str]:
-        return self._backend.set_names()
+        return [name for name, _ in self._backend.versions()]
 
     def __contains__(self, name: str) -> bool:
         return name in self._sets or self._backend.has_set(name)
@@ -482,12 +507,22 @@ class LazySetStore(SetStore):
         }
 
     def stats(self) -> dict:
+        """The per-set summary without loading a set: names and versions
+        from the ``sets`` table, sizes from the cache or :attr:`_sizes`,
+        so a set's element rows are read at most once while it stays
+        out of the cache."""
         out = {}
-        for name, size, version in self._backend.summary_rows():
+        for name, version in self._backend.versions():
             entry = self._sets.get(name)
+            if entry is not None:
+                size, reconciles = len(entry), entry.reconciles
+            else:
+                size, seen = self._sizes.get(name, (0, None))
+                if seen != version:
+                    size = self._backend.count(name)
+                    self._sizes[name] = (size, version)
+                reconciles = 0
             out[name] = {
-                "size": size,
-                "version": version,
-                "reconciles": entry.reconciles if entry is not None else 0,
+                "size": size, "version": version, "reconciles": reconciles,
             }
         return out

@@ -18,9 +18,12 @@ PR 3: **a mutation is durable before it is visible**.  Concretely:
 
 * :meth:`StorageBackend.record_diff` / :meth:`~StorageBackend.record_create`
   return only after the mutation is committed to the backend's durable
-  medium (journal append + flush, SQLite transaction commit).  If they
-  raise, *nothing* may have been persisted — the caller leaves the
-  in-memory set untouched and the session is NOT acknowledged.
+  medium (journal append + flush, SQLite transaction commit) — or,
+  inside :meth:`StorageBackend.commit`, the block returns only after
+  all of its records are, as one commit (one journal flush and fsync,
+  one SQLite transaction).  If they raise, *nothing* of the commit may
+  have been persisted — the caller leaves the in-memory sets untouched
+  and the sessions are NOT acknowledged.
 * The in-memory store mutates strictly *after* the durable write
   returns; no concurrent snapshot may observe state that a crash
   recovery would roll back.
@@ -30,11 +33,13 @@ PR 3: **a mutation is durable before it is visible**.  Concretely:
   (journal: torn-tail truncation; SQLite: WAL recovery).
 
 :func:`apply_mutation` is the one place that ordering lives: it is the
-only caller of ``record_*`` on a live shard, and the store it mutates
-afterwards (:class:`repro.service.store.SetStore`) is memory only.
+only caller of ``record_*`` on a live shard, it writes every batch of
+mutations the shard worker hands it as one commit, and the store it
+mutates afterwards (:class:`repro.service.store.SetStore`) is memory
+only.
 :attr:`StorageBackend.concurrent_writes` says only *where* the durable
-write runs: in the default thread-pool executor (journal), so appends
-commit in parallel across shards, or inline on the event loop (SQLite,
+write runs: in the default thread-pool executor (journal), so commits
+proceed in parallel across shards, or inline on the event loop (SQLite,
 whose connections are bound to their opening thread).
 
 Two module constants set compaction, :data:`COMPACT_MIN_BYTES` and
@@ -47,7 +52,7 @@ import asyncio
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, ContextManager, Iterable, Iterator
 
 import numpy as np
 
@@ -94,7 +99,7 @@ class StorageBackend(ABC):
     There is exactly one writing owner per shard directory at a time
     (the shard's :class:`~repro.cluster.worker.ShardWorker`, in the
     server process or in a worker subprocess); the owner serializes
-    all ``record_*`` calls.  Read-only users (the
+    all ``record_*`` calls and commits.  Read-only users (the
     offline rebalance, stats tooling) open a second instance with
     ``create=False`` and only call :meth:`iter_sets` / :meth:`stats`.
     """
@@ -103,9 +108,9 @@ class StorageBackend(ABC):
     #: ``--storage``.
     name: ClassVar[str]
 
-    #: Whether ``record_*`` may be called from a worker thread while the
-    #: event loop keeps serving (journal: yes).  :func:`apply_mutation`
-    #: writes to ``False`` backends inline, on the loop.
+    #: Whether a commit may run on a worker thread while the event loop
+    #: keeps serving (journal: yes).  :func:`apply_mutation` commits to
+    #: ``False`` backends inline, on the loop.
     concurrent_writes: ClassVar[bool]
 
     #: Whether :meth:`compact` needs the full ``(name, values, version)``
@@ -141,15 +146,27 @@ class StorageBackend(ABC):
 
     # -- durable writes (see the module docstring for ordering) ---------------
     @abstractmethod
+    def commit(self) -> ContextManager[None]:
+        """A context in which every ``record_*`` call joins one commit.
+
+        The records are durable together when the block exits, and on
+        an error inside it none is persisted.  A ``record_*`` call
+        outside any ``commit()`` is a commit of its own; a ``commit()``
+        inside another joins the outer one.  Each commit counts one in
+        ``stats()["commits"]``."""
+
+    @abstractmethod
     def record_create(self, name: str, values, version: int = 0) -> None:
         """Durably record a full-state replacement of one named set.
 
-        Returns only after the record is committed; on error nothing is
-        persisted and the caller must not mutate the in-memory set."""
+        Returns only after the record is committed (with the enclosing
+        :meth:`commit`, if any); on error nothing is persisted and the
+        caller must not mutate the in-memory set."""
 
     @abstractmethod
     def record_diff(self, name: str, add=(), remove=()) -> None:
-        """Durably record one apply-diff against an existing set.
+        """Durably record one apply-diff against an existing set, or one
+        an earlier record of the enclosing :meth:`commit` creates.
 
         Callers validate the target exists *before* calling (a DIFF must
         never precede its CREATE); backends that can detect a missing
@@ -183,7 +200,8 @@ class StorageBackend(ABC):
     @abstractmethod
     def stats(self) -> dict:
         """JSON-able counters.  Every backend reports at least ``epoch``,
-        ``records_appended``, ``compactions``, ``recovered_sets`` and
+        ``records_appended``, ``commits`` (durable commits, each of one
+        or more records), ``compactions``, ``recovered_sets`` and
         ``tail_error`` ("" when recovery found no crash residue)."""
 
     # -- offline layout (rebalance) -------------------------------------------
@@ -254,50 +272,138 @@ def open_backend(
 # -- the shared durable-first mutation protocol --------------------------------
 
 async def apply_mutation(store: SetStore, storage: StorageBackend | None,
-                         op: str, args: tuple, trace=None):
-    """Apply one shard mutation with the durable-first protocol.
+                         batch, args=None, trace=None):
+    """Apply a batch of shard mutations as one durable-first group commit.
 
-    ``trace`` (the originating session's span context, if any) parents
-    the ``storage.commit`` span; mutations that actually hit the
-    durable medium are also recorded into the storage-commit latency
-    histogram and WARN-logged past the slow-op threshold.
+    ``batch`` is a list of ``(op, args, trace)`` mutations; the result
+    is one ``(result, error)`` pair per mutation, in order.  Called as
+    ``apply_mutation(store, storage, op, args, trace)`` it applies one
+    mutation and returns its result or raises its error.
 
     This is the *single* definition of how a shard mutates — the one
     :class:`~repro.cluster.worker.ShardWorker` loop runs it for every
     primary and follower under both executors, which is what keeps the
     executors' stores and shard files bit-for-bit interchangeable:
 
-    * ``apply`` ``(name, add, remove)`` — raise the store's own
-      ``UnknownSetError`` *before* the durable write (a DIFF record must
-      never precede its CREATE), skip the write for empty diffs
-      (converged re-sync passes change nothing), persist, then mutate;
-      returns the changed-element count.
-    * ``create`` ``(name, values, version)`` — persist the full-state
-      replacement, then replace the set.
+    * ``apply`` ``(name, add, remove)`` — changes a set that exists or
+      that an earlier mutation of the batch creates; returns the
+      changed-element count.  Empty diffs (converged re-syncs) are not
+      written.
+    * ``create`` ``(name, values, version)`` — replaces the set.
     * ``sync`` — a no-op ordering barrier.
 
-    The durable write completes *before* the store mutates: a failed
-    write leaves the store untouched, and no concurrent snapshot can
-    observe state a crash recovery would roll back.
+    Each mutation is validated in order; an apply to an unknown set, or
+    an unknown op, fails that mutation alone, before anything is
+    written.  The valid ones' records are written as one commit
+    (:meth:`StorageBackend.commit`), on the thread pool for
+    ``concurrent_writes`` backends, else inline; a failed commit fails
+    every valid mutation with its error and changes nothing.  Only then
+    is each applied to the store, in order, with no ``await`` in
+    between, so the caller can ack the batch in the step it becomes
+    visible.  Each commit is one storage-commit histogram sample,
+    WARN-logged past the slow-op threshold, and each written mutation's
+    ``trace`` parents a ``storage.commit`` span covering the commit.
     """
-    durable = storage is not None and (
-        op == "create"
-        or (op == "apply" and (len(args[1]) or len(args[2])))
-    )
-    if not durable:
-        return await _mutate(store, storage, op, args)
-    ts = time.time()
-    start = time.perf_counter()
-    result = await _mutate(store, storage, op, args)
-    elapsed = time.perf_counter() - start
+    if isinstance(batch, str):
+        [(result, error)] = await apply_mutation(
+            store, storage, [(batch, args, trace)]
+        )
+        if error is not None:
+            raise error
+        return result
+    outcomes: list = [(None, None)] * len(batch)
+    steps = []       # (index, op, args, target) of the valid mutations
+    records = []     # (index, op, args) to commit, in batch order
+    targets = {}     # name -> live entry; None once the batch creates it
+    reused = set()   # names an apply uses after the batch creates them
+    for i, (op, args, _) in enumerate(batch):
+        target = None
+        try:
+            if op == "apply":
+                name, add, remove = args
+                args = (name, element_array(add), element_array(remove))
+                if name not in targets:
+                    # the set's one store lookup, before the write: it
+                    # raises UnknownSetError, and on SQLite it loads an
+                    # uncached set, so the apply counts against contents
+                    # the diff is not yet part of
+                    targets[name] = store.entry(name)
+                target = targets[name]
+                if target is None:
+                    reused.add(name)
+                if len(args[1]) or len(args[2]):
+                    records.append((i, op, args))
+            elif op == "create":
+                name, values, version = args
+                args = (name, element_array(values), version)
+                targets[name] = None
+                records.append((i, op, args))
+            elif op != "sync":
+                raise ReproError(f"unknown shard mutation op {op!r}")
+        except Exception as exc:
+            outcomes[i] = (None, exc)
+            continue
+        steps.append((i, op, args, target))
+    if storage is not None and records:
+        ts = time.time()
+        start = time.perf_counter()
+        try:
+            if storage.concurrent_writes:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, _commit, storage, records
+                )
+            else:
+                # SQLite connections are bound to their opening thread
+                _commit(storage, records)
+        except Exception as exc:
+            for i, *_ in steps:
+                outcomes[i] = (None, exc)
+            return outcomes
+        _observe_commit(storage, batch, records, ts,
+                        time.perf_counter() - start)
+    created = {}     # name -> the entry this batch's create made
+    for i, op, args, target in steps:
+        if op == "apply":
+            if target is None:
+                target = created[args[0]]
+            outcomes[i] = (target.apply(args[1], args[2]), None)
+        elif op == "create":
+            # repro: ignore[blocking-call-in-async] -- the store is memory
+            # only; the durable write returned above
+            store.create(args[0], args[1], version=args[2])
+            if args[0] in reused:
+                # looked up at once: a SQLite cache may evict the new
+                # set before the apply, and a reload would already hold
+                # the apply's own committed diff
+                created[args[0]] = store.entry(args[0])
+    return outcomes
+
+
+def _commit(storage: StorageBackend, records) -> None:
+    """Write ``records`` as one durable commit of ``storage``."""
+    with storage.commit():
+        for _, op, args in records:
+            if op == "create":
+                storage.record_create(*args)
+            else:
+                storage.record_diff(*args)
+
+
+def _observe_commit(storage: StorageBackend, batch, records, ts: float,
+                    elapsed: float) -> None:
     REGISTRY.histogram(STORAGE_COMMIT).record(elapsed)
     trc = tracer()
     if trc.enabled:
-        trc.emit(
-            "storage.commit", trc.child(trace) or trc.mint(), trace,
-            ts, elapsed, op=op, backend=storage.name,
-        )
+        for i, op, _ in records:
+            trace = batch[i][2]
+            trc.emit(
+                "storage.commit", trc.child(trace) or trc.mint(), trace,
+                ts, elapsed, op=op, backend=storage.name,
+                records=len(records),
+            )
     if elapsed >= slow_op_threshold_s():
+        i, op, args = records[0]
+        trace = batch[i][2]
         log.warning(
             "slow storage commit",
             extra={
@@ -305,48 +411,10 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
                 "op": op,
                 "backend": storage.name,
                 "set": args[0],
+                "records": len(records),
                 "trace": trace.hex() if trace is not None else "",
             },
         )
-    return result
-
-
-async def _mutate(store: SetStore, storage: StorageBackend | None,
-                  op: str, args: tuple):
-    if op == "apply":
-        name, add, remove = args
-        add, remove = element_array(add), element_array(remove)
-        # the mutation's one store lookup, before the write: it raises
-        # UnknownSetError, and on SQLite it loads an uncached set, so
-        # the apply counts against contents the diff is not yet part of
-        target = store.entry(name)
-        if storage is not None and (len(add) or len(remove)):
-            await _persist(storage, storage.record_diff, name, add, remove)
-        return target.apply(add, remove)
-    if op == "create":
-        name, values, version = args
-        values = element_array(values)
-        if storage is not None:
-            await _persist(storage, storage.record_create, name, values,
-                           version)
-        # repro: ignore[blocking-call-in-async] -- the store is memory
-        # only; the durable write returned above
-        store.create(name, values, version=version)
-        return None
-    if op == "sync":
-        return None
-    raise ReproError(f"unknown shard mutation op {op!r}")
-
-
-async def _persist(storage: StorageBackend, record, *args) -> None:
-    """Run one ``record_*`` call: in the default thread-pool executor
-    for ``concurrent_writes`` backends, so commits proceed in parallel
-    across shards, else inline (SQLite connections are bound to their
-    opening thread, so the one-transaction commit runs on the loop)."""
-    if storage.concurrent_writes:
-        await asyncio.get_running_loop().run_in_executor(None, record, *args)
-    else:
-        record(*args)
 
 
 async def compact_if_due(store: SetStore,

@@ -3,9 +3,12 @@
 :class:`ShardWorker` is the only place a shard mutates.  It opens the
 shard's :class:`~repro.cluster.storage.StorageBackend` (or keeps a bare
 ``SetStore`` when there is no data dir) and applies mutations strictly
-in arrival order, each through the shared durable-first protocol:
-:func:`~repro.cluster.storage.apply_mutation`, then the caller's ack,
-then a due :func:`~repro.cluster.storage.compact_if_due`.
+in arrival order, through the shared durable-first protocol: whenever
+it takes a mutation it also takes every one queued behind it, and runs
+the batch through :func:`~repro.cluster.storage.apply_mutation` (one
+durable commit), then acks each mutation in order, then runs a due
+:func:`~repro.cluster.storage.compact_if_due`.  It never waits for more
+work, so a lone mutation is a batch of one.
 
 Both executors run this one worker, for primaries and followers alike:
 
@@ -67,6 +70,9 @@ class ShardWorker:
     def submit(self, op: str, args: tuple, trace, ack) -> None:
         """Queue one mutation; ``ack(result, error)`` reports its end.
 
+        Mutations submitted in one event-loop step reach the loop
+        together and commit as one batch.
+
         ``ack`` is called exactly once, and must not raise: with the
         result after the mutation is durable and visible, or with the
         exception that stopped it (a mutation submitted after
@@ -78,23 +84,30 @@ class ShardWorker:
         self._queue.put_nowait((op, args, trace, ack))
 
     async def _run(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                return
-            op, args, trace, ack = item
-            try:
-                result = await apply_mutation(
-                    self.store, self.storage, op, args, trace=trace
-                )
-            except Exception as exc:  # surfaced to the submitter
-                ack(None, exc)
+        closing = False
+        while not closing:
+            batch = [await self._queue.get()]
+            while not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            # close() queues its sentinel last: nothing is submitted after
+            closing = batch[-1] is None
+            if closing:
+                batch.pop()
+            if not batch:
                 continue
-            # no await between the apply resolving and the ack: the
-            # mutation is shipped in the step it becomes visible, and a
-            # compaction is never charged to the (already durable)
-            # mutation that happened to trigger it
-            ack(result, None)
+            try:
+                outcomes = await apply_mutation(
+                    self.store, self.storage,
+                    [(op, args, trace) for op, args, trace, _ in batch],
+                )
+            except Exception as exc:  # surfaced to every submitter
+                outcomes = [(None, exc)] * len(batch)
+            # no await between the batch becoming visible and its acks:
+            # each mutation is shipped in the step it becomes visible,
+            # and a compaction is never charged to the (already durable)
+            # mutations that happened to trigger it
+            for (_, _, _, ack), (result, error) in zip(batch, outcomes):
+                ack(result, error)
             compact_error = await compact_if_due(self.store, self.storage)
             if compact_error is not None:
                 self.compact_error = compact_error

@@ -50,7 +50,8 @@ PASS_DURATION = "pass_duration_s"
 #: One coalesced BCH decode batch, submit to results fanned out.
 DECODE_BATCH = "decode_batch_s"
 
-#: One durable storage commit (journal append+fsync / SQLite txn).
+#: One durable storage commit of a batch of one or more records
+#: (journal write+fsync / SQLite txn).
 STORAGE_COMMIT = "storage_commit_s"
 
 #: One proc-executor RPC round-trip, parent send to ack.

@@ -26,12 +26,17 @@ import enum
 import random
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.params import PBSParams
 from repro.errors import ReproError, SerializationError
 from repro.transport.channel import Channel, Direction
+
+if TYPE_CHECKING:
+    # a worker child imports this module for its framing alone: the
+    # §5.1 optimizer loads only where a PARAMS frame is decoded
+    from repro.core.params import PBSParams
 
 #: Protocol version — bumped on any incompatible change to the frames or
 #: to what their fields mean.
@@ -319,6 +324,8 @@ class ParamsAnnounce:
         )
 
     def to_params(self) -> PBSParams:
+        from repro.core.params import PBSParams
+
         return PBSParams(
             n=self.n, t=self.t, g=self.g, delta=self.delta,
             r=self.r, p0=self.p0, log_u=self.log_u,

@@ -515,7 +515,9 @@ def _listening_socket_inodes() -> set[str]:
 def test_worker_module_imports_only_what_a_worker_runs():
     """A worker child imports :mod:`repro.cluster.proc`; that must not
     load the router, replication, rebalance, admission, the server, the
-    client or the protocol sessions, none of which a worker runs."""
+    client, the protocol sessions, or the §5.1 optimizer with its
+    analysis tables and estimators (:mod:`repro.service.wire` gives a
+    worker its framing alone), none of which a worker runs."""
     probe = (
         "import json, sys, repro.cluster.proc; "
         "print(json.dumps([m for m in sys.modules if m.startswith('repro')]))"
@@ -533,6 +535,12 @@ def test_worker_module_imports_only_what_a_worker_runs():
         "repro.core.sessions", "repro.core.protocol",
     }
     assert loaded & unwanted == set()
+    optimizer = {
+        m for m in loaded
+        if m == "repro.core.params"
+        or m.startswith(("repro.analysis.", "repro.estimators."))
+    }
+    assert optimizer == set()
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")

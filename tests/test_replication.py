@@ -16,8 +16,12 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster.config import EXECUTORS
@@ -431,3 +435,90 @@ class TestProcFailover:
         assert contents[0] == contents[1] == contents[2]
         (name, values, _version), = contents[0]
         assert name == "s" and set(values) == final
+
+
+# -- the start-up preload under SIGKILL ----------------------------------------
+
+def _running_children(pid: int) -> list[int]:
+    """Live (not zombie) child processes of ``pid``, from /proc."""
+    out = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue     # exited meanwhile
+        if int(fields[1]) == pid and fields[0] != "Z":
+            out.append(int(stat.parent.name))
+    return out
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a live process (not gone, not a zombie)?"""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1]
+    except OSError:
+        return False
+    return state.split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestPreloadCrashDrill:
+    SETS = 64
+
+    @pytest.mark.parametrize("workers", ["inline", "proc"])
+    def test_a_killed_server_keeps_the_whole_preload_on_both_replicas(
+        self, tmp_path, storage_backend, workers
+    ):
+        """``repro serve --fsync --replicas 1 --replication quorum`` with
+        64 ``--set`` preloads, SIGKILLed as soon as it prints its banner:
+        the preload is quorum-acked by then, so both replica directories
+        hold every set bit for bit at version 0, and the follower's
+        cursor covers all 64 creates."""
+        rng = np.random.default_rng(25)
+        sets = {}
+        args = [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--data-dir", str(tmp_path / "data"), "--fsync",
+            "--replicas", "1", "--replication", "quorum",
+            "--workers", workers, "--storage", storage_backend,
+        ]
+        for i in range(self.SETS):
+            values = np.unique(rng.integers(1, 1 << 32, size=40 + i,
+                                            dtype=np.uint64))
+            path = tmp_path / f"p{i:02d}.txt"
+            path.write_text("".join(f"{v}\n" for v in values.tolist()))
+            sets[f"p{i:02d}"] = tuple(values.tolist())
+            args += ["--set", f"p{i:02d}={path}"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(Path(__file__).resolve().parents[1] / "src")
+            + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        server = subprocess.Popen(args, stderr=subprocess.PIPE, env=env,
+                                  text=True)
+        workers_pids: list[int] = []
+        try:
+            line = ""
+            while not line.startswith("# serving on"):
+                line = server.stderr.readline()
+                assert line, "the server exited before its banner"
+            workers_pids = _running_children(server.pid)
+            server.kill()
+            server.wait(timeout=30)
+            # worker children see EOF on their stdin and exit
+            deadline = time.monotonic() + 10
+            while (any(map(_alive, workers_pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stderr.close()
+        assert len(workers_pids) == (2 if workers == "proc" else 0)
+        assert not any(_alive(pid) for pid in workers_pids)
+        want = sorted((name, values, 0) for name, values in sets.items())
+        for state in _replica_contents(storage_backend, tmp_path / "data",
+                                       0, replicas=1):
+            assert state == want
+        assert read_cursor(replica_dir(tmp_path / "data", 0, 1)) >= self.SETS

@@ -15,7 +15,9 @@ pytest-asyncio plugin being installed.
 from __future__ import annotations
 
 import asyncio
+import os
 import random
+import signal
 import time
 
 import numpy as np
@@ -26,7 +28,8 @@ from repro.cluster.manifest import replica_dir
 from repro.cluster.proc import spawn_worker
 from repro.cluster.replication import FollowerApplier
 from repro.cluster.storage import backend_class, open_backend
-from repro.service.store import SetStore
+from repro.cluster.worker import LocalHandle, ShardWorker
+from repro.service.store import SetStore, UnknownSetError
 
 
 async def _until(predicate, timeout=60.0, what="condition"):
@@ -67,7 +70,10 @@ class TestFollowerCompaction:
         so it compacts under the same rule: its journal stays bounded
         instead of growing with every shipped op.  The diffs journal
         ~126 KB, past the 64 KiB compaction threshold (worker children
-        see the module default, so the test writes past it)."""
+        see the module default, so the test writes past it).  The
+        count is read after the close: a compaction runs after its
+        batch's acks, and a child's counters ride its acks and its
+        CLOSE reply."""
         from repro.cluster.config import ClusterConfig, open_cluster
 
         async def inner():
@@ -80,8 +86,8 @@ class TestFollowerCompaction:
                     start = 1000 + 50 * i
                     await store.apply_diff("s", add=range(start, start + 50))
                 await _until(lambda: _converged(store), what="convergence")
-                follower = store._shards[0].repl.followers[0]
-                return follower.applier.handle.stats()["compactions"]
+                handle = store._shards[0].repl.followers[0].applier.handle
+            return handle.stats()["compactions"]
 
         assert asyncio.run(inner()) >= 1
         primary, follower = (
@@ -284,3 +290,280 @@ class TestReplicatedEquivalence:
             assert _replica_state(
                 make_cluster.storage, replica_dir(tmp_path, 0, replica)
             ) == want, f"replica {replica}"
+
+
+# -- group commit --------------------------------------------------------------
+
+def _children(store) -> list[int]:
+    """The worker-child pids of a 1-shard store's primary and followers
+    (none under the inline executor)."""
+    shard = store._shards[0]
+    handles = [shard.worker]
+    if shard.repl is not None:
+        handles += [f.applier.handle for f in shard.repl.followers]
+    return [h.pid for h in handles if hasattr(h, "pid")]
+
+
+async def _in_one_batch(pids, coros) -> list:
+    """Submit ``coros`` in one event-loop step and collect their
+    outcomes.  An in-process worker takes the step's mutations as one
+    batch by itself; a worker child is stopped meanwhile, so the frames
+    wait in its pipe and it reads them all at once."""
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)
+    try:
+        tasks = [asyncio.ensure_future(coro) for coro in coros]
+        await asyncio.sleep(0)      # every task writes its frame
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)
+    return await asyncio.gather(*tasks, return_exceptions=True)
+
+
+def _storage_counts(handle) -> tuple[int, int]:
+    stats = handle.stats()
+    return stats["records_appended"], stats["commits"]
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+class TestGroupCommit:
+    """The shard worker commits every mutation queued behind the one it
+    takes as one batch, on primaries and followers alike, under both
+    executors and on both backends."""
+
+    N = 24
+
+    def _open(self, make_cluster, tmp_path, executor):
+        return make_cluster(
+            1, tmp_path, executor=executor, fsync=True, replicas=1,
+            replication="quorum",
+        )
+
+    def test_mutations_queued_together_commit_once(
+        self, tmp_path, make_cluster, monkeypatch, executor
+    ):
+        """N creates submitted in one step are N records in 1 commit on
+        the primary and, in-process, on the follower, whose cursor is
+        written once: one ``os.fsync`` of each journal.  A follower
+        child stopped meanwhile gets the ops in at most two batches
+        (the first is in flight while the rest queue), one cursor write
+        each; a running child may read the second batch's frames as
+        they arrive, so only fewer commits than records are certain."""
+        fsyncs: list[str] = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(os.readlink(f"/proc/self/fd/{fd}"))
+            return real_fsync(fd)
+
+        async def inner():
+            async with self._open(make_cluster, tmp_path, executor) as store:
+                await store.create("seed", [1])     # followers caught up
+                shard = store._shards[0]
+                follower = shard.repl.followers[0]
+                primary0 = _storage_counts(shard.worker)
+                follower0 = _storage_counts(follower.applier.handle)
+                seq0 = shard.repl.seq
+                primary_pid = _children(store)[:1]
+                follower_pids = _children(store)[1:]
+                for pid in follower_pids:
+                    os.kill(pid, signal.SIGSTOP)
+                try:
+                    monkeypatch.setattr(os, "fsync", counting_fsync)
+                    creates = asyncio.ensure_future(_in_one_batch(
+                        primary_pid,
+                        [store.create(f"s{i:02d}", [i, i + 100])
+                         for i in range(self.N)],
+                    ))
+                    await _until(lambda: shard.repl.seq == seq0 + self.N,
+                                 what="every create shipped")
+                finally:
+                    for pid in follower_pids:
+                        os.kill(pid, signal.SIGCONT)
+                outcomes = await creates
+                monkeypatch.setattr(os, "fsync", real_fsync)
+                assert outcomes == [None] * self.N
+                return (
+                    primary0, _storage_counts(shard.worker),
+                    follower0, _storage_counts(follower.applier.handle),
+                )
+
+        primary0, primary1, follower0, follower1 = asyncio.run(inner())
+        assert primary1 == (primary0[0] + self.N, primary0[1] + 1)
+        assert follower1[0] == follower0[0] + self.N
+        primary_dir, follower_dir = (
+            str(replica_dir(tmp_path, 0, replica)) for replica in (0, 1)
+        )
+        cursor_writes = fsyncs.count(f"{follower_dir}/repl-cursor.json.tmp")
+        if executor == "inline":
+            assert follower1[1] == follower0[1] + 1
+            assert cursor_writes == 1
+        else:
+            assert follower1[1] - follower0[1] < self.N
+            assert 1 <= cursor_writes <= 2
+        if executor == "inline" and make_cluster.storage == "journal":
+            assert fsyncs.count(f"{primary_dir}/journal.log") == 1
+            assert fsyncs.count(f"{follower_dir}/journal.log") == 1
+
+    def test_a_lone_mutation_is_a_batch_of_one(
+        self, tmp_path, make_cluster, executor
+    ):
+        """K applies made one after another are K commits: the worker
+        never waits for more work."""
+
+        async def inner():
+            async with self._open(make_cluster, tmp_path, executor) as store:
+                await store.create("s", [1])
+                shard = store._shards[0]
+                follower = shard.repl.followers[0].applier
+                before = (_storage_counts(shard.worker),
+                          _storage_counts(follower.handle))
+                for i in range(5):
+                    assert await store.apply_diff("s", add=[10 + i]) == 1
+                return before, (_storage_counts(shard.worker),
+                                _storage_counts(follower.handle))
+
+        before, after = asyncio.run(inner())
+        for (records0, commits0), (records1, commits1) in zip(before, after):
+            assert (records1, commits1) == (records0 + 5, commits0 + 5)
+
+    def test_a_failed_commit_fails_its_whole_batch(
+        self, tmp_path, make_cluster, executor
+    ):
+        """A set name that cannot be encoded fails the batch's commit
+        when its record is written, after the record before it: every
+        op of the batch fails with that error, nothing is persisted
+        (SQLite rolls back the first record), the primary's read view
+        and the follower are unchanged, and a retry succeeds."""
+        names = ["a", "bad\udc80", "c"]
+
+        async def inner():
+            async with self._open(make_cluster, tmp_path, executor) as store:
+                await store.create("seed", [1])
+                shard = store._shards[0]
+                seq0 = shard.repl.seq
+                counts0 = _storage_counts(shard.worker)
+                outcomes = await _in_one_batch(_children(store)[:1], [
+                    # the router's own path, minus the ring lookup the
+                    # bad name could not pass
+                    store._submit(shard, "create", (name, [7], 0))
+                    for name in names
+                ])
+                failed = (
+                    store.names(), shard.repl.seq - seq0,
+                    _storage_counts(shard.worker) == counts0,
+                    _replica_state(make_cluster.storage,
+                                   replica_dir(tmp_path, 0, 0)),
+                )
+                await asyncio.gather(store.create("a", [7]),
+                                     store.create("c", [7]))
+                await _until(lambda: _converged(store), what="convergence")
+                return outcomes, failed, store.names()
+
+        outcomes, failed, names_after = asyncio.run(inner())
+        assert [type(o) for o in outcomes] == [UnicodeEncodeError] * 3
+        assert len({str(o) for o in outcomes}) == 1
+        assert failed == (["seed"], 0, True, [("seed", (1,), 0)])
+        assert names_after == ["a", "c", "seed"]
+        for replica in (0, 1):
+            assert _replica_state(
+                make_cluster.storage, replica_dir(tmp_path, 0, replica)
+            ) == [("a", (7,), 0), ("c", (7,), 0), ("seed", (1,), 0)]
+
+    def test_ops_validate_in_order_within_a_batch(
+        self, tmp_path, make_cluster, executor
+    ):
+        """An apply to a set created earlier in its batch succeeds; an
+        apply to an unknown set fails alone while the rest commit, as
+        one commit."""
+
+        async def inner():
+            async with self._open(make_cluster, tmp_path, executor) as store:
+                await store.create("seed", [1])
+                shard = store._shards[0]
+                counts0 = _storage_counts(shard.worker)
+                outcomes = await _in_one_batch(_children(store)[:1], [
+                    store.create("x", [1, 2]),
+                    store.apply_diff("x", add=[3], remove=[1]),
+                    store.apply_diff("ghost", add=[5]),
+                    store.create("y", [9]),
+                    store.apply_diff("x", add=[4]),
+                ])
+                counts1 = _storage_counts(shard.worker)
+                await _until(lambda: _converged(store), what="convergence")
+                return outcomes, counts0, counts1
+
+        outcomes, counts0, counts1 = asyncio.run(inner())
+        assert outcomes[:2] == [None, 2]
+        assert isinstance(outcomes[2], UnknownSetError)
+        assert outcomes[3:] == [None, 1]
+        assert counts1 == (counts0[0] + 4, counts0[1] + 1)
+        for replica in (0, 1):
+            assert _replica_state(
+                make_cluster.storage, replica_dir(tmp_path, 0, replica)
+            ) == [("seed", (1,), 0), ("x", (2, 3, 4), 2), ("y", (9,), 0)]
+
+    def test_acks_mirror_and_ships_follow_submission_order(
+        self, tmp_path, make_cluster, executor
+    ):
+        """Within a batch each mutation is acked and shipped in
+        submission order, in the step its effect is in the read view:
+        N replacing creates of one set ship 0..N-1, the view at each
+        ship holds the batch applied (in-process) or exactly that
+        create (the proc mirror, updated ack by ack), and the follower
+        ends at the last one."""
+        shipped: list[tuple[int, set]] = []
+
+        async def inner():
+            async with self._open(make_cluster, tmp_path, executor) as store:
+                await store.create("s", [1000])
+                shard = store._shards[0]
+                ship = shard.repl.ship
+
+                def recording_ship(op, args):
+                    shipped.append((int(args[1][0]), shard.store.get("s")))
+                    return ship(op, args)
+
+                shard.repl.ship = recording_ship
+                outcomes = await _in_one_batch(
+                    _children(store)[:1],
+                    [store.create("s", [i]) for i in range(self.N)],
+                )
+                await _until(lambda: _converged(store), what="convergence")
+                return outcomes
+
+        assert asyncio.run(inner()) == [None] * self.N
+        assert [i for i, _ in shipped] == list(range(self.N))
+        if executor == "inline":
+            assert all(view == {self.N - 1} for _, view in shipped)
+        else:
+            assert all(view == {i} for i, view in shipped)
+        for replica in (0, 1):
+            assert _replica_state(
+                make_cluster.storage, replica_dir(tmp_path, 0, replica)
+            ) == [("s", (self.N - 1,), 0)]
+
+    def test_close_applies_every_queued_mutation(
+        self, tmp_path, storage_backend, executor
+    ):
+        """A worker closed right after N submissions applies, acks and
+        persists all of them."""
+
+        async def inner():
+            if executor == "inline":
+                handle = LocalHandle(ShardWorker(storage_backend, tmp_path))
+            else:
+                handle = await spawn_worker(
+                    0, tmp_path, 0, None, storage=storage_backend
+                )
+            futures = [
+                handle.submit("create", (f"s{i:02d}", [i], 0))
+                for i in range(self.N)
+            ]
+            await handle.close()
+            return await asyncio.gather(*futures)
+
+        assert asyncio.run(inner()) == [None] * self.N
+        assert _replica_state(storage_backend, tmp_path) == [
+            (f"s{i:02d}", (i,), 0) for i in range(self.N)
+        ]

@@ -186,11 +186,12 @@ class TestBackendContract:
         store.apply_diff("s", add=[2])
         stats = backend.stats()
         for key in (
-            "epoch", "records_appended", "compactions", "recovered_sets",
-            "tail_error",
+            "epoch", "records_appended", "commits", "compactions",
+            "recovered_sets", "tail_error",
         ):
             assert key in stats
         assert stats["records_appended"] >= 2
+        assert stats["commits"] == 2        # one per lone mutation
         assert stats["tail_error"] == ""
         backend.close()
 
@@ -328,6 +329,89 @@ class TestSqliteSpecific:
         assert (shard["sets"], shard["elements"]) == (12, sum(sizes.values()))
         for key in ("hits", "faults", "evictions"):
             assert after[key] == before[key], key
+
+    def test_cluster_stats_reads_element_rows_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A set's size comes from the cache, or from a count remembered
+        at eviction (or taken once): after one ``cluster_stats()`` the
+        next runs no statement that reads ``elements``, and sizes and
+        versions equal a direct count through creates, applies and
+        evictions — also when one batch loads, evicts and then changes
+        a set."""
+        monkeypatch.setattr("repro.cluster.sqlite.DEFAULT_CACHE_SETS", 4)
+
+        def direct(conn):
+            return {
+                name: (size, version)
+                for name, size, version in conn.execute(
+                    "SELECT s.name, COUNT(e.value), s.version FROM sets s"
+                    " LEFT JOIN elements e ON e.set_name = s.name"
+                    " GROUP BY s.name"
+                )
+            }
+
+        def summary(store):
+            return {
+                name: (entry["size"], entry["version"])
+                for name, entry in store.stats().items()
+            }
+
+        async def inner():
+            config = ClusterConfig(storage="sqlite")
+            async with open_cluster(tmp_path, config) as store:
+                conn = store._shards[0].worker.worker.storage._conn
+                for i in range(12):
+                    await store.create(f"s{i:02d}", range(1, i + 2))
+                checks = [(summary(store), direct(conn))]
+                store.cluster_stats()
+                statements: list[str] = []
+                conn.set_trace_callback(statements.append)
+                try:
+                    store.cluster_stats()
+                finally:
+                    conn.set_trace_callback(None)
+                # one batch: 8 applies load 8 sets through a 4-set cache
+                await asyncio.gather(*[
+                    store.apply_diff(
+                        f"s{i:02d}", add=[1000 + i, 2000 + i], remove=[1]
+                    )
+                    for i in range(8)
+                ])
+                checks.append((summary(store), direct(conn)))
+                await store.create("s11", [7])
+                await store.apply_diff("s03", add=[5000])
+                for i in range(8, 12):
+                    await store.snapshot(f"s{i:02d}")   # more evictions
+                checks.append((summary(store), direct(conn)))
+                return statements, checks
+
+        statements, checks = asyncio.run(inner())
+        assert statements and not any("elements" in s for s in statements)
+        for got, want in checks:
+            assert got == want
+
+    def test_a_batch_applies_to_the_set_it_created_past_evictions(
+        self, tmp_path, monkeypatch
+    ):
+        """One batch creates a set, creates enough others to evict it
+        from the cache, then applies a diff to it: the apply counts
+        against the created contents, not a reload that already holds
+        the committed diff, so the version moves once in memory and on
+        disk alike."""
+        monkeypatch.setattr("repro.cluster.sqlite.DEFAULT_CACHE_SETS", 2)
+        backend = SqliteBackend(tmp_path)
+        store = backend.open_store()
+        batch = [("create", ("x", [1, 2], 0), None)]
+        batch += [("create", (f"y{i}", [i], 0), None) for i in range(3)]
+        batch += [("apply", ("x", [3], [1]), None)]
+        outcomes = asyncio.run(apply_mutation(store, backend, batch))
+        assert outcomes == [(None, None)] * 4 + [(2, None)]
+        assert (store.get("x"), store.version("x")) == ({2, 3}, 1)
+        backend.close()
+        assert _contents(_committed("sqlite", tmp_path))[0] == (
+            "x", {2, 3}, 1
+        )
 
     def test_cache_default_is_generous(self):
         assert DEFAULT_CACHE_SETS >= 256
