@@ -260,12 +260,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
              "replicas hold it durably",
     )
     parser.add_argument(
-        "--promote-after", type=int, default=2, metavar="N",
-        help="with --replicas, fail a shard over to a follower after N "
-             "consecutive failed respawns of its primary worker "
-             "(default 2)",
-    )
-    parser.add_argument(
         "--max-sessions", type=int, default=0, metavar="N",
         help="cap concurrent sessions per shard; excess is shed with a "
              "RETRY frame (default 0 = unlimited)",
@@ -383,12 +377,6 @@ def build_rebalance_parser() -> argparse.ArgumentParser:
         "--storage", choices=("journal", "sqlite"), default=None,
         help="also convert the shard files to this storage backend "
              "(default: keep the directory's committed backend)",
-    )
-    parser.add_argument(
-        "--vnodes", type=int, default=None, metavar="V",
-        help="virtual nodes per shard in the target layout (default: "
-             "128, matching what 'repro serve' runs — a layout committed "
-             "with custom vnodes is migrated back to a servable one)",
     )
     parser.add_argument(
         "--no-fsync", action="store_true",
@@ -569,7 +557,6 @@ def cmd_rebalance(argv: list[str]) -> int:
     import json as _json
 
     from repro.cluster.rebalance import rebalance
-    from repro.cluster.ring import DEFAULT_VNODES
     from repro.errors import ReproError
 
     args = build_rebalance_parser().parse_args(argv)
@@ -577,18 +564,9 @@ def cmd_rebalance(argv: list[str]) -> int:
         print(f"error: --shards must be >= 1, got {args.shards}",
               file=sys.stderr)
         return 2
-    if args.vnodes is not None and args.vnodes < 1:
-        print(f"error: --vnodes must be >= 1, got {args.vnodes}",
-              file=sys.stderr)
-        return 2
     try:
-        # default to the layout `repro serve` will actually request —
-        # defaulting to the *committed* vnodes would make the mismatch
-        # error's suggested remediation a no-op loop for a directory
-        # committed with custom vnodes
-        vnodes = args.vnodes if args.vnodes is not None else DEFAULT_VNODES
         result = rebalance(
-            args.data_dir, args.shards, vnodes=vnodes,
+            args.data_dir, args.shards,
             fsync=not args.no_fsync, storage=args.storage,
         )
     except (ReproError, OSError) as exc:
@@ -679,10 +657,6 @@ def cmd_serve(argv: list[str]) -> int:
         print("error: --replication quorum requires --replicas >= 1",
               file=sys.stderr)
         return 2
-    if args.promote_after < 1:
-        print(f"error: --promote-after must be >= 1, got "
-              f"{args.promote_after}", file=sys.stderr)
-        return 2
     if args.rebalance:
         if args.data_dir is None:
             print("error: --rebalance requires --data-dir", file=sys.stderr)
@@ -719,7 +693,6 @@ def cmd_serve(argv: list[str]) -> int:
             executor="subprocess" if args.workers == "proc" else "inline",
             replicas=args.replicas,
             replication=args.replication,
-            promote_after=args.promote_after,
             worker_window_s=args.window_ms / 1000.0,
         ),
     )

@@ -15,8 +15,8 @@ Pieces (bottom up):
   executors;
 * :mod:`repro.cluster.journal` — :class:`JournalBackend`: per-shard
   append-only apply-diff journal with checksummed records and atomic
-  snapshot compaction (epoch-qualified file names, offline replay
-  helpers) — the in-RAM backend;
+  snapshot compaction (epoch-qualified file names, read-only replay
+  for offline readers) — the in-RAM backend;
 * :mod:`repro.cluster.sqlite` — :class:`SqliteBackend`: one WAL-mode
   SQLite file per shard with lazily materialized sets — the
   bigger-than-RAM backend (``repro serve --storage sqlite``);
@@ -28,8 +28,9 @@ Pieces (bottom up):
   replay through the committed backend, stage under the next epoch
   through the new one, commit via one atomic manifest replace
   (crash-safe, idempotent);
-* :mod:`repro.cluster.config` — :class:`ClusterConfig`, every knob
-  that shapes a cluster, and :func:`open_cluster`, which builds one;
+* :mod:`repro.cluster.config` — :class:`ClusterConfig`, the settings
+  an operator chooses for a cluster, and :func:`open_cluster`, which
+  builds one;
 * :mod:`repro.cluster.router` — :class:`ClusterStore`, the store every
   server serves from (one shard worker per shard, a shard count fixed
   for the store's lifetime; a 1-shard memory cluster is what plain

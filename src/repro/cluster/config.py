@@ -1,8 +1,8 @@
-"""Cluster construction: one config object for every cluster knob.
+"""Cluster construction: one config object for the operator's settings.
 
-:class:`ClusterConfig` gathers every knob that shapes a cluster into a
-single validated, frozen dataclass, and :func:`open_cluster` is the
-front door::
+:class:`ClusterConfig` gathers the settings an operator chooses for a
+cluster (each one a ``repro serve`` flag) into a single validated,
+frozen dataclass, and :func:`open_cluster` is the front door::
 
     from repro.cluster.config import ClusterConfig, open_cluster
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.proc import DEFAULT_RESTART_BACKOFF_S, DEFAULT_WINDOW_S
-from repro.cluster.ring import DEFAULT_VNODES
+from repro.cluster.proc import DEFAULT_WINDOW_S
 from repro.cluster.storage import BACKEND_NAMES
 
 #: Shard executor names — where each shard worker runs: ``inline`` (on
@@ -38,13 +37,15 @@ REPLICATION_MODES = ("async", "quorum")
 class ClusterConfig:
     """Everything that shapes a :class:`~repro.cluster.router.ClusterStore`.
 
-    Grouped by concern — topology (``shards``, ``vnodes``), storage
-    (``storage`` backend name and ``fsync``), execution (``executor``
-    and the worker knobs) and replication."""
+    Grouped by concern — topology (``shards``), storage (``storage``
+    backend name and ``fsync``), execution (``executor`` and the
+    coalescing window) and replication.  What no deployment varies is a
+    module constant instead: the ring's vnodes
+    (:data:`~repro.cluster.ring.DEFAULT_VNODES`), the respawn backoff
+    and the promotion budget (:mod:`repro.cluster.router`)."""
 
     # -- topology --
     shards: int = 1
-    vnodes: int = DEFAULT_VNODES
     # -- storage --
     storage: str = "journal"
     fsync: bool = False
@@ -53,7 +54,6 @@ class ClusterConfig:
     #: each worker's decode-coalescing window (0 = decode each
     #: session separately)
     worker_window_s: float = DEFAULT_WINDOW_S
-    restart_backoff_s: float = DEFAULT_RESTART_BACKOFF_S
     # -- replication --
     #: follower replicas per shard (0 = replication off; requires a
     #: data dir — replication ships durable state, so there must be
@@ -61,15 +61,10 @@ class ClusterConfig:
     replicas: int = 0
     #: ack durability mode: ``async`` or ``quorum``
     replication: str = "async"
-    #: consecutive failed primary-worker respawns before the
-    #: supervisor promotes the most-advanced follower (proc executor)
-    promote_after: int = 2
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
         if self.storage not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown storage backend {self.storage!r}; expected one "
@@ -84,11 +79,6 @@ class ClusterConfig:
             raise ValueError(
                 f"worker_window_s must be >= 0, got {self.worker_window_s}"
             )
-        if self.restart_backoff_s < 0:
-            raise ValueError(
-                f"restart_backoff_s must be >= 0, got "
-                f"{self.restart_backoff_s}"
-            )
         if self.replicas < 0:
             raise ValueError(f"replicas must be >= 0, got {self.replicas}")
         if self.replication not in REPLICATION_MODES:
@@ -101,10 +91,6 @@ class ClusterConfig:
                 "replication='quorum' needs at least one follower "
                 "(replicas >= 1); with no followers a quorum is just "
                 "the primary, which is the async mode's guarantee"
-            )
-        if self.promote_after < 1:
-            raise ValueError(
-                f"promote_after must be >= 1, got {self.promote_after}"
             )
 
 

@@ -63,7 +63,6 @@ __all__ = [
     "encode_diff",
     "journal_filename",
     "read_records",
-    "replay_shard",
     "snapshot_filename",
     "write_snapshot",
 ]
@@ -235,8 +234,8 @@ class JournalBackend(StorageBackend):
     number of :meth:`record_diff` / :meth:`record_create` (alone, or
     grouped by :meth:`commit`) and :meth:`compact` calls, then
     :meth:`close` (idempotent).
-    :meth:`replay` is the read-only half used by offline tooling
-    (:func:`replay_shard`, the rebalance).  Durable writes are
+    :meth:`replay` is the read-only half used by offline tooling (the
+    rebalance, through :meth:`iter_sets`).  Durable writes are
     ``concurrent_writes`` (appends run on worker threads while the event
     loop serves) and honour the durable-before-visible ordering of
     :mod:`repro.cluster.storage`.
@@ -360,7 +359,7 @@ class JournalBackend(StorageBackend):
     def replay(self, store: SetStore, truncate_tail: bool = False) -> None:
         """Load snapshot-then-journal into ``store`` without opening for
         appends — the read-only half of :meth:`recover`, reused by the
-        offline rebalance (:func:`replay_shard`).
+        offline rebalance (through :meth:`iter_sets`).
 
         Unless ``truncate_tail`` is set the files are not modified: a torn
         tail is merely skipped (and counted in :attr:`truncated_bytes`),
@@ -506,20 +505,3 @@ def write_snapshot(
             os.close(dir_fd)
     return len(blob)
 
-
-def replay_shard(
-    directory: str | Path, epoch: int = 0
-) -> tuple[SetStore, dict]:
-    """Read-only offline replay of one shard directory at one epoch.
-
-    Returns ``(store, stats)`` with the shard's recovered state and the
-    recovery counters (``recovered_sets``, ``tail_error``, ...).  Truly
-    read-only: nothing is modified or created — torn tails are skipped,
-    not truncated, and a missing directory is an empty shard, not a
-    mkdir — so a rebalance planning pass leaves the directory tree
-    byte-identical.
-    """
-    storage = JournalBackend(directory, epoch=epoch, create=False)
-    store = SetStore()
-    storage.replay(store)
-    return store, storage.stats()

@@ -108,11 +108,6 @@ from repro.service.wire import encode_frame, read_frame
 #: generous because CI machines are slow).
 SPAWN_TIMEOUT_S = 60.0
 
-#: Default pause before respawning a dead worker.  Long enough that a
-#: crash-looping shard does not busy-spin fork+replay, short enough that
-#: a one-off kill heals within a client retry backoff or two.
-DEFAULT_RESTART_BACKOFF_S = 0.25
-
 #: How long a graceful close waits for a child to exit after CLOSE was
 #: acknowledged, before escalating to terminate/kill.
 JOIN_TIMEOUT_S = 10.0
@@ -149,18 +144,17 @@ class RpcType(enum.IntEnum):
     READY = 32      #: child -> parent: recovered state dump + stats
     APPLY = 33      #: parent -> child: journal + apply one diff
     CREATE = 34     #: parent -> child: journal + create one set
-    SYNC = 36       #: parent -> child: mutation-queue barrier
     DECODE = 37     #: parent -> child: BCH-decode sketch deltas
     CLOSE = 39      #: parent -> child: drain, close journal, exit
     OK = 40         #: child -> parent: success reply
     ERR = 41        #: child -> parent: failure reply
+    STATS = 42      #: child -> parent: storage counters after a compaction
 
 
 #: shard mutation op -> the RPC frame carrying it, and back
 _MUTATION_RPC = {
     "apply": RpcType.APPLY,
     "create": RpcType.CREATE,
-    "sync": RpcType.SYNC,
 }
 _MUTATION_OPS = {rpc: op for op, rpc in _MUTATION_RPC.items()}
 
@@ -288,6 +282,11 @@ class _RpcServer:
         self.coalescer = DecodeCoalescer(window_s=cfg.window_s)
         self._codecs: dict[tuple[int, int], BCHCodec] = {}
         self._decodes: set[asyncio.Task] = set()
+        # a compaction runs after its batch's acks: without this frame
+        # its counters would reach the parent only with the next ack
+        worker.on_compact = lambda: self._send(
+            RpcType.STATS, 0, worker.stats()
+        )
 
     async def run(self) -> None:
         # a follower's parent keeps no mirror, so its READY carries no
@@ -411,7 +410,7 @@ class WorkerHandle:
             self.store = SetStore()
             for name, values, version in entries:
                 self.store.create(name, values, version=version)
-        #: the child's storage counters as of its latest ack
+        #: the child's storage counters as of its latest ack or STATS
         self.last_stats: dict = dict(stats or {})
         self.coalescer_stats: dict = {}
         #: the child's latest cumulative histogram dump (rides every
@@ -529,6 +528,9 @@ class WorkerHandle:
                     max_bytes=RPC_MAX_FRAME_BYTES,
                 )
                 rid, body = _unpack(payload)
+                if ftype is RpcType.STATS:
+                    self.last_stats = body
+                    continue
                 entry = self._pending.pop(rid, None)
                 if entry is None:
                     continue

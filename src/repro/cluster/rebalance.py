@@ -64,10 +64,6 @@ from repro.cluster.storage import backend_class
 from repro.errors import ReproError
 
 
-class RebalanceAborted(ReproError):
-    """Injected crash point fired (tests / CI drills only)."""
-
-
 @dataclass
 class RebalanceResult:
     """What one rebalance run did (``repro rebalance --json`` prints it)."""
@@ -78,7 +74,8 @@ class RebalanceResult:
     new_shards: int
     old_epoch: int
     new_epoch: int
-    vnodes: int
+    #: the target ring's vnodes (always the servable default)
+    vnodes: int = DEFAULT_VNODES
     #: storage backend the directory was committed to before / after
     #: (differing means this run converted the shard files)
     old_storage: str = "journal"
@@ -202,21 +199,20 @@ def _iter_committed_shard(
 def rebalance(
     data_dir: str | Path,
     shards: int,
-    vnodes: int = DEFAULT_VNODES,
     fsync: bool = True,
-    crash_at: str | None = None,
     storage: str | None = None,
 ) -> RebalanceResult:
     """Migrate ``data_dir`` to ``shards`` shards; see the module docstring.
 
-    ``storage=None`` keeps the committed backend; naming one converts
-    the shard files to it in the same staged-then-committed pass (a
-    conversion rewrites every surviving shard even when the topology is
-    unchanged).  Idempotent: rerunning after a crash (or against an
-    already-migrated directory) is safe; a no-op run still sweeps stale
-    staging files from a previously interrupted attempt.  ``crash_at``
-    ("after-stage" | "after-commit") raises :class:`RebalanceAborted` at
-    that point — the crash-injection hook the recovery drills use.
+    The target ring has :data:`~repro.cluster.ring.DEFAULT_VNODES`
+    vnodes, the only layout ``repro serve`` opens: a directory committed
+    with any other vnode count is migrated even at the same shard
+    count.  ``storage=None`` keeps the committed backend; naming one
+    converts the shard files to it in the same staged-then-committed
+    pass (a conversion rewrites every surviving shard even when the
+    topology is unchanged).  Idempotent: rerunning after a crash (or
+    against an already-migrated directory) is safe; a no-op run still
+    sweeps stale staging files from a previously interrupted attempt.
 
     Must not run concurrently with a server holding the same directory
     open: stop it first.
@@ -238,19 +234,19 @@ def rebalance(
         # a fresh directory: nothing to migrate, just commit the layout
         new_storage = storage or "journal"
         manifest = ClusterManifest(
-            shards=shards, vnodes=vnodes, epoch=0, storage=new_storage
+            shards=shards, vnodes=DEFAULT_VNODES, epoch=0, storage=new_storage
         )
         write_manifest(data_dir, manifest, fsync=fsync)
         return RebalanceResult(
             data_dir=str(data_dir), changed=False,
             old_shards=shards, new_shards=shards,
-            old_epoch=0, new_epoch=0, vnodes=vnodes,
+            old_epoch=0, new_epoch=0,
             old_storage=new_storage, new_storage=new_storage,
         )
     old_storage = manifest.storage
     new_storage = storage or old_storage
     converting = new_storage != old_storage
-    if manifest.shards == shards and manifest.vnodes == vnodes \
+    if manifest.shards == shards and manifest.vnodes == DEFAULT_VNODES \
             and not converting:
         # already there — but a crashed earlier attempt may have left
         # staged files behind; sweep them so they cannot outlive epochs
@@ -259,12 +255,12 @@ def rebalance(
             data_dir=str(data_dir), changed=False,
             old_shards=manifest.shards, new_shards=shards,
             old_epoch=manifest.epoch, new_epoch=manifest.epoch,
-            vnodes=vnodes, old_storage=old_storage,
-            new_storage=new_storage, removed_dirs=removed,
+            old_storage=old_storage, new_storage=new_storage,
+            removed_dirs=removed,
         )
 
     old_ring = HashRing(range(manifest.shards), vnodes=manifest.vnodes)
-    new_ring = HashRing(range(shards), vnodes=vnodes)
+    new_ring = HashRing(range(shards))
 
     # 1. replay: the full committed state, and where each set lives now,
     # read through the backend the manifest is committed to
@@ -334,13 +330,11 @@ def rebalance(
             data_dir / shard_dirname(shard), entries_by_shard[shard],
             epoch=new_epoch, fsync=fsync,
         )
-    if crash_at == "after-stage":
-        raise RebalanceAborted("injected crash after staging, before commit")
 
     # 4. commit: one atomic manifest replace
     new_manifest = ClusterManifest(
         shards=shards,
-        vnodes=vnodes,
+        vnodes=DEFAULT_VNODES,
         epoch=new_epoch,
         shard_epochs=[
             new_epoch if shard in affected else manifest.shard_epoch(shard)
@@ -358,8 +352,6 @@ def rebalance(
         ],
     )
     write_manifest(data_dir, new_manifest, fsync=fsync)
-    if crash_at == "after-commit":
-        raise RebalanceAborted("injected crash after commit, before sweep")
 
     # 5. sweep superseded epochs (and, after a conversion, the old
     # backend's files) plus orphaned shard directories
@@ -367,7 +359,7 @@ def rebalance(
     return RebalanceResult(
         data_dir=str(data_dir), changed=True,
         old_shards=manifest.shards, new_shards=shards,
-        old_epoch=manifest.epoch, new_epoch=new_epoch, vnodes=vnodes,
+        old_epoch=manifest.epoch, new_epoch=new_epoch,
         old_storage=old_storage, new_storage=new_storage,
         sets_total=len(states), moved=moved,
         rewritten_shards=rewritten, removed_dirs=removed, healed=healed,

@@ -47,11 +47,11 @@ Two promotion paths share the election:
   elects among the survivors and commits the winner by atomically
   rewriting ``manifest.primary_replica`` (the *only* commit point);
 * **online** (subprocess executor) — when a primary worker stays down
-  past its respawn budget (``promote_after`` consecutive failed
-  respawns), the supervisor path in :mod:`repro.cluster.router` stops
-  the followers, elects, commits the manifest, and respawns the worker
-  on the promoted directory; the demoted directories rejoin as
-  followers and re-bootstrap.
+  past its respawn budget (:data:`~repro.cluster.router.PROMOTE_AFTER`
+  consecutive failed respawns), the supervisor path in
+  :mod:`repro.cluster.router` stops the followers, elects, commits the
+  manifest, and respawns the worker on the promoted directory; the
+  demoted directories rejoin as followers and re-bootstrap.
 """
 
 from __future__ import annotations
@@ -199,65 +199,19 @@ def elect_replica(
     return best
 
 
-# -- the follower applier ------------------------------------------------------
-
-class FollowerApplier:
-    """A follower replica's shard worker, opened through the cluster's
-    worker factory exactly like the shard's primary — in-process under
-    the inline executor, a worker child under the subprocess executor —
-    so followers apply shipped ops through the one durable-first loop
-    and compact like any shard.
-
-    The router sets ``open_worker``: a coroutine function returning
-    the handle of a worker on ``directory`` (whose death, if it is a
-    child, wakes the follower driver).
-    """
-
-    def __init__(self, directory: Path, epoch: int, storage: str,
-                 fsync: bool) -> None:
-        self.directory = Path(directory)
-        self.epoch = epoch
-        self.storage_name = storage
-        self.fsync = fsync
-        self.open_worker = None
-        self.handle = None
-
-    async def restart(self, entries) -> None:
-        """Wipe, stage ``entries`` as the new base state, reopen.
-
-        The wipe and stage are pure file I/O and run off the loop; the
-        worker opens its backend where every worker does."""
-        await self.close(graceful=False)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._stage_sync, entries)
-        self.handle = await self.open_worker()
-
-    def _stage_sync(self, entries) -> None:
-        cls = backend_class(self.storage_name)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        cls.discard(self.directory)
-        # the old cursor goes with the old state: a crash between the
-        # stage and the fresh cursor write must read as "never
-        # bootstrapped" (-1), not as the stale cursor overstating the
-        # now-empty directory
-        (self.directory / CURSOR_NAME).unlink(missing_ok=True)
-        cls.stage(self.directory, entries, epoch=self.epoch,
-                  fsync=self.fsync)
-
-    async def apply(self, op: str, args: tuple) -> None:
-        await self.handle.submit(op, args)
-
-    async def close(self, graceful: bool = True) -> None:
-        handle, self.handle = self.handle, None
-        if handle is not None:
-            await handle.close(graceful=graceful)
-
-
-# -- the follower driver -------------------------------------------------------
+# -- the follower -------------------------------------------------------------
 
 class Follower:
-    """One follower replica: an ordered ship queue and the driver task
-    that bootstraps, applies, and advances the durable cursor.
+    """One follower replica: an ordered ship queue, the replica's shard
+    worker, and the driver task that bootstraps, applies, and advances
+    the durable cursor.
+
+    ``open_worker`` is the cluster's worker factory
+    (:meth:`~repro.cluster.router.ClusterStore._open_worker`), so the
+    worker opens exactly like the shard's primary — in-process under
+    the inline executor, a worker child under the subprocess executor —
+    and a follower applies shipped ops through the one durable-first
+    loop and compacts like any shard.
 
     Lifecycle: constructed dead (``alive=False``); the driver's first
     act is a snapshot bootstrap.  Any failure — bootstrap, apply, or
@@ -269,11 +223,17 @@ class Follower:
     then count the ack) is what :func:`elect_replica` relies on."""
 
     def __init__(self, repl: "ShardReplication", replica: int,
-                 directory: Path, applier) -> None:
+                 directory: Path, epoch: int, storage: str, fsync: bool,
+                 open_worker) -> None:
         self._repl = repl
         self.replica = replica
         self.directory = Path(directory)
-        self.applier = applier
+        self.epoch = epoch
+        self.storage = storage
+        self.fsync = fsync
+        self._open_worker = open_worker
+        #: the replica's worker handle (None until the first bootstrap)
+        self.handle = None
         self.queue: asyncio.Queue = asyncio.Queue()
         self.task: asyncio.Task | None = None
         self.alive = False
@@ -310,9 +270,9 @@ class Follower:
         self.queue.put_nowait(("wake", None, None, -1))
 
     async def stop(self, graceful: bool = True) -> None:
-        """Drain queued ops (when alive and ``graceful``) and shut the
-        applier down.  A dead follower exits without draining — it
-        would re-bootstrap on next start anyway."""
+        """Drain queued ops (when alive and ``graceful``) and close the
+        worker.  A dead follower exits without draining — it would
+        re-bootstrap on next start anyway."""
         if self._stopping:
             return
         self._stopping = True
@@ -321,8 +281,45 @@ class Follower:
         if self.task is not None:
             await self.task
             self.task = None
-        await self.applier.close(graceful=graceful and self.alive)
+        await self._close_worker(graceful=graceful and self.alive)
         self.alive = False
+
+    async def restart(self, entries) -> None:
+        """Wipe, stage ``entries`` as the new base state, reopen the
+        worker.
+
+        The wipe and stage are pure file I/O and run off the loop; the
+        worker opens its backend where every worker does."""
+        await self._close_worker(graceful=False)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._stage_sync, entries)
+        self.handle = await self._open_worker(
+            self._repl.shard_id, self.directory, self.epoch,
+            self._worker_died, role=self.directory.name,
+        )
+
+    def _stage_sync(self, entries) -> None:
+        cls = backend_class(self.storage)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        cls.discard(self.directory)
+        # the old cursor goes with the old state: a crash between the
+        # stage and the fresh cursor write must read as "never
+        # bootstrapped" (-1), not as the stale cursor overstating the
+        # now-empty directory
+        (self.directory / CURSOR_NAME).unlink(missing_ok=True)
+        cls.stage(self.directory, entries, epoch=self.epoch,
+                  fsync=self.fsync)
+
+    def _worker_died(self, _shard_id: int) -> None:
+        self.mark_dead("follower worker died")
+
+    async def apply(self, op: str, args: tuple) -> None:
+        await self.handle.submit(op, args)
+
+    async def _close_worker(self, graceful: bool) -> None:
+        handle, self.handle = self.handle, None
+        if handle is not None:
+            await handle.close(graceful=graceful)
 
     async def _run(self) -> None:
         delay = 0.0
@@ -342,14 +339,14 @@ class Follower:
                 gen = self._gen
                 entries, seq = self._repl.bootstrap_source()
                 try:
-                    await self.applier.restart(entries)
+                    await self.restart(entries)
                     await self._write_cursor(seq)
                 except Exception as exc:
                     if self._stopping:
                         return
                     self.last_error = f"{type(exc).__name__}: {exc}"
                     delay = min(
-                        max(delay * 2, self._repl.backoff_s),
+                        max(delay * 2, FOLLOWER_BACKOFF_S),
                         FOLLOWER_BACKOFF_CAP_S,
                     )
                     continue
@@ -383,7 +380,7 @@ class Follower:
                     # second, ack third — the cursor must never
                     # overstate the replica's applied prefix
                     await asyncio.gather(*[
-                        self.applier.apply(op, args) for op, args, _ in ops
+                        self.apply(op, args) for op, args, _ in ops
                     ])
                     await self._write_cursor(seq)
                 except Exception as exc:
@@ -391,7 +388,7 @@ class Follower:
                         return
                     self.alive = False
                     self.last_error = f"{type(exc).__name__}: {exc}"
-                    delay = self._repl.backoff_s
+                    delay = FOLLOWER_BACKOFF_S
                     log.warning(
                         "follower apply failed; re-bootstrapping",
                         extra={
@@ -409,7 +406,7 @@ class Follower:
     async def _write_cursor(self, seq: int) -> None:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
-            None, write_cursor, self.directory, seq, self.applier.fsync
+            None, write_cursor, self.directory, seq, self.fsync
         )
 
     def stats(self) -> dict:
@@ -443,8 +440,6 @@ class ShardReplication:
     def __init__(
         self, shard_id: int, replicas: int, mode: str,
         entries_fn, active_replica: int = 0, seq0: int = 0,
-        backoff_s: float = FOLLOWER_BACKOFF_S,
-        quorum_timeout_s: float = QUORUM_TIMEOUT_S,
     ) -> None:
         self.shard_id = shard_id
         self.replicas = replicas
@@ -452,8 +447,6 @@ class ShardReplication:
         self.entries_fn = entries_fn
         self.active_replica = active_replica
         self.seq = seq0
-        self.backoff_s = backoff_s
-        self.quorum_timeout_s = quorum_timeout_s
         self.quorum = (
             quorum_size(replicas + 1) if mode == "quorum" else 1
         )
@@ -462,12 +455,6 @@ class ShardReplication:
         self._waiters: list = []
 
     # -- wiring ---------------------------------------------------------------
-    def add_follower(self, replica: int, directory: Path,
-                     applier) -> Follower:
-        follower = Follower(self, replica, directory, applier)
-        self.followers.append(follower)
-        return follower
-
     def start(self) -> None:
         for follower in self.followers:
             follower.start()
@@ -507,7 +494,7 @@ class ShardReplication:
     async def wait_durable(self, seq: int) -> None:
         """Block until ``seq`` is quorum-durable (no-op in async mode).
 
-        Raises :class:`QuorumTimeoutError` after ``quorum_timeout_s``:
+        Raises :class:`QuorumTimeoutError` after :data:`QUORUM_TIMEOUT_S`:
         the op stays durable on the primary, but the session is failed
         rather than acknowledged below quorum."""
         if self.durable_seq() >= seq:
@@ -515,12 +502,12 @@ class ShardReplication:
         fut = asyncio.get_running_loop().create_future()
         self._waiters.append((seq, fut))
         try:
-            await asyncio.wait_for(fut, self.quorum_timeout_s)
+            await asyncio.wait_for(fut, QUORUM_TIMEOUT_S)
         except asyncio.TimeoutError:
             raise QuorumTimeoutError(
                 f"shard {self.shard_id}: seq {seq} not durable on "
                 f"{self.quorum} of {self.replicas + 1} replicas within "
-                f"{self.quorum_timeout_s:.0f}s "
+                f"{QUORUM_TIMEOUT_S:.0f}s "
                 f"({sum(f.alive for f in self.followers)} followers live)"
             ) from None
         finally:

@@ -55,7 +55,6 @@ worker coalesces its own shard's sessions instead (see
 from __future__ import annotations
 
 import asyncio
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +71,7 @@ from repro.cluster.proc import (
     spawn_worker,
 )
 from repro.cluster.replication import (
-    FollowerApplier,
+    Follower,
     ReplicationError,
     ShardReplication,
     elect_replica,
@@ -90,6 +89,17 @@ from repro.service.store import SetStore, Snapshot
 __all__ = ["ClusterStore"]
 
 log = get_logger("cluster")
+
+#: Pause before respawning a dead worker (doubling, capped at 5 s, while
+#: respawns keep failing).  Long enough that a crash-looping shard does
+#: not busy-spin spawn+replay, short enough that a one-off kill heals
+#: within a client retry backoff or two; also the RETRY hint for
+#: sessions that hit a shard while its worker is down.
+RESTART_BACKOFF_S = 0.25
+
+#: Consecutive failed primary-worker respawns before the supervisor
+#: fails a replicated shard over to its most-advanced follower.
+PROMOTE_AFTER = 2
 
 
 @dataclass
@@ -148,12 +158,12 @@ class ClusterStore:
         :func:`repro.cluster.config.open_cluster` is the same call."""
         config = config if config is not None else ClusterConfig()
         self.config = config
-        self.ring = HashRing(range(config.shards), vnodes=config.vnodes)
+        self.ring = HashRing(range(config.shards))
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.executor = config.executor
         #: RETRY hint the server sends for sessions hitting a shard whose
         #: worker is down (a restart is usually one backoff away)
-        self.unavailable_retry_after_s = config.restart_backoff_s
+        self.unavailable_retry_after_s = RESTART_BACKOFF_S
         self._shards = [_Shard(shard_id=i) for i in range(config.shards)]
         #: the committed layout (set by :meth:`start` when journaling)
         self.manifest: ClusterManifest | None = None
@@ -194,10 +204,6 @@ class ClusterStore:
                 await asyncio.get_running_loop().run_in_executor(
                     None, self._prepare_replication_sync
                 )
-        # _closing drops *before* the opens: a worker child that comes up
-        # and dies again inside this window must schedule a restart (the
-        # death callback ignores deaths only while closing)
-        self._closing = False
         results = await asyncio.gather(
             *[
                 self._open_worker(
@@ -215,29 +221,22 @@ class ClusterStore:
         )
         if failure is not None:
             # partial start (e.g. one corrupt shard): close the workers
-            # that did come up so nothing outlives the error — including
-            # any replacement a death-during-start restart may have
-            # already installed on a shard, or be spawning now
-            self._closing = True
-            await self._cancel_restarts()
+            # that did come up so nothing outlives the error
             for result in results:
                 if not isinstance(result, BaseException):
                     await result.close(graceful=False)
-            for shard in self._shards:
-                if shard.worker is not None and shard.worker.alive:
-                    await shard.worker.close(graceful=False)
             raise failure
         for shard, handle in zip(self._shards, results):
-            if shard.worker is not None and shard.worker.alive:
-                # this shard's original child died during the spawn
-                # window and a restart already installed a fresh one —
-                # keep it, reap the corpse
-                await handle.close(graceful=False)
-                continue
             shard.worker = handle
         self._start_replication()
         self._started = True
+        self._closing = False
         self._close_done = None
+        # a worker child that came up and died while its siblings were
+        # still spawning was ignored by the death callback: heal it now
+        for shard in self._shards:
+            if not shard.worker.alive:
+                self._on_worker_death(shard.shard_id)
 
     async def close(self) -> None:
         """Drain every worker, flush and close the journals.
@@ -359,25 +358,19 @@ class ClusterStore:
                 self.manifest.cursors[shard.shard_id]
                 if seq0 is None else seq0
             ),
-            backoff_s=self.config.restart_backoff_s,
         )
         repl.promotions = promotions
         epoch = self._shard_epoch(shard.shard_id)
-        for replica in range(self.config.replicas + 1):
-            if replica == active:
-                continue
-            directory = replica_dir(self.data_dir, shard.shard_id, replica)
-            applier = FollowerApplier(
-                directory, epoch, self.config.storage, self.config.fsync
+        repl.followers = [
+            Follower(
+                repl, replica,
+                replica_dir(self.data_dir, shard.shard_id, replica),
+                epoch, self.config.storage, self.config.fsync,
+                self._open_worker,
             )
-            follower = repl.add_follower(replica, directory, applier)
-            applier.open_worker = functools.partial(
-                self._open_worker, shard.shard_id, directory, epoch,
-                lambda _shard_id, f=follower: f.mark_dead(
-                    "follower worker died"
-                ),
-                role=directory.name,
-            )
+            for replica in range(self.config.replicas + 1)
+            if replica != active
+        ]
         shard.repl = repl
         repl.start()
 
@@ -504,13 +497,11 @@ class ClusterStore:
     def _on_worker_death(self, shard_id: int) -> None:
         """Reader-task callback: a worker died unexpectedly — heal it.
 
-        Deliberately *not* gated on ``_started``: a worker that reports
-        READY and then dies while the remaining shards are still
-        spawning (start() in progress) must heal like any other death,
-        or its shard would shed sessions forever.  Only a closing store
-        lets deaths lie.
+        A store that has not started, or is closing, lets deaths lie:
+        :meth:`start` heals a worker that died while its siblings were
+        still spawning once every handle is installed.
         """
-        if self._closing:
+        if self._closing or not self._started:
             return
         shard = self._shards[shard_id]
         task = asyncio.create_task(
@@ -524,10 +515,10 @@ class ClusterStore:
         journal and the mirror is rebuilt from the replayed state (which
         may include journaled-but-unacked mutations from the crash — the
         standard at-least-once WAL outcome).  With replication on, a
-        worker that stays down past ``promote_after`` consecutive failed
-        respawns (its directory is gone, not just its process) is failed
-        over to the most-advanced follower via :meth:`_promote`."""
-        backoff = self.config.restart_backoff_s
+        worker that stays down past :data:`PROMOTE_AFTER` consecutive
+        failed respawns (its directory is gone, not just its process) is
+        failed over to the most-advanced follower via :meth:`_promote`."""
+        backoff = RESTART_BACKOFF_S
         failures = 0
         while True:
             await asyncio.sleep(backoff)
@@ -555,7 +546,7 @@ class ClusterStore:
                 failures += 1
                 if (
                     shard.repl is not None
-                    and failures >= self.config.promote_after
+                    and failures >= PROMOTE_AFTER
                 ):
                     if await self._promote(shard):
                         return
@@ -647,12 +638,6 @@ class ClusterStore:
             trace,
         )
 
-    async def flush(self) -> None:
-        """Barrier: resolves after every queued mutation has been applied."""
-        await asyncio.gather(
-            *[self._submit(shard, "sync", ()) for shard in self._shards]
-        )
-
     async def snapshot(self, name: str, create_missing: bool = False) -> Snapshot:
         """Freeze one set for a session (creating it, durably, if asked)."""
         shard = self._shard(name)
@@ -692,9 +677,8 @@ class ClusterStore:
                 shard.applies += 1
             elif op == "create":
                 shard.creates += 1
-            # ship exactly what was persisted: empty diffs were not,
-            # sync barriers carry nothing
-            if repl is not None and op != "sync" and (
+            # ship exactly what was persisted: empty diffs were not
+            if repl is not None and (
                 op != "apply" or len(args[1]) or len(args[2])
             ):
                 shipped.append(repl.ship(op, args))
@@ -770,7 +754,7 @@ class ClusterStore:
         block (pid, liveness, restart count — how crash recovery
         surfaces in metrics) and, once decode work has flowed, the
         worker-local ``coalescer`` counters; journal stats come from the
-        child's last acknowledgement.
+        child's last acknowledgement or compaction.
         """
         out = {
             "shards": self.n_shards,
@@ -805,8 +789,9 @@ class ClusterStore:
             "queue_depth": 0,
         }
         if shard.worker is not None:
-            # storage counters (a child's as of its latest ack), plus a
-            # child's worker block and coalescer/obs riders
+            # storage counters (a child's as of its latest ack or
+            # compaction), plus a child's worker block and coalescer/obs
+            # riders
             entry.update(shard.worker.stats())
         if "worker" in entry:
             entry["worker"].update(

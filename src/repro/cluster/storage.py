@@ -1,14 +1,12 @@
 """The per-shard storage contract: what it means to persist a shard.
 
-Until this module existed the persistence contract was implicit: the
-router, the subprocess worker, and the offline rebalance all reached
-directly into journal-file internals (``journal_filename``,
-``snapshot-eN.bin``, ``write_snapshot``, ``replay_shard``).
-:class:`StorageBackend` makes the contract explicit and narrow so the
-journal files (:class:`repro.cluster.journal.JournalBackend`) and the
-WAL-mode SQLite store (:class:`repro.cluster.sqlite.SqliteBackend`) are
-interchangeable behind it — selected per data directory, recorded in the
-cluster manifest, and surfaced as ``repro serve --storage``.
+:class:`StorageBackend` is the narrow contract through which the shard
+worker, the offline rebalance and follower bootstrap read and write
+shard files, so the journal files
+(:class:`repro.cluster.journal.JournalBackend`) and the WAL-mode SQLite
+store (:class:`repro.cluster.sqlite.SqliteBackend`) are interchangeable
+behind it — selected per data directory, recorded in the cluster
+manifest, and surfaced as ``repro serve --storage``.
 
 The durability / ack-ordering contract
 --------------------------------------
@@ -272,13 +270,11 @@ def open_backend(
 # -- the shared durable-first mutation protocol --------------------------------
 
 async def apply_mutation(store: SetStore, storage: StorageBackend | None,
-                         batch, args=None, trace=None):
+                         batch) -> list:
     """Apply a batch of shard mutations as one durable-first group commit.
 
     ``batch`` is a list of ``(op, args, trace)`` mutations; the result
-    is one ``(result, error)`` pair per mutation, in order.  Called as
-    ``apply_mutation(store, storage, op, args, trace)`` it applies one
-    mutation and returns its result or raises its error.
+    is one ``(result, error)`` pair per mutation, in order.
 
     This is the *single* definition of how a shard mutates — the one
     :class:`~repro.cluster.worker.ShardWorker` loop runs it for every
@@ -290,7 +286,6 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
       changed-element count.  Empty diffs (converged re-syncs) are not
       written.
     * ``create`` ``(name, values, version)`` — replaces the set.
-    * ``sync`` — a no-op ordering barrier.
 
     Each mutation is validated in order; an apply to an unknown set, or
     an unknown op, fails that mutation alone, before anything is
@@ -304,13 +299,6 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
     WARN-logged past the slow-op threshold, and each written mutation's
     ``trace`` parents a ``storage.commit`` span covering the commit.
     """
-    if isinstance(batch, str):
-        [(result, error)] = await apply_mutation(
-            store, storage, [(batch, args, trace)]
-        )
-        if error is not None:
-            raise error
-        return result
     outcomes: list = [(None, None)] * len(batch)
     steps = []       # (index, op, args, target) of the valid mutations
     records = []     # (index, op, args) to commit, in batch order
@@ -338,7 +326,7 @@ async def apply_mutation(store: SetStore, storage: StorageBackend | None,
                 args = (name, element_array(values), version)
                 targets[name] = None
                 records.append((i, op, args))
-            elif op != "sync":
+            else:
                 raise ReproError(f"unknown shard mutation op {op!r}")
         except Exception as exc:
             outcomes[i] = (None, exc)

@@ -59,6 +59,9 @@ class ShardWorker:
                 self.storage.close()
                 raise
         self.compact_error = ""       #: last failed background compaction
+        #: called after every compaction attempt (a worker child sends
+        #: its fresh counters to the parent from here)
+        self.on_compact = None
         self._queue: asyncio.Queue = asyncio.Queue()
         self._closed = False
         self._task = asyncio.create_task(self._run(), name="shard-worker")
@@ -111,6 +114,8 @@ class ShardWorker:
             compact_error = await compact_if_due(self.store, self.storage)
             if compact_error is not None:
                 self.compact_error = compact_error
+                if self.on_compact is not None:
+                    self.on_compact()
 
     async def close(self) -> None:
         """Apply every queued mutation, then close the storage.

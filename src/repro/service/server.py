@@ -45,10 +45,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.messages import SketchMessage
-from repro.core.params import DEFAULT_DELTA, PBSParams
+from repro.core.params import PBSParams
 from repro.core.sessions import BobSession
 from repro.errors import ReproError, SerializationError
-from repro.estimators.tow import DEFAULT_GAMMA, ToWEstimator
+from repro.estimators.tow import ToWEstimator
 from repro.obs.logs import get_logger
 from repro.obs.trace import TraceContext, tracer
 from repro.service.metrics import ServiceMetrics, SessionMetrics
@@ -101,10 +101,6 @@ class ReconciliationServer:
         store: ClusterStore,
         host: str = "127.0.0.1",
         port: int = 0,
-        gamma: float = DEFAULT_GAMMA,
-        delta: int = DEFAULT_DELTA,
-        r: int = 3,
-        p0: float = 0.99,
         create_missing: bool = True,
         admission=None,
     ) -> None:
@@ -126,10 +122,6 @@ class ReconciliationServer:
             window_s=store.config.worker_window_s
         )
         self.metrics = ServiceMetrics(self.coalescer.stats)
-        self.gamma = gamma
-        self.delta = delta
-        self.r = r
-        self.p0 = p0
         self.create_missing = create_missing
         self._server: asyncio.AbstractServer | None = None
 
@@ -505,7 +497,9 @@ class ReconciliationServer:
         never exceed: a hostile ESTIMATE (a huge declared |A|, extreme
         sketch values) then cannot push the optimizer past what the two
         sets justify — at worst it raises ``ParameterError``, which ends
-        the session with an ERROR frame.
+        the session with an ERROR frame.  γ, δ, r and p0 are the paper's
+        values: the defaults of :meth:`ToWEstimator.conservative` and
+        :meth:`PBSParams.from_d`.
         """
         (size_a,) = _unpack_from("<I", estimate_payload)
         # |A| may legitimately drift from hello.set_size on repeat passes;
@@ -513,14 +507,8 @@ class ReconciliationServer:
         sketch_a = estimator.deserialize(estimate_payload[4:], size_a)
         d_hat = estimator.estimate(sketch_a, sketch_b)
         design_d = min(
-            ToWEstimator.conservative(max(1, round(d_hat)), self.gamma),
+            ToWEstimator.conservative(max(1, round(d_hat))),
             max(1, size_a + size_b),
         )
-        params = PBSParams.from_d(
-            design_d,
-            delta=self.delta,
-            r=self.r,
-            p0=self.p0,
-            log_u=hello.log_u,
-        )
+        params = PBSParams.from_d(design_d, log_u=hello.log_u)
         return params, d_hat

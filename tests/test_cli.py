@@ -267,6 +267,13 @@ class TestServeValidation:
         assert exc.value.code == 2
         assert "--no-coalesce" in capsys.readouterr().err
 
+    def test_promote_after_flag_is_gone(self, capsys):
+        """Failover after two failed respawns is a constant, not a flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--promote-after", "2"])
+        assert exc.value.code == 2
+        assert "--promote-after" in capsys.readouterr().err
+
 
 def test_service_import_path_loads_no_scipy():
     """numpy is the only runtime dependency: the CLI and the proc-mode

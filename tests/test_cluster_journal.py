@@ -251,9 +251,10 @@ class TestShardStorage:
         other.close()
         assert "s" not in blank
 
-    def test_replay_shard_is_read_only(self, tmp_path):
-        from repro.cluster.journal import replay_shard
-
+    def test_read_only_replay_leaves_a_torn_tail(self, tmp_path):
+        """A ``create=False`` backend — the rebalance's reader — replays
+        up to a torn tail and iterates the same sets without touching
+        the files."""
         storage = JournalBackend(tmp_path / "shard")
         store = SetStore()
         storage.recover(store)
@@ -264,9 +265,15 @@ class TestShardStorage:
         damaged = journal.read_bytes() + torn[: len(torn) - 2]
         journal.write_bytes(damaged)
 
-        replayed, stats = replay_shard(tmp_path / "shard")
+        reader = JournalBackend(tmp_path / "shard", create=False)
+        replayed = SetStore()
+        reader.replay(replayed)
         assert replayed.get("s") == {1, 2}
-        assert stats["truncated_bytes"] == len(torn) - 2
+        assert reader.stats()["truncated_bytes"] == len(torn) - 2
+        assert [
+            (name, set(values.tolist()))
+            for name, values, _ in reader.iter_sets()
+        ] == [("s", {1, 2})]
         # the torn tail was *not* truncated: planning passes leave the
         # current layout byte-identical
         assert journal.read_bytes() == damaged

@@ -77,7 +77,6 @@ async def _run_script(store: ClusterStore, script) -> dict:
                 await store.create(step[1], step[2])
             else:
                 await store.apply_diff(step[1], add=step[2], remove=step[3])
-        await store.flush()
         return _state(store)
 
 
@@ -358,20 +357,20 @@ class TestWorkerCrashDrill:
         assert "CorruptError: " in message
 
     def test_sigkill_retry_shed_restart_replay(
-        self, tmp_path, make_cluster, fault_plan
+        self, tmp_path, make_cluster, fault_plan, monkeypatch
     ):
         """SIGKILL one worker mid-load: in-flight work fails fast, new
         sessions are shed with RETRY while the shard is down, and the
         restarted worker recovers to the exact acked state (surfaced in
         cluster_stats as a worker restart) — on every backend."""
         plan = fault_plan(0)
+        # a backoff long enough to probe the dead shard before it heals
+        monkeypatch.setattr("repro.cluster.router.RESTART_BACKOFF_S", 0.75)
 
         async def inner():
             a = set(range(1, 400))
             b = set(range(30, 430))
-            store = make_cluster(
-                2, tmp_path, executor="subprocess", restart_backoff_s=0.75
-            )
+            store = make_cluster(2, tmp_path, executor="subprocess")
             await store.start()
             try:
                 await store.create("inv", b)
@@ -435,6 +434,46 @@ class TestWorkerCrashDrill:
 
         asyncio.run(inner())
 
+    def test_a_worker_that_dies_while_its_siblings_spawn_is_restarted(
+        self, monkeypatch
+    ):
+        """A worker child that reports READY and dies while another
+        shard's worker is still spawning heals like any later death:
+        start() installs every handle, then restarts the dead one."""
+        monkeypatch.setattr("repro.cluster.router.RESTART_BACKOFF_S", 0.1)
+        killed = []
+
+        async def racing_spawn(shard_id, *args, **kwargs):
+            if shard_id == 1:
+                await asyncio.sleep(0.6)
+            handle = await spawn_worker(shard_id, *args, **kwargs)
+            if shard_id == 0 and not killed:
+                os.kill(handle.pid, signal.SIGKILL)
+                killed.append(handle.pid)
+            return handle
+
+        monkeypatch.setattr("repro.cluster.router.spawn_worker", racing_spawn)
+
+        async def inner():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: errors.append(context)
+            )
+            async with _cluster(2, executor="subprocess") as store:
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and not (
+                    store.shard_available(0) and store._shards[0].restarts
+                ):
+                    await asyncio.sleep(0.05)
+                healed = (store.shard_available(0), store._shards[0].restarts)
+            gc.collect()    # a failed restart task reports when collected
+            return healed, errors
+
+        (available, restarts), errors = asyncio.run(inner())
+        assert killed
+        assert available and restarts == 1
+        assert errors == []
+
     def test_close_reaps_worker_processes(self, tmp_path, make_cluster):
         """close() drains, closes the shard storage in the children, and
         reaps every worker process — no orphans, no stray tmp files."""
@@ -464,6 +503,37 @@ class TestWorkerCrashDrill:
                 return check.get("x")
 
         assert asyncio.run(recover()) == {1, 2, 3}
+
+
+class TestWorkerStats:
+    def test_a_compaction_reaches_the_parent_without_another_mutation(
+        self, tmp_path, make_cluster
+    ):
+        """A worker child compacts after acking the batch that made the
+        compaction due, then sends its counters unsolicited: one
+        10^4-element create (an ~80 KB record, past the 64 KiB
+        threshold) shows as a compaction in cluster_stats with no
+        further mutation — on every backend."""
+        log_key = {"journal": "journal_bytes", "sqlite": "wal_bytes"}[
+            make_cluster.storage
+        ]
+
+        async def inner():
+            async with make_cluster(
+                1, tmp_path, executor="subprocess"
+            ) as store:
+                await store.create("big", range(1, 10_001))
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    stats = store.cluster_stats()["per_shard"][0]
+                    if stats["compactions"] >= 1:
+                        break
+                    await asyncio.sleep(0.05)
+                return stats
+
+        stats = asyncio.run(inner())
+        assert stats["compactions"] >= 1
+        assert stats[log_key] == 0
 
 
 def _argv(pid: int) -> list[bytes]:

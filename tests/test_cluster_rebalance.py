@@ -34,7 +34,7 @@ from repro.cluster.manifest import (
     shard_dirname,
     write_manifest,
 )
-from repro.cluster.rebalance import RebalanceAborted, rebalance
+from repro.cluster.rebalance import rebalance
 from repro.cluster.ring import HashRing
 
 
@@ -376,6 +376,14 @@ class TestRebalanceProperty:
         assert 0 < result.moved_count < len(sets) / 2
 
 
+class _InjectedCrash(Exception):
+    """Raised by a patched rebalance step: the process died there."""
+
+
+def _crash(*_args, **_kwargs):
+    raise _InjectedCrash
+
+
 class TestCrashMidRebalance:
     def test_crash_before_commit_leaves_old_epoch_valid(
         self, tmp_path, storage_backend
@@ -384,8 +392,11 @@ class TestCrashMidRebalance:
         expected, versions = _populate(
             tmp_path, 2, sets, storage=storage_backend
         )
-        with pytest.raises(RebalanceAborted):
-            rebalance(tmp_path, 4, crash_at="after-stage")
+        # every shard is staged, then the manifest commit never lands
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.cluster.rebalance.write_manifest", _crash)
+            with pytest.raises(_InjectedCrash):
+                rebalance(tmp_path, 4)
         # the commit never happened: the old topology recovers cleanly
         assert load_manifest(tmp_path).shards == 2
         recovered, recovered_versions = _recovered(
@@ -412,8 +423,11 @@ class TestCrashMidRebalance:
         expected, versions = _populate(
             tmp_path, 2, sets, storage=storage_backend
         )
-        with pytest.raises(RebalanceAborted):
-            rebalance(tmp_path, 4, crash_at="after-commit")
+        # the manifest is committed, then the sweep never runs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.cluster.rebalance._sweep_stale", _crash)
+            with pytest.raises(_InjectedCrash):
+                rebalance(tmp_path, 4)
         # committed: the new topology is live even though the sweep of
         # stale old-epoch files never ran
         assert load_manifest(tmp_path).shards == 4
@@ -522,15 +536,22 @@ class TestRebalanceCLI:
         ]) == 2
         assert "--shards" in capsys.readouterr().err
 
-    def test_rebalance_bad_vnodes_is_usage_error(self, tmp_path, capsys):
+    def test_rebalance_vnodes_flag_is_gone(self, tmp_path, capsys):
+        """The target layout always has the default vnodes, the only
+        layout ``repro serve`` opens: ``--vnodes`` is an unknown
+        argument, a usage error that leaves the directory alone."""
         from repro.cli import main
 
         _populate(tmp_path, 2, {"a": {1}})
-        assert main([
-            "rebalance", "--data-dir", str(tmp_path), "--shards", "2",
-            "--vnodes", "0",
-        ]) == 2
+        before = load_manifest(tmp_path).to_dict()
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "rebalance", "--data-dir", str(tmp_path), "--shards", "2",
+                "--vnodes", "64",
+            ])
+        assert exc.value.code == 2
         assert "--vnodes" in capsys.readouterr().err
+        assert load_manifest(tmp_path).to_dict() == before
 
     def test_rebalance_nonexistent_dir_is_an_error(self, tmp_path, capsys):
         """A typo'd --data-dir must not be mkdir'd into a fresh 'valid'
@@ -544,13 +565,21 @@ class TestRebalanceCLI:
         assert "does not exist" in capsys.readouterr().err
         assert not missing.exists()
 
-    def test_replay_shard_does_not_create_missing_directories(self, tmp_path):
-        from repro.cluster.journal import replay_shard
+    def test_read_only_backend_does_not_create_missing_directories(
+        self, tmp_path
+    ):
+        """The rebalance reads shards through ``create=False`` backends:
+        a missing shard directory is an empty shard, not a mkdir."""
+        from repro.cluster.journal import JournalBackend
+        from repro.service.store import SetStore
 
         missing = tmp_path / "shard-07"
-        store, stats = replay_shard(missing)
+        backend = JournalBackend(missing, create=False)
+        store = SetStore()
+        backend.replay(store)
         assert store.names() == []
-        assert stats["recovered_sets"] == 0
+        assert list(backend.iter_sets()) == []
+        assert backend.stats()["recovered_sets"] == 0
         assert not missing.exists()
 
     def test_serve_mismatched_shards_fails_fast(self, tmp_path, capsys):
@@ -624,21 +653,38 @@ class TestRebalanceCLI:
         assert load_manifest(data).shards == 2
 
     def test_rebalance_cli_normalizes_custom_vnodes(self, tmp_path):
-        """A layout committed with custom vnodes (API-created) would
-        make `repro serve` fail forever while the suggested remediation
-        was a no-op; the CLI's default target is the layout serve runs."""
+        """A layout committed with other vnodes than the default (which
+        earlier versions' API could write) is refused by `repro serve`;
+        a plain `repro rebalance` migrates it to the layout serve runs."""
         from repro.cli import main
+        from repro.cluster.storage import backend_class
 
-        async def populate():
-            async with _cluster(2, tmp_path, vnodes=64) as store:
-                await store.create("s", {1, 2, 3})
-                return store.get("s")
-
-        expected = asyncio.run(populate())
+        # a 64-vnode layout written directly: its manifest, and each
+        # shard's sets where the 64-vnode ring routes them
+        sets = {"s": {1, 2, 3}, "t": {4}, "u": {5, 6}}
+        ring = HashRing(range(2), vnodes=64)
+        write_manifest(
+            tmp_path, ClusterManifest(shards=2, vnodes=64, epoch=0)
+        )
+        for shard in range(2):
+            backend_class("journal").stage(
+                tmp_path / shard_dirname(shard),
+                [
+                    (name, sorted(values), 0)
+                    for name, values in sorted(sets.items())
+                    if ring.lookup(name) == shard
+                ],
+            )
         assert load_manifest(tmp_path).vnodes == 64
+
+        async def refused():
+            with pytest.raises(TopologyMismatchError):
+                await _cluster(2, tmp_path).start()
+
+        asyncio.run(refused())
         assert main([
             "rebalance", "--data-dir", str(tmp_path), "--shards", "2",
         ]) == 0
         assert load_manifest(tmp_path).vnodes == 128
         values, _ = _recovered(tmp_path, 2)    # default-vnodes store: serves
-        assert values["s"] == expected
+        assert values == sets

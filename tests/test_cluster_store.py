@@ -216,7 +216,6 @@ class TestCompactionUnderLoad:
                 await store.create("s", range(1, 50))
                 for i in range(40):
                     await store.apply_diff("s", add=[1000 + i])
-                await store.flush()
                 expected = store.get("s")
                 expected_version = store.version("s")
             stats = store.cluster_stats()["per_shard"][0]
@@ -305,14 +304,14 @@ class TestDurableFirstOrdering:
         async def inner():
             backend = SqliteBackend(tmp_path)
             store = backend.open_store()
-            await apply_mutation(
-                store, backend, "create", ("s", [1, 2, 3], 5)
-            )
+            assert await apply_mutation(
+                store, backend, [("create", ("s", [1, 2, 3], 5), None)]
+            ) == [(None, None)]
             backend.close()
             backend = SqliteBackend(tmp_path)
             store = backend.open_store()           # an empty cache
-            changed = await apply_mutation(
-                store, backend, "apply", ("s", [3, 4, 5], [1, 9])
+            [(changed, _)] = await apply_mutation(
+                store, backend, [("apply", ("s", [3, 4, 5], [1, 9]), None)]
             )
             cache = store.cache_stats()
             version = store.version("s")
@@ -342,11 +341,13 @@ class TestDurableFirstOrdering:
         async def inner():
             backend = SqliteBackend(tmp_path)
             store = backend.open_store()
-            await apply_mutation(store, backend, "create", ("s", [1], 0))
+            await apply_mutation(
+                store, backend, [("create", ("s", [1], 0), None)]
+            )
             for i in range(10):
-                await apply_mutation(
-                    store, backend, "apply", ("s", [100 + i], [])
-                )
+                assert await apply_mutation(
+                    store, backend, [("apply", ("s", [100 + i], []), None)]
+                ) == [(1, None)]
             backend.close()
             return store.cache_stats()
 

@@ -276,12 +276,20 @@ def _make_proc(make_cluster, data_dir, **overrides):
     overrides.setdefault("executor", "subprocess")
     overrides.setdefault("replicas", 2)
     overrides.setdefault("replication", "quorum")
-    overrides.setdefault("restart_backoff_s", 0.1)
-    overrides.setdefault("promote_after", 2)
     return make_cluster(1, data_dir, **overrides)
 
 
 class TestProcFailover:
+    @pytest.fixture(autouse=True)
+    def _fast_respawns(self, monkeypatch):
+        """Respawns and follower re-bootstraps back off 0.1 s instead of
+        0.25 s, so a drill heals quickly; the promotion budget stays the
+        default two failed respawns."""
+        monkeypatch.setattr("repro.cluster.router.RESTART_BACKOFF_S", 0.1)
+        monkeypatch.setattr(
+            "repro.cluster.replication.FOLLOWER_BACKOFF_S", 0.1
+        )
+
     def test_sigkill_plus_dead_disk_promotes_most_advanced_follower(
         self, tmp_path, make_cluster, corrupt_shard, fault_plan
     ):
@@ -403,7 +411,7 @@ class TestProcFailover:
                         victim = followers[
                             int(plan.rng.integers(0, len(followers)))
                         ]
-                        handle = getattr(victim.applier, "handle", None)
+                        handle = victim.handle
                         if handle is not None and handle.alive:
                             os.kill(handle.pid, signal.SIGKILL)
                         else:

@@ -182,9 +182,12 @@ class StoreModel(RuleBasedStateMachine):
         ]
 
     def _mutate(self, store, backend, op, args):
-        return self.loop.run_until_complete(
-            apply_mutation(store, backend, op, args)
+        [(result, error)] = self.loop.run_until_complete(
+            apply_mutation(store, backend, [(op, args, None)])
         )
+        if error is not None:
+            raise error
+        return result
 
     # -- rules ---------------------------------------------------------------
     @rule(name=_NAMES, version=st.integers(0, 3),

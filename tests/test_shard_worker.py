@@ -26,7 +26,7 @@ import pytest
 from repro.cluster.config import EXECUTORS
 from repro.cluster.manifest import replica_dir
 from repro.cluster.proc import spawn_worker
-from repro.cluster.replication import FollowerApplier
+from repro.cluster.replication import Follower
 from repro.cluster.storage import backend_class, open_backend
 from repro.cluster.worker import LocalHandle, ShardWorker
 from repro.service.store import SetStore, UnknownSetError
@@ -71,9 +71,9 @@ class TestFollowerCompaction:
         instead of growing with every shipped op.  The diffs journal
         ~126 KB, past the 64 KiB compaction threshold (worker children
         see the module default, so the test writes past it).  The
-        count is read after the close: a compaction runs after its
-        batch's acks, and a child's counters ride its acks and its
-        CLOSE reply."""
+        count is read after the close, which waits for every
+        compaction: a compaction runs after its batch's acks, so one
+        may still be running when the follower converges."""
         from repro.cluster.config import ClusterConfig, open_cluster
 
         async def inner():
@@ -86,7 +86,7 @@ class TestFollowerCompaction:
                     start = 1000 + 50 * i
                     await store.apply_diff("s", add=range(start, start + 50))
                 await _until(lambda: _converged(store), what="convergence")
-                handle = store._shards[0].repl.followers[0].applier.handle
+                handle = store._shards[0].repl.followers[0].handle
             return handle.stats()["compactions"]
 
         assert asyncio.run(inner()) >= 1
@@ -151,13 +151,14 @@ class TestQuorumWaitOutsideTheLoop:
         self, tmp_path, monkeypatch, executor
     ):
         """A mutation waiting for its quorum must not stop the shard's
-        worker: a flush and a diff to another set on the same shard
-        complete (the diff is applied and visible) while the first
-        mutation's follower apply is stalled; both ack once the follower
-        catches up."""
+        worker: while the first mutation's follower apply is stalled, an
+        empty diff to another set on the same shard (nothing to ship, so
+        no quorum to wait for) completes, and a real diff to it is
+        applied and visible; both diffs ack once the follower catches
+        up."""
         from repro.cluster.config import ClusterConfig, open_cluster
 
-        real_apply = FollowerApplier.apply
+        real_apply = Follower.apply
 
         async def inner():
             release = asyncio.Event()
@@ -172,7 +173,7 @@ class TestQuorumWaitOutsideTheLoop:
             async with store:
                 await store.create("a", [1])
                 await store.create("b", [2])
-                monkeypatch.setattr(FollowerApplier, "apply", stalled_apply)
+                monkeypatch.setattr(Follower, "apply", stalled_apply)
                 first = asyncio.ensure_future(
                     store.apply_diff("a", add=[10])
                 )
@@ -182,7 +183,9 @@ class TestQuorumWaitOutsideTheLoop:
                     # the follower stays stalled until release: any
                     # finite bound catches a shard loop held by the
                     # quorum wait
-                    await asyncio.wait_for(store.flush(), 5.0)
+                    assert await asyncio.wait_for(
+                        store.apply_diff("b"), 5.0
+                    ) == 0
                     second = asyncio.ensure_future(
                         store.apply_diff("b", add=[20])
                     )
@@ -265,8 +268,9 @@ class TestReplicatedEquivalence:
             async with store:
                 for i in range(5):
                     await store.create(f"s{i}", [i])
-                # the flush acks after any compaction the creates made due
-                await store.flush()
+                # an empty diff (written and shipped nowhere) acks after
+                # any compaction the creates made due, with its count
+                await store.apply_diff("s0")
                 before = compactions()
                 for batch in script:
                     await asyncio.gather(*[
@@ -277,7 +281,8 @@ class TestReplicatedEquivalence:
                         for step in batch
                     ])
                 await _until(lambda: _converged(store), what="convergence")
-                await store.flush()
+                await _until(lambda: compactions() > before,
+                             what="a primary compaction")
                 return before, compactions()
 
         before, after = asyncio.run(drill())
@@ -300,7 +305,7 @@ def _children(store) -> list[int]:
     shard = store._shards[0]
     handles = [shard.worker]
     if shard.repl is not None:
-        handles += [f.applier.handle for f in shard.repl.followers]
+        handles += [f.handle for f in shard.repl.followers]
     return [h.pid for h in handles if hasattr(h, "pid")]
 
 
@@ -362,7 +367,7 @@ class TestGroupCommit:
                 shard = store._shards[0]
                 follower = shard.repl.followers[0]
                 primary0 = _storage_counts(shard.worker)
-                follower0 = _storage_counts(follower.applier.handle)
+                follower0 = _storage_counts(follower.handle)
                 seq0 = shard.repl.seq
                 primary_pid = _children(store)[:1]
                 follower_pids = _children(store)[1:]
@@ -385,7 +390,7 @@ class TestGroupCommit:
                 assert outcomes == [None] * self.N
                 return (
                     primary0, _storage_counts(shard.worker),
-                    follower0, _storage_counts(follower.applier.handle),
+                    follower0, _storage_counts(follower.handle),
                 )
 
         primary0, primary1, follower0, follower1 = asyncio.run(inner())
@@ -415,7 +420,7 @@ class TestGroupCommit:
             async with self._open(make_cluster, tmp_path, executor) as store:
                 await store.create("s", [1])
                 shard = store._shards[0]
-                follower = shard.repl.followers[0].applier
+                follower = shard.repl.followers[0]
                 before = (_storage_counts(shard.worker),
                           _storage_counts(follower.handle))
                 for i in range(5):

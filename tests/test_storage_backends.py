@@ -72,7 +72,12 @@ class _Shard:
         return self._mutate("apply", (name, add, remove))
 
     def _mutate(self, op: str, args: tuple):
-        return asyncio.run(apply_mutation(self.store, self.backend, op, args))
+        [(result, error)] = asyncio.run(
+            apply_mutation(self.store, self.backend, [(op, args, None)])
+        )
+        if error is not None:
+            raise error
+        return result
 
 
 def _committed(name: str, directory) -> list:
@@ -430,13 +435,13 @@ class TestSqliteSpecific:
             async def main():
                 backend = SqliteBackend(sys.argv[1])
                 store = backend.open_store()
-                await apply_mutation(
-                    store, backend, "create", ("crash", range(1, 100), 0)
-                )
+                await apply_mutation(store, backend, [
+                    ("create", ("crash", range(1, 100), 0), None)
+                ])
                 for i in range(25):
-                    await apply_mutation(
-                        store, backend, "apply", ("crash", [1000 + i], [])
-                    )
+                    await apply_mutation(store, backend, [
+                        ("apply", ("crash", [1000 + i], []), None)
+                    ])
                 os.kill(os.getpid(), signal.SIGKILL)   # no close, no checkpoint
 
             asyncio.run(main())
@@ -733,8 +738,6 @@ class TestClusterConfigApi:
             ClusterConfig(storage="wibble")
         with pytest.raises(ValueError, match="executor"):
             ClusterConfig(executor="threads")
-        with pytest.raises(ValueError, match="vnodes"):
-            ClusterConfig(vnodes=0)
 
     def test_replace_returns_a_validated_copy(self):
         config = ClusterConfig(shards=2)
